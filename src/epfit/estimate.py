@@ -19,13 +19,14 @@ scale equations are written.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .epd import EpdParams, log_pdf, log_q_pdf, distorted_log_pdf
+from .epd import EpdParams
 from .optimize import GaConfig, maximize, polish
 from .scores import (
     CombinedHuber,
@@ -52,12 +53,15 @@ __all__ = [
     "fit_ee_alpha",
     "fit_objective",
     "objective_value",
+    "objective_values",
     "default_search_bounds",
-    "wide_search_bounds",
 ]
 
 _SIGMA_FLOOR = 1e-6
 _ALPHA_BRACKET = (0.05, 50.0)
+# the shape root is returned once its bracket is this narrow, relative
+# to the root
+_ALPHA_RTOL = 1e-13
 
 
 class DegenerateDataError(ValueError):
@@ -139,15 +143,53 @@ class MDLE:
 ObjectiveMode = MLE | MqLE | MDLE
 
 
+@functools.lru_cache(maxsize=128)
+def _log_gamma_inverse(alpha: float) -> float:
+    # GA children inherit most shapes unchanged, so this rarely misses
+    return log_gamma(1.0 / alpha)
+
+
+def objective_values(mode: ObjectiveMode, data, points) -> np.ndarray:
+    """Summed objective of the chosen estimation mode at each point.
+
+    ``points`` is an (m, 3) array of (mu, sigma, alpha) rows; the result
+    has one value per row, -inf where sigma or alpha is not positive.
+    All rows are evaluated together as (m, n) arrays, with the same
+    elementwise operations as the single-point densities in ``epd``, so
+    a row's value is bit-identical to its single-point objective and
+    does not depend on the other rows.
+    """
+    if not isinstance(mode, (MLE, MqLE, MDLE)):
+        raise TypeError(f"unknown objective mode {mode!r}")
+    data = np.asarray(data, dtype=float)
+    points = np.asarray(points, dtype=float)
+    out = np.full(len(points), -np.inf)
+    ok = (points[:, 1] > 0.0) & (points[:, 2] > 0.0)
+    mu, sigma, alpha = points[ok].T
+    # log of the density prefactor, term by term as EpdParams.log_norm_const
+    log_c = np.array([
+        math.log(a) - math.log(2.0 * s) - _log_gamma_inverse(a)
+        for s, a in zip(sigma.tolist(), alpha.tolist())
+    ])
+    y = np.abs(data - mu[:, None]) / sigma[:, None]
+    # power row by row: numpy computes x**2 and x**0.5 by exact shortcuts
+    # when the exponent is one scalar, as in the single-point densities,
+    # but not always when a column of exponents is broadcast
+    pow_a = np.empty_like(y)
+    for k, a in enumerate(alpha):
+        np.power(y[k], a, out=pow_a[k])
+    lf = log_c[:, None] - pow_a
+    if isinstance(mode, MqLE) and mode.q != 1.0:
+        lf = np.expm1((1.0 - mode.q) * lf) / (1.0 - mode.q)
+    elif isinstance(mode, MDLE) and mode.beta > 0.0:
+        lf = np.log(mode.beta + np.exp(lf))
+    out[ok] = lf.sum(axis=1)
+    return out
+
+
 def objective_value(mode: ObjectiveMode, data: np.ndarray, p: EpdParams) -> float:
-    """Summed objective of the chosen estimation mode."""
-    if isinstance(mode, MLE):
-        return float(np.sum(log_pdf(data, p)))
-    if isinstance(mode, MqLE):
-        return float(np.sum(log_q_pdf(data, p, mode.q)))
-    if isinstance(mode, MDLE):
-        return float(np.sum(distorted_log_pdf(data, p, mode.beta)))
-    raise TypeError(f"unknown objective mode {mode!r}")
+    """Summed objective of the chosen estimation mode at one point."""
+    return float(objective_values(mode, data, np.array([[p.mu, p.sigma, p.alpha]]))[0])
 
 
 def initial_values(data) -> tuple[float, float]:
@@ -267,17 +309,51 @@ class _AlphaResidual:
         return 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - mean_pl
 
 
-def _bisect(g, a: float, b: float, fa: float) -> float:
+def _brent(g, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of g on [a, b], where g(a) and g(b) differ in sign.
+
+    Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps, replaced by a
+    bisection step whenever they would leave the bracket or shrink it
+    too slowly.  Returns once the bracket is narrower than _ALPHA_RTOL
+    relative to the root.
+    """
+    # b is the best iterate, the root lies between b and c, and a is
+    # the previous iterate
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(100):
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0 or (b - a) < 1e-13 * mid:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _ALPHA_RTOL * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return float(b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
+    return float(b)
 
 
 def fit_ee_alpha(
@@ -291,9 +367,10 @@ def fit_ee_alpha(
     """Solve the shape estimating equation at fixed (mu, sigma).
 
     Root-finds the residual of the shape equation (equivalently, the
-    shape derivative of the chosen objective) by bracketing bisection,
-    taking the smallest root in the bracket so the iteration locks onto
-    the central solution rather than a degenerate high-shape one.
+    shape derivative of the chosen objective) by Brent's bracketed
+    method, taking the smallest root in the bracket so the iteration
+    locks onto the central solution rather than a degenerate high-shape
+    one.
     q = 1, beta = 0 is the plain-likelihood equation; q < 1 and beta > 0
     select the weighted variants.  ``hint`` narrows the initial bracket
     around a previous root.
@@ -311,7 +388,7 @@ def fit_ee_alpha(
         fa, fb = g(a), g(b)
         for _ in range(8):
             if fa * fb <= 0.0:
-                return _bisect(g, a, b, fa)
+                return _brent(g, a, b, fa, fb)
             a, b = max(lo, a / 1.6), min(hi, b * 1.6)
             fa, fb = g(a), g(b)
 
@@ -321,7 +398,7 @@ def fit_ee_alpha(
         if vals[i] == 0.0:
             return float(grid[i])
         if vals[i] * vals[i + 1] < 0.0:
-            return _bisect(g, float(grid[i]), float(grid[i + 1]), vals[i])
+            return _brent(g, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
     raise AlphaRootError(f"no shape-equation root in ({lo}, {hi})")
 
 
@@ -443,12 +520,6 @@ def default_search_bounds(data) -> tuple[tuple[float, float], ...]:
     )
 
 
-def wide_search_bounds() -> tuple[tuple[float, float], ...]:
-    """The very wide literal search box (selectable, poorly conditioned)."""
-    big = 1e10
-    return ((-big, big), (1e-2, big), (1e-2, big))
-
-
 def fit_objective(
     data,
     mode: ObjectiveMode,
@@ -476,12 +547,7 @@ def fit_objective(
         np.array([float(np.mean(data)), float(np.std(data)), 3.0]),
     ]
 
-    def f(point: np.ndarray) -> float:
-        mu, sigma, alpha = point
-        if sigma <= 0.0 or alpha <= 0.0:
-            return -np.inf
-        return objective_value(mode, data, EpdParams(mu, sigma, alpha))
-
+    f = functools.partial(objective_values, mode, data)
     cfg = GaConfig(
         bounds=tuple((float(a), float(b)) for a, b in bounds),
         population=population,

@@ -525,14 +525,21 @@ def variances(matrix: FisherMatrix) -> VarianceReport:
     """Diagonal of the inverse information matrix.
 
     Falls back to the Moore-Penrose pseudo-inverse when the matrix is
-    numerically singular.  Asymmetric matrices are inverted as-is.
+    numerically singular, or when the inversion fails on finite entries.
+    A matrix with non-finite entries that cannot be inverted (overflowed
+    quadrature) gets NaN variances.  Asymmetric matrices are inverted
+    as-is.
     """
     entries = matrix.entries
     d = matrix.dim
-    norm = float(np.linalg.norm(entries, 2))
-    det = float(np.linalg.det(entries))
-    pseudo = abs(det) < 1e-12 * max(norm, 1.0) ** d
-    inv = np.linalg.pinv(entries) if pseudo else np.linalg.inv(entries)
+    try:
+        norm = float(np.linalg.norm(entries, 2))
+        det = float(np.linalg.det(entries))
+        pseudo = abs(det) < 1e-12 * max(norm, 1.0) ** d
+        inv = np.linalg.pinv(entries) if pseudo else np.linalg.inv(entries)
+    except np.linalg.LinAlgError:
+        pseudo = bool(np.all(np.isfinite(entries)))
+        inv = np.linalg.pinv(entries) if pseudo else np.full((d, d), np.nan)
     raw = tuple(float(v) for v in np.diag(inv))
     return VarianceReport(
         raw=raw,

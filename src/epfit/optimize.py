@@ -4,6 +4,10 @@ The GA uses binary tournament selection, single-point crossover on the
 coordinate vector, Gaussian mutation scaled to the box width, and
 elitism, all driven by one counter-based generator so a fixed seed gives
 a bit-identical trajectory.
+
+Both maximizers take a population-wise objective: ``f`` maps an (m, dim)
+array of points to the m objective values, so a whole GA generation is
+one call.
 """
 
 from __future__ import annotations
@@ -51,14 +55,6 @@ class GaResult:
     history: list = field(default_factory=list)
 
 
-def _fitness(f: Callable, points: np.ndarray) -> np.ndarray:
-    vals = np.empty(len(points))
-    for i, pt in enumerate(points):
-        v = f(pt)
-        vals[i] = v if np.isfinite(v) else -np.inf
-    return vals
-
-
 def maximize(
     f: Callable,
     cfg: GaConfig,
@@ -66,6 +62,9 @@ def maximize(
 ) -> GaResult:
     """Maximize f over the box in cfg.bounds.
 
+    ``f`` is population-wise: it takes an (m, dim) array of points and
+    returns their m objective values, and each generation is evaluated
+    with one call.  A row's value must not depend on the other rows.
     Non-finite evaluations count as -inf fitness.  ``seed_points`` are
     injected into the initial population (clipped to the box), which
     speeds up convergence without changing reachability.
@@ -80,12 +79,13 @@ def maximize(
     if seed_points:
         for i, pt in enumerate(seed_points[: cfg.population]):
             pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
-    fit = _fitness(f, pop)
+    fit = np.asarray(f(pop), dtype=float)
     if not np.any(np.isfinite(fit)):
         raise RuntimeError("all initial candidates evaluated non-finite")
 
     history = []
     for _ in range(cfg.generations):
+        fit = np.where(np.isfinite(fit), fit, -np.inf)
         order = np.argsort(-fit, kind="stable")
         pop, fit = pop[order], fit[order]
         history.append(float(fit[0]))
@@ -102,15 +102,14 @@ def maximize(
                 c1[cut:], c2[cut:] = parents[1][cut:], parents[0][cut:]
             for child in (c1, c2):
                 mask = rng.random(dim) < cfg.mutation_rate
-                if np.any(mask):
+                if mask.any():
                     child[mask] += rng.normal(0.0, cfg.mutation_scale, size=int(mask.sum())) * width[mask]
-                children.append(np.clip(child, lo, hi))
+                children.append(child.clip(lo, hi))
         pop = np.array(children[: cfg.population])
-        new_fit = _fitness(f, pop)
         # elites keep their known fitness; re-evaluation is redundant for a pure f
-        new_fit[: cfg.elitism] = fit[: cfg.elitism]
-        fit = new_fit
+        fit = np.concatenate([fit[: cfg.elitism], f(pop[cfg.elitism:])])
 
+    fit = np.where(np.isfinite(fit), fit, -np.inf)
     best = int(np.argmax(fit))
     history.append(float(fit[best]))
     return GaResult(pop[best].copy(), float(fit[best]), history)
@@ -126,8 +125,9 @@ def polish(
 ) -> tuple[np.ndarray, float]:
     """Bounded Nelder-Mead refinement of a maximum.
 
-    Candidate vertices are projected onto the box.  Never returns a point
-    with a smaller objective than the start.
+    ``f`` is population-wise, as for ``maximize``.  Candidate vertices
+    are projected onto the box.  Never returns a point with a smaller
+    objective than the start.
     """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -136,9 +136,9 @@ def polish(
     if max_iter is None:
         max_iter = 400 * dim
 
-    def g(pt):
-        v = f(np.clip(pt, lo, hi))
-        return v if np.isfinite(v) else -np.inf
+    def g(points):
+        vals = np.asarray(f(np.clip(points, lo, hi)), dtype=float)
+        return np.where(np.isfinite(vals), vals, -np.inf)
 
     # initial simplex: perturb each coordinate by 5% of box width
     simplex = [start]
@@ -148,7 +148,7 @@ def polish(
         vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
         simplex.append(vertex)
     simplex = np.array(simplex)
-    values = np.array([g(v) for v in simplex])
+    values = g(simplex)
 
     for _ in range(max_iter):
         order = np.argsort(-values)
@@ -159,10 +159,10 @@ def polish(
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
         refl = np.clip(centroid + (centroid - worst), lo, hi)
-        f_refl = g(refl)
+        f_refl = g(refl[None])[0]
         if f_refl > values[0]:
             expa = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
-            f_expa = g(expa)
+            f_expa = g(expa[None])[0]
             if f_expa > f_refl:
                 simplex[-1], values[-1] = expa, f_expa
             else:
@@ -171,16 +171,15 @@ def polish(
             simplex[-1], values[-1] = refl, f_refl
         else:
             contr = np.clip(centroid + 0.5 * (worst - centroid), lo, hi)
-            f_contr = g(contr)
+            f_contr = g(contr[None])[0]
             if f_contr > values[-1]:
                 simplex[-1], values[-1] = contr, f_contr
             else:
-                for i in range(1, dim + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = g(simplex[i])
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = g(simplex[1:])
 
     best = int(np.argmax(values))
-    start_val = g(start)
+    start_val = g(start[None])[0]
     if values[best] >= start_val:
         return simplex[best].copy(), float(values[best])
     return start, float(start_val)

@@ -4,6 +4,7 @@ schema and byte-level reproducibility."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert report["payload"]["alpha_estimated"] is True
         assert abs(report["payload"]["estimates"]["alpha"] - 2.1) < 0.8
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowed_fisher_matrix_still_reports(self, tmp_path):
+        # on this contaminated sample the sq objective fit lands at a
+        # shape where the quadrature information matrix overflows: an
+        # infinite corner entry and two identical rows, which no inverse
+        # can handle; the fit still reports, with NaN variances
+        data = Path(__file__).parent / "data" / "overflowed_fisher.csv"
+        out = tmp_path / "obj.json"
+        code = dispatch(["fit", "--data", str(data), "--score", "sq", "--q", "0.8",
+                         "--method", "objective", "--ga-seed", "1833331738",
+                         "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        validate_report(report)
+        payload = report["payload"]
+        assert payload["fisher"]["method"] == "quadrature-partial"
+        assert payload["variances"]["raw"] == ["nan", "nan", "nan"]
+        assert payload["variances"]["pseudo_inverse"] is False
 
     def test_outlier_flag(self, sample_file, tmp_path):
         out = tmp_path / "o.json"

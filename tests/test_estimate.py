@@ -1,10 +1,13 @@
 """Estimators: reweighted EE fixed points, the shape equation and the
 objective route."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from epfit.epd import EpdParams, sample
+import epfit.estimate
+from epfit.epd import EpdParams, distorted_log_pdf, log_pdf, log_q_pdf, sample
 from epfit.estimate import (
     MDLE,
     MLE,
@@ -17,6 +20,7 @@ from epfit.estimate import (
     fit_objective,
     initial_values,
     objective_value,
+    objective_values,
 )
 from epfit.scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple, psi_vector
 
@@ -188,3 +192,130 @@ class TestObjectiveFits:
             MDLE(-0.1)
         with pytest.raises(DegenerateDataError):
             fit_objective(np.array([1.0, 2.0]), MLE(), seed=0)
+
+
+def reference_samples():
+    contaminated = np.concatenate([
+        sample(EpdParams(0.0, 1.0, 2.0), 100, 21),
+        sample(EpdParams(5.0, 6.0, 1.1), 10, 22),
+    ])
+    return {"contaminated": contaminated, "clean": sample(EpdParams(1.5, 0.5, 1.3), 60, 23)}
+
+
+# (q, beta, (mu, sigma), hint, root found by the earlier bisection solver,
+# which stopped at the same 1e-13 relative bracket width)
+BISECTION_ROOTS = [
+    (1.0, 0.0, (0.10280336621197306, 0.6091271521826309), None, 0.8111140772305093),
+    (1.0, 0.0, (0.10280336621197306, 0.6091271521826309), 1.7, 0.8111140772304697),
+    (1.0, 0.0, (0.05, 1.1), None, 1.0764913157673264),
+    (1.0, 0.0, (0.05, 1.1), 1.7, 1.0764913157673601),
+    (0.8, 0.0, (0.10280336621197306, 0.6091271521826309), None, 1.0074170353043101),
+    (0.8, 0.0, (0.10280336621197306, 0.6091271521826309), 1.7, 1.007417035304333),
+    (0.8, 0.0, (0.05, 1.1), None, 1.7426668610746174),
+    (0.8, 0.0, (0.05, 1.1), 1.7, 1.7426668610747038),
+    (0.625, 0.0, (0.10280336621197306, 0.6091271521826309), None, 1.2479337075433654),
+    (0.625, 0.0, (0.10280336621197306, 0.6091271521826309), 1.7, 1.2479337075434045),
+    (0.625, 0.0, (0.05, 1.1), None, 2.6661634676007813),
+    (0.625, 0.0, (0.05, 1.1), 1.7, 2.666163467600687),
+    (1.0, 0.006, (0.10280336621197306, 0.6091271521826309), None, 1.0297032713471026),
+    (1.0, 0.006, (0.10280336621197306, 0.6091271521826309), 1.7, 1.0297032713470755),
+    (1.0, 0.006, (0.05, 1.1), None, 2.125795468378948),
+    (1.0, 0.006, (0.05, 1.1), 1.7, 2.1257954683789677),
+    (1.0, 0.003, (0.10280336621197306, 0.6091271521826309), None, 0.9798018986716388),
+    (1.0, 0.003, (0.10280336621197306, 0.6091271521826309), 1.7, 0.979801898671675),
+    (1.0, 0.003, (0.05, 1.1), None, 2.092574739142103),
+    (1.0, 0.003, (0.05, 1.1), 1.7, 2.092574739142049),
+]
+
+
+class TestShapeRootSolver:
+    @pytest.fixture
+    def residual_evals(self, monkeypatch):
+        # the shape residual calls digamma exactly once per evaluation
+        calls = [0]
+        digamma = epfit.estimate.digamma
+
+        def counted(x):
+            calls[0] += 1
+            return digamma(x)
+
+        monkeypatch.setattr(epfit.estimate, "digamma", counted)
+        return calls
+
+    @pytest.mark.parametrize("q, beta, start, hint, expected", BISECTION_ROOTS)
+    def test_matches_bisection_root(self, q, beta, start, hint, expected):
+        data = reference_samples()["contaminated"]
+        root = fit_ee_alpha(data, EpdParams(*start, 2.0), q=q, beta=beta, hint=hint)
+        assert type(root) is float
+        assert root == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q, beta", [(1.0, 0.0), (0.8, 0.0), (0.625, 0.0), (1.0, 6e-3)])
+    def test_empty_bracket_raises(self, q, beta):
+        data = reference_samples()["contaminated"]
+        with pytest.raises(AlphaRootError):
+            fit_ee_alpha(data, EpdParams(0.1, 0.6, 2.0), q=q, beta=beta, bracket=(45.0, 50.0))
+
+    @pytest.mark.parametrize("q, beta", [(1.0, 0.0), (0.8, 0.0), (0.625, 0.0), (1.0, 6e-3), (1.0, 3e-3)])
+    def test_hinted_solve_is_cheap(self, q, beta, residual_evals):
+        # inside the EE iteration the hint is the previous iterate's root
+        data = reference_samples()["contaminated"]
+        for start in ((0.1, 0.6), (0.05, 1.1)):
+            current = EpdParams(*start, 2.0)
+            root = fit_ee_alpha(data, current, q=q, beta=beta)
+            for factor in (0.9, 0.99, 1.01, 1.1):
+                residual_evals[0] = 0
+                again = fit_ee_alpha(data, current, q=q, beta=beta, hint=root * factor)
+                assert residual_evals[0] <= 15
+                assert again == pytest.approx(root, rel=1e-12)
+
+
+# Objective-route fits recorded before the GA evaluated its population
+# with one call: (sample, mode, GA seed, best point, objective value,
+# history length, SHA-256 of the history as little-endian float64).
+# Floats are in float.hex form; every one must be reproduced exactly.
+OBJECTIVE_PINS = [
+    ("contaminated", MLE(), 5, ('0x1.35fad22236a52p-3', '0x1.a40a1c469b0bbp-2', '0x1.600a3e27baf97p-1'), '-0x1.4b4a448dfe499p+7', 201, 'efddb412cb4d206ac6644ba09447002b644e6a15fd28f435b1d77117cf190db0'),
+    ("contaminated", MqLE(q=0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69b047edfb8p-2', '0x1.a4ee07419e943p-1'), '-0x1.0332d4fd1a8c5p+7', 201, '36c6488160f6d80cc007d16372e077beeb8b922dfa8d038a89d8bb6330ae17d4'),
+    ("contaminated", MDLE(beta=0.006), 9, ('-0x1.b38c89e712d68p-6', '0x1.21856a05e3414p+0', '0x1.23c671f7f1eacp+1'), '-0x1.27dbdf5087db0p+7', 201, '6a0d05ca3007968adf5240e414402c8904531d2f088e0b5db4016c6073282276'),
+    ("clean", MLE(), 5, ('0x1.7d1f826a6c696p+0', '0x1.2c25727f2a87dp-1', '0x1.5816f1b9749e2p+0'), '-0x1.8842d82640c6ap+5', 201, 'dba0aba3ccbe5daddf791bd9206967de38d0472125b81fa4a3cc94e2391ea9ac'),
+    ("clean", MqLE(q=0.8), 5, ('0x1.80100efcee651p+0', '0x1.c35ebb94eba43p-2', '0x1.3138b1092ba41p+0'), '-0x1.4a264a95ac275p+5', 201, '229b1a0950275931e1441ecdc858c7384a7ae66ab4f632209e3ce977c4ad9497'),
+    ("clean", MDLE(beta=0.006), 9, ('0x1.7db0110d40c41p+0', '0x1.29b054fd79e78p-1', '0x1.608fc11b4c8a0p+0'), '-0x1.7d212efa61159p+5', 201, 'b950f9376fcbae1cf0432c96ba02b88f4a90ecf3810bac12b4ec7fea1d09f7ca'),
+]
+
+
+class TestObjectiveRoutePinned:
+    @pytest.mark.parametrize("name, mode, seed, point, value, length, history", OBJECTIVE_PINS)
+    def test_bit_identical(self, name, mode, seed, point, value, length, history):
+        res = fit_objective(reference_samples()[name], mode, seed=seed)
+        p = res.params
+        assert (p.mu.hex(), p.sigma.hex(), p.alpha.hex()) == point
+        assert res.objective_value.hex() == value
+        assert len(res.ga_history) == length
+        digest = hashlib.sha256(np.asarray(res.ga_history, dtype="<f8").tobytes()).hexdigest()
+        assert digest == history
+
+    @pytest.mark.parametrize("n", [3, 110])
+    @pytest.mark.parametrize("mode", [MLE(), MqLE(0.8), MDLE(6e-3), MqLE(1.0), MDLE(0.0)])
+    def test_rows_match_single_point_densities(self, mode, n):
+        if isinstance(mode, MLE):
+            density = log_pdf
+        elif isinstance(mode, MqLE):
+            density = lambda x, p: log_q_pdf(x, p, mode.q)
+        else:
+            density = lambda x, p: distorted_log_pdf(x, p, mode.beta)
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal(n) * 2.0
+        points = np.column_stack([
+            rng.normal(0.0, 1.0, 200), rng.uniform(0.05, 5.0, 200), rng.uniform(0.1, 20.0, 200),
+        ])
+        # numpy computes x**2 and x**0.5 by exact shortcuts when the
+        # exponent is one scalar; a one-ulp slip shows best in short samples
+        points[::2, 2] = np.tile([2.0, 0.5], 50)
+        points[1, 1] = -1.0
+        points[3, 2] = 0.0
+        values = objective_values(mode, data, points)
+        assert values[1] == values[3] == -np.inf
+        for k, (row, v) in enumerate(zip(points, values)):
+            if k not in (1, 3):
+                assert v == float(np.sum(density(data, EpdParams(*row))))
+                assert v == objective_value(mode, data, EpdParams(*row))

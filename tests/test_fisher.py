@@ -165,6 +165,32 @@ class TestVariances:
         assert rep.negative == (True, False)
         assert rep.abs_values[0] == pytest.approx(0.5)
 
+    def test_overflowed_matrix_gives_nan(self):
+        # the shape an overflowed quadrature leaves: an infinite corner
+        # entry and two identical rows; np.linalg.inv raises on it
+        entries = np.array([
+            [np.inf, -1.1169201648680040e128, -1.1913815091925376e129],
+            [6.7861122571073626e173, 8.2311772214476452e52, -5.2679534217264930e54],
+            [6.7861122571073626e173, 8.2311772214476452e52, -5.2679534217264930e54],
+        ])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(entries)
+        with np.errstate(all="ignore"):
+            rep = variances(FisherMatrix(entries, 3, 110, "quadrature-partial"))
+        assert all(np.isnan(v) for v in rep.raw)
+        assert all(np.isnan(v) for v in rep.abs_values)
+        assert rep.negative == (False, False, False)
+        assert not rep.pseudo_inverse
+
+    def test_failed_inverse_of_finite_matrix_uses_pseudo_inverse(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", fail)
+        rep = variances(FisherMatrix(2.0 * np.eye(2), 2, 1, "closed_form"))
+        assert rep.pseudo_inverse
+        assert rep.raw == pytest.approx((0.5, 0.5), rel=1e-12)
+
     def test_reference_magnitude(self):
         # distorted-score fit analog: the location variance lands within
         # a factor of two of the documented 0.0089 reference value

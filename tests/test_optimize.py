@@ -1,4 +1,8 @@
-"""Genetic maximizer and simplex polish."""
+"""Genetic maximizer and simplex polish.
+
+Objectives are population-wise: they map an (m, dim) array of points to
+m values.  Written with ``x[..., k]`` they also take a single point.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from epfit.optimize import GaConfig, maximize, polish
 
 
 def neg_quadratic_1d(x):
-    return -((x[0] - 3.0) ** 2)
+    return -((x[..., 0] - 3.0) ** 2)
 
 
 class TestMaximize:
@@ -18,28 +22,28 @@ class TestMaximize:
     def test_separable_quadratic_3d(self):
         target = np.array([1.0, 2.0, 0.5])
         res = maximize(
-            lambda x: -float(np.sum((x - target) ** 2)),
+            lambda x: -np.sum((x - target) ** 2, axis=-1),
             GaConfig(bounds=((-5.0, 5.0),) * 3, seed=7),
         )
         np.testing.assert_allclose(res.best_point, target, atol=5e-2)
 
     def test_same_seed_bit_identical(self):
         cfg = GaConfig(bounds=((-5.0, 5.0),) * 2, seed=11, generations=40)
-        f = lambda x: -float(np.sum(x**2))
+        f = lambda x: -np.sum(x**2, axis=-1)
         a, b = maximize(f, cfg), maximize(f, cfg)
         np.testing.assert_array_equal(a.best_point, b.best_point)
         assert a.history == b.history
 
     def test_elitism_monotone(self):
         res = maximize(
-            lambda x: float(np.cos(x[0]) + 0.1 * x[1]),
+            lambda x: np.cos(x[..., 0]) + 0.1 * x[..., 1],
             GaConfig(bounds=((-8.0, 8.0), (-1.0, 1.0)), seed=3),
         )
         assert np.all(np.diff(np.array(res.history)) >= 0.0)
 
     def test_bounds_respected(self):
         res = maximize(
-            lambda x: float(x[0]),
+            lambda x: x[..., 0],
             GaConfig(bounds=((-2.0, 1.5),), seed=9, generations=60),
         )
         assert -2.0 <= res.best_point[0] <= 1.5
@@ -47,13 +51,13 @@ class TestMaximize:
 
     def test_non_finite_becomes_minus_inf(self):
         def f(x):
-            return np.nan if x[0] < 0 else -x[0] ** 2
+            return np.where(x[..., 0] < 0, np.nan, -x[..., 0] ** 2)
         res = maximize(f, GaConfig(bounds=((-1.0, 1.0),), seed=13))
         assert res.best_point[0] >= 0.0
 
     def test_all_infeasible_raises(self):
         with pytest.raises(RuntimeError):
-            maximize(lambda x: np.nan, GaConfig(bounds=((0.0, 1.0),), seed=1, generations=2))
+            maximize(lambda x: np.full(len(x), np.nan), GaConfig(bounds=((0.0, 1.0),), seed=1, generations=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -79,7 +83,7 @@ class TestPolish:
 
     def test_never_worse_than_start(self):
         def rugged(x):
-            return float(np.sin(40.0 * x[0]) - x[0] ** 2)
+            return np.sin(40.0 * x[..., 0]) - x[..., 0] ** 2
         for s in (-1.3, 0.2, 0.9):
             start = np.array([s])
             _, value = polish(rugged, start, ((-2.0, 2.0),))
@@ -87,11 +91,11 @@ class TestPolish:
 
     def test_rosenbrock_improves(self):
         def neg_rosen(x):
-            return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+            return -((1.0 - x[..., 0]) ** 2 + 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2)
         start = np.array([0.0, 0.0])
         _, value = polish(neg_rosen, start, ((-2.0, 2.0),) * 2)
         assert value > neg_rosen(start)
 
     def test_stays_in_bounds(self):
-        point, _ = polish(lambda x: float(x[0]), np.array([0.4]), ((0.0, 0.5),))
+        point, _ = polish(lambda x: x[..., 0], np.array([0.4]), ((0.0, 0.5),))
         assert 0.0 <= point[0] <= 0.5
