@@ -25,10 +25,10 @@ from importlib import resources
 import numpy as np
 
 from . import epd, simulate
-from .estimate import MDLE, MLE, FitConfig, MqLE, fit_ee_location_scale, fit_objective
+from .estimate import FitConfig, fit_ee_location_scale, fit_objective
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
-from .select import artificial_sample, evaluate_fit, mae, tune
+from .select import evaluate_fit, replicated_mae, tune
 
 __all__ = [
     "IngestError",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+
+# report label of an objective-route fit, by --score
+_OBJECTIVE_LABELS = {"s": "MLE", "sq": "MqLE", "sd": "MDLE"}
 
 
 class IngestError(ValueError):
@@ -228,11 +231,8 @@ def _build_family(score: str, args, alpha):
 
 
 def _family_payload(family) -> dict:
-    out = {"family": type(family).__name__}
-    for name in ("r", "k", "t", "q", "beta"):
-        if hasattr(family, name):
-            out[name] = getattr(family, name)
-    if hasattr(family, "triple"):
+    out = {"family": type(family).__name__, **family.tuning()}
+    if isinstance(family, (CombinedPlain, CombinedHuber)):
         out["alpha_triple"] = list(family.triple.as_tuple())
     return out
 
@@ -302,43 +302,27 @@ def _cmd_fit(args, argv) -> int:
     if args.method == "objective":
         if args.ga_seed is None:
             raise UsageError("--ga-seed is required for objective fits")
-        if args.score == "s":
-            mode = MLE()
-        elif args.score == "sq":
-            if args.q is None:
-                raise UsageError("--q is required for the sq objective")
-            mode = MqLE(args.q)
-        elif args.score == "sd":
-            if args.beta is None:
-                raise UsageError("--beta is required for the sd objective")
-            mode = MDLE(args.beta)
-        else:
+        if args.score not in _OBJECTIVE_LABELS:
             raise UsageError("objective fits support scores s, sq and sd")
+    family = _build_family(args.score, args, alpha)
+    family_info = _family_payload(family)
+    if args.method == "objective":
         result = fit_objective(
-            data, mode, seed=args.ga_seed,
+            data, family, seed=args.ga_seed,
             population=args.ga_pop, generations=args.ga_gens,
         )
-        family_info = {"family": type(mode).__name__, **{
-            k: getattr(mode, k) for k in ("q", "beta") if hasattr(mode, k)
-        }}
+        family_info["family"] = _OBJECTIVE_LABELS[args.score]
     else:
-        family = _build_family(args.score, args, alpha)
         config = FitConfig(estimate_alpha=args.estimate_alpha)
         scalar_alpha = alpha if isinstance(alpha, float) else None
         result = fit_ee_location_scale(data, family, alpha=scalar_alpha, config=config)
-        family_info = _family_payload(family)
 
     result = evaluate_fit(data, result, fisher_method=args.fisher)
     if args.mae_reps > 0:
         if args.seed is None:
             raise UsageError("--seed is required when --mae-reps is set")
-        n = len(data)
-        sizes = (7, n - 9, 2) if n > 9 else (0, n, 0)
-        vals = []
-        for r in range(args.mae_reps):
-            rng = np.random.SeedSequence(entropy=args.seed, spawn_key=(r,))
-            vals.append(mae(data, artificial_sample(result.params, result.family, sizes, rng)))
-        result.mae = float(np.mean(vals))
+        result.mae = replicated_mae(data, result.params, result.family, args.seed,
+                                    [(r,) for r in range(args.mae_reps)])
 
     timing = (time.perf_counter() - started) * 1000.0 if args.timings else None
     payload = {"method": args.method, "score": args.score, **family_info,
@@ -499,35 +483,22 @@ def _load_estimators(path: str) -> list[simulate.EstimatorSpec]:
         method = str(vals.get("method", "ee"))
         alpha = vals.get("alpha")
         estimate_alpha = bool(vals.get("estimate_alpha", False))
-
-        class _Args:
-            r = vals.get("r")
-            k = vals.get("k")
-            t = vals.get("t")
-            q = vals.get("q")
-            beta = vals.get("beta")
-
+        constants = argparse.Namespace(**{k: vals.get(k) for k in ("r", "k", "t", "q", "beta")})
         triple = None
         if isinstance(alpha, str):
             triple = _parse_triple(alpha)
         elif alpha is not None:
             triple = float(alpha)
+        if method == "objective" and score not in _OBJECTIVE_LABELS:
+            raise UsageError(f"{path}: estimator {name}: objective supports s/sq/sd")
+        family = _build_family(score, constants, triple)
         if method == "objective":
-            if score == "s":
-                mode = MLE()
-            elif score == "sq":
-                mode = MqLE(float(vals["q"]))
-            elif score == "sd":
-                mode = MDLE(float(vals["beta"]))
-            else:
-                raise UsageError(f"{path}: estimator {name}: objective supports s/sq/sd")
             specs.append(simulate.EstimatorSpec(
-                label=name, objective=mode,
+                label=name, family=family, objective=True,
                 ga_population=int(vals.get("ga_pop", 50)),
                 ga_generations=int(vals.get("ga_gens", 200)),
             ))
         else:
-            family = _build_family(score, _Args, triple)
             scalar = triple if isinstance(triple, float) else None
             specs.append(simulate.EstimatorSpec(
                 label=name, family=family, alpha=scalar,

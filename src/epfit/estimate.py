@@ -31,8 +31,6 @@ from .optimize import GaConfig, maximize, polish
 from .scores import (
     CombinedHuber,
     CombinedPlain,
-    Distorted,
-    QWeighted,
     ScoreFamily,
     density_weight,
     ee_weight,
@@ -45,9 +43,6 @@ __all__ = [
     "AlphaRootError",
     "FitConfig",
     "FitResult",
-    "MLE",
-    "MqLE",
-    "MDLE",
     "initial_values",
     "fit_ee_location_scale",
     "fit_ee_alpha",
@@ -113,45 +108,18 @@ class FitResult:
     ga_history: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class MLE:
-    """Plain log-likelihood objective."""
-
-
-@dataclass(frozen=True)
-class MqLE:
-    """q-deformed log-likelihood objective, q in (0, 1]."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
-
-
-@dataclass(frozen=True)
-class MDLE:
-    """Distorted log-likelihood objective, beta >= 0."""
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-
-
-ObjectiveMode = MLE | MqLE | MDLE
-
-
 @functools.lru_cache(maxsize=128)
 def _log_gamma_inverse(alpha: float) -> float:
     # GA children inherit most shapes unchanged, so this rarely misses
     return log_gamma(1.0 / alpha)
 
 
-def objective_values(mode: ObjectiveMode, data, points) -> np.ndarray:
-    """Summed objective of the chosen estimation mode at each point.
+def objective_values(family: ScoreFamily, data, points) -> np.ndarray:
+    """Summed log-likelihood of the family at each point.
 
+    The plain score gives the log-likelihood, the q-weighted score its
+    q-deformed log and the distorted score log(beta + f); the Huber and
+    combined scores derive from no likelihood and raise TypeError.
     ``points`` is an (m, 3) array of (mu, sigma, alpha) rows; the result
     has one value per row, -inf where sigma or alpha is not positive.
     All rows are evaluated together as (m, n) arrays, with the same
@@ -159,8 +127,10 @@ def objective_values(mode: ObjectiveMode, data, points) -> np.ndarray:
     a row's value is bit-identical to its single-point objective and
     does not depend on the other rows.
     """
-    if not isinstance(mode, (MLE, MqLE, MDLE)):
-        raise TypeError(f"unknown objective mode {mode!r}")
+    deformation = getattr(family, "likelihood", None)
+    if deformation is None:
+        raise TypeError(f"no likelihood objective for {family!r}")
+    q, beta = deformation
     data = np.asarray(data, dtype=float)
     points = np.asarray(points, dtype=float)
     out = np.full(len(points), -np.inf)
@@ -179,17 +149,17 @@ def objective_values(mode: ObjectiveMode, data, points) -> np.ndarray:
     for k, a in enumerate(alpha):
         np.power(y[k], a, out=pow_a[k])
     lf = log_c[:, None] - pow_a
-    if isinstance(mode, MqLE) and mode.q != 1.0:
-        lf = np.expm1((1.0 - mode.q) * lf) / (1.0 - mode.q)
-    elif isinstance(mode, MDLE) and mode.beta > 0.0:
-        lf = np.log(mode.beta + np.exp(lf))
+    if q != 1.0:
+        lf = np.expm1((1.0 - q) * lf) / (1.0 - q)
+    elif beta > 0.0:
+        lf = np.log(beta + np.exp(lf))
     out[ok] = lf.sum(axis=1)
     return out
 
 
-def objective_value(mode: ObjectiveMode, data: np.ndarray, p: EpdParams) -> float:
-    """Summed objective of the chosen estimation mode at one point."""
-    return float(objective_values(mode, data, np.array([[p.mu, p.sigma, p.alpha]]))[0])
+def objective_value(family: ScoreFamily, data: np.ndarray, p: EpdParams) -> float:
+    """Summed log-likelihood of the family at one point."""
+    return float(objective_values(family, data, np.array([[p.mu, p.sigma, p.alpha]]))[0])
 
 
 def initial_values(data) -> tuple[float, float]:
@@ -467,12 +437,8 @@ def fit_ee_location_scale(
             family=score,
         )
 
-    q, beta = 1.0, 0.0
-    if isinstance(score, QWeighted):
-        q = score.q
-    elif isinstance(score, Distorted):
-        beta = score.beta
-
+    # the Huber score alternates with the plain-likelihood shape equation
+    q, beta = score.likelihood or (1.0, 0.0)
     alpha_val = float(config.alpha_start) if alpha is None else _resolve_alpha(score, alpha)
     mu, sigma = initial_values(data)
     converged = False
@@ -522,18 +488,19 @@ def default_search_bounds(data) -> tuple[tuple[float, float], ...]:
 
 def fit_objective(
     data,
-    mode: ObjectiveMode,
+    family: ScoreFamily,
     seed: int = 0,
     bounds: Sequence[tuple[float, float]] | None = None,
     population: int = 50,
     generations: int = 200,
     do_polish: bool = True,
 ) -> FitResult:
-    """Maximize the chosen objective over (mu, sigma, alpha).
+    """Maximize the family's log-likelihood over (mu, sigma, alpha).
 
-    Runs the genetic optimizer over the search box (data-driven by
-    default), seeding it with robust starting points, then refines the
-    best point with the simplex polish.
+    ``family`` is Plain, QWeighted or Distorted (see
+    ``objective_values``).  Runs the genetic optimizer over the search
+    box (data-driven by default), seeding it with robust starting
+    points, then refines the best point with the simplex polish.
     """
     data = _as_clean_array(data)
     if data.size < 4:
@@ -547,7 +514,7 @@ def fit_objective(
         np.array([float(np.mean(data)), float(np.std(data)), 3.0]),
     ]
 
-    f = functools.partial(objective_values, mode, data)
+    f = functools.partial(objective_values, family, data)
     cfg = GaConfig(
         bounds=tuple((float(a), float(b)) for a, b in bounds),
         population=population,
@@ -564,7 +531,7 @@ def fit_objective(
         converged=True,
         iterations=generations,
         estimated_alpha=True,
-        family=mode,
+        family=family,
         objective_value=float(value),
         ga_history=ga.history,
     )

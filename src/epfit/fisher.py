@@ -449,31 +449,27 @@ def fisher_distorted(
     return _weighted_quadrature(params, 1.0, beta, n, dim, spec)
 
 
-def fisher_for_family(family, params: EpdParams, n: int, dim: int | None = None,
+def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
                       method: str = "auto") -> FisherMatrix:
     """Dispatch the appropriate information matrix for a fitted family.
 
-    Objective modes map to their score-family equivalents.  ``dim``
-    defaults to 2 for fixed-shape families and 3 for estimated-shape
-    fits.
+    ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
+    of the plain, q-weighted and distorted families; the Huber and
+    combined matrices are always 2x2.
     """
-    from .estimate import MDLE, MLE, MqLE
-
     if isinstance(family, (CombinedPlain, CombinedHuber)):
         return fisher_combined(
             params, family.triple, family.k, family.t, n,
             huberized=isinstance(family, CombinedHuber), method=method,
         )
     if isinstance(family, Plain):
-        return fisher_q(params, 1.0, n, method=method, dim=dim or 2)
+        return fisher_q(params, 1.0, n, method=method, dim=dim)
     if isinstance(family, Huber):
         return _ee_2x2_quadrature(family, params, n, None)
-    if isinstance(family, (QWeighted, MqLE)):
-        return fisher_q(params, family.q, n, method=method, dim=dim or (3 if isinstance(family, MqLE) else 2))
-    if isinstance(family, MLE):
-        return fisher_q(params, 1.0, n, method=method, dim=dim or 3)
-    if isinstance(family, (Distorted, MDLE)):
-        return fisher_distorted(params, family.beta, n, dim=dim or (3 if isinstance(family, MDLE) else 2))
+    if isinstance(family, QWeighted):
+        return fisher_q(params, family.q, n, method=method, dim=dim)
+    if isinstance(family, Distorted):
+        return fisher_distorted(params, family.beta, n, dim=dim)
     raise TypeError(f"no information matrix for {family!r}")
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "score",
     "ee_weight",
     "density_weight",
-    "score_slope",
     "uses_weight_denominator",
     "psi_vector",
 ]
@@ -62,16 +61,36 @@ class ShapeTriple:
         return (self.alpha1, self.alpha2, self.alpha3)
 
 
+class _Family:
+    """What every score family states about itself.
+
+    ``tuning_names`` lists its tuning constants in the order r, k, t, q,
+    beta.  ``likelihood`` is the (q, beta) deformation of the
+    log-likelihood the score is the gradient of; it is None for the
+    Huber and combined scores, which derive from no likelihood.
+    """
+
+    tuning_names: tuple[str, ...] = ()
+    likelihood: tuple[float, float] | None = None
+
+    def tuning(self) -> dict:
+        """Tuning constants by name, in the order r, k, t, q, beta."""
+        return {name: getattr(self, name) for name in self.tuning_names}
+
+
 @dataclass(frozen=True)
-class Plain:
+class Plain(_Family):
     """Unweighted log-score S(y) = alpha |y|^(alpha-1) sign(y)."""
 
+    likelihood = (1.0, 0.0)
+
 
 @dataclass(frozen=True)
-class Huber:
+class Huber(_Family):
     """Huber score: identity inside [-r, r], clipped to +/-r outside."""
 
     r: float
+    tuning_names = ("r",)
 
     def __post_init__(self):
         if not self.r > 0.0:
@@ -84,7 +103,7 @@ def _validate_cut(k: float, t: float):
 
 
 @dataclass(frozen=True)
-class CombinedPlain:
+class CombinedPlain(_Family):
     """Piecewise score with branch shapes alpha1/alpha2/alpha3.
 
     Branches split at y = -k and y = t; the discontinuities there are
@@ -94,29 +113,35 @@ class CombinedPlain:
     triple: ShapeTriple
     k: float
     t: float
+    tuning_names = ("k", "t")
 
     def __post_init__(self):
         _validate_cut(self.k, self.t)
 
 
 @dataclass(frozen=True)
-class CombinedHuber:
+class CombinedHuber(_Family):
     """Huberized combined score: tail branches scaled by k and t."""
 
     triple: ShapeTriple
     k: float
     t: float
-    literal_tail_sign: bool = False
+    tuning_names = ("k", "t")
 
     def __post_init__(self):
         _validate_cut(self.k, self.t)
 
 
 @dataclass(frozen=True)
-class QWeighted:
+class QWeighted(_Family):
     """Redescending score S_q = f^(1-q) S; q in (0, 1]."""
 
     q: float
+    tuning_names = ("q",)
+
+    @property
+    def likelihood(self) -> tuple[float, float]:
+        return (self.q, 0.0)
 
     def __post_init__(self):
         if not (0.0 < self.q <= 1.0):
@@ -124,10 +149,15 @@ class QWeighted:
 
 
 @dataclass(frozen=True)
-class Distorted:
+class Distorted(_Family):
     """Redescending score S^D = f/(beta + f) S; beta >= 0."""
 
     beta: float
+    tuning_names = ("beta",)
+
+    @property
+    def likelihood(self) -> tuple[float, float]:
+        return (1.0, self.beta)
 
     def __post_init__(self):
         if self.beta < 0.0:
@@ -236,10 +266,7 @@ def score(family: ScoreFamily, x, p: EpdParams):
     elif isinstance(family, CombinedPlain):
         out = s_combined(y, family.triple, family.k, family.t, huberized=False)
     elif isinstance(family, CombinedHuber):
-        out = s_combined(
-            y, family.triple, family.k, family.t,
-            huberized=True, literal_tail_sign=family.literal_tail_sign,
-        )
+        out = s_combined(y, family.triple, family.k, family.t, huberized=True)
     elif isinstance(family, QWeighted):
         out = weight_q(x, p, family.q) * s_plain(y, p.alpha)
     elif isinstance(family, Distorted):
@@ -289,29 +316,6 @@ def uses_weight_denominator(family: ScoreFamily) -> bool:
     """Whether the scale EE divides by the summed density weights
     rather than the sample size."""
     return isinstance(family, (QWeighted, Distorted))
-
-
-def score_slope(family: ScoreFamily, y, p: EpdParams):
-    """dS/dy for the families whose score depends on y alone.
-
-    Used by the information-matrix quadrature for the two-parameter
-    (location, scale) families.  The weighted families carry density
-    factors and are handled by their own matrix definitions.
-    """
-    y = np.asarray(y, dtype=float)
-    ay = np.abs(y)
-    if isinstance(family, Plain):
-        out = p.alpha * (p.alpha - 1.0) * _abs_pow(ay, p.alpha - 2.0)
-    elif isinstance(family, Huber):
-        out = np.where(ay <= family.r, 1.0, 0.0)
-    elif isinstance(family, (CombinedPlain, CombinedHuber)):
-        left, right, alpha = _branch_arrays(y, family.triple, family.k, family.t)
-        out = alpha * (alpha - 1.0) * _abs_pow(ay, alpha - 2.0)
-        if isinstance(family, CombinedHuber):
-            out = out * np.where(left, family.k, np.where(right, family.t, 1.0))
-    else:
-        raise TypeError(f"score_slope undefined for {family!r}")
-    return out if np.ndim(out) else float(out)
 
 
 def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):

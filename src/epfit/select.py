@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epd import EpdParams, make_rng, sample
-from .estimate import MDLE, MLE, FitConfig, FitResult, MqLE, fit_ee_location_scale, fit_objective
+from .estimate import FitConfig, FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
-from .scores import CombinedHuber, CombinedPlain, Distorted, Plain, QWeighted, score
+from .scores import CombinedHuber, CombinedPlain, score
 from .special_fn import gamma_fn
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "volume",
     "ic_scores",
     "mae",
-    "score_equivalent",
     "artificial_sample",
+    "replicated_mae",
     "evaluate_fit",
     "tune",
 ]
@@ -49,17 +49,6 @@ def volume(matrix: FisherMatrix, n: int, v: int | None = None, d: int | None = N
     return (2.0 * math.pi * v / n) ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0) / math.sqrt(det)
 
 
-def score_equivalent(family):
-    """Score family whose absolute values enter the criteria for a fit."""
-    if isinstance(family, MLE):
-        return Plain()
-    if isinstance(family, MqLE):
-        return QWeighted(family.q)
-    if isinstance(family, MDLE):
-        return Distorted(family.beta)
-    return family
-
-
 def ic_scores(data, params: EpdParams, family, p: int, n: int) -> tuple[float, float, float]:
     """Information criteria 2 sum|S| + penalty for penalties 2p,
     2pn/(n-p-1) and p log n."""
@@ -67,8 +56,7 @@ def ic_scores(data, params: EpdParams, family, p: int, n: int) -> tuple[float, f
         raise ValueError("p must be at least 1")
     if n <= p + 1:
         raise ValueError(f"corrected criterion needs n > p + 1 (n={n}, p={p})")
-    fam = score_equivalent(family)
-    base = 2.0 * float(np.sum(np.abs(score(fam, np.asarray(data, dtype=float), params))))
+    base = 2.0 * float(np.sum(np.abs(score(family, np.asarray(data, dtype=float), params))))
     aic = base + 2.0 * p
     caic = base + 2.0 * p * n / (n - p - 1.0)
     bic = base + p * math.log(n)
@@ -91,9 +79,8 @@ def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rn
     combined families give each component its own branch shape, the
     others use the fitted shape throughout.
     """
-    fam = score_equivalent(family)
-    if isinstance(fam, (CombinedPlain, CombinedHuber)):
-        shapes = fam.triple.as_tuple()
+    if isinstance(family, (CombinedPlain, CombinedHuber)):
+        shapes = family.triple.as_tuple()
     else:
         shapes = (params.alpha, params.alpha, params.alpha)
     rng = make_rng(rng)
@@ -103,6 +90,29 @@ def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rn
         if n > 0
     ]
     return np.concatenate(parts)
+
+
+def _default_sizes(n: int) -> tuple[int, int, int]:
+    return (7, n - 9, 2) if n > 9 else (0, n, 0)
+
+
+def replicated_mae(data, params: EpdParams, family, seed: int, spawn_keys,
+                   sizes: tuple[int, int, int] | None = None) -> float:
+    """Mean absolute error averaged over replicated artificial samples.
+
+    One replication per spawn key, each drawn from the seed sequence of
+    ``seed`` with that key; ``sizes`` defaults to seven left and two
+    right contamination draws around the bulk (all bulk below ten
+    observations).
+    """
+    data = np.asarray(data, dtype=float)
+    if sizes is None:
+        sizes = _default_sizes(len(data))
+    maes = np.empty(len(spawn_keys))
+    for i, key in enumerate(spawn_keys):
+        rng = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        maes[i] = mae(data, artificial_sample(params, family, sizes, rng))
+    return float(np.mean(maes))
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:
@@ -140,17 +150,9 @@ class SelectionReport:
     trace: str
 
 
-def _tc_of(candidate) -> dict:
-    out = {}
-    for field in ("r", "k", "t", "q", "beta"):
-        if hasattr(candidate, field):
-            out[field] = getattr(candidate, field)
-    return out
-
-
 def _label_of(candidate) -> str:
     name = type(candidate).__name__
-    tc = _tc_of(candidate)
+    tc = candidate.tuning()
     if not tc:
         return name
     inner = ",".join(f"{k}={v:g}" for k, v in tc.items())
@@ -165,13 +167,11 @@ def tune(
     replications: int = 500,
     sizes: tuple[int, int, int] | None = None,
     config: FitConfig | None = None,
-    ga_population: int = 50,
-    ga_generations: int = 200,
 ) -> SelectionReport:
     """Grid search over tuning-constant candidates.
 
-    Each candidate (a score family or an objective mode, with its
-    tuning constants baked in) is fitted, its volume and criteria are
+    Each candidate (a score family with its tuning constants baked in)
+    is fitted by its estimating equations, its volume and criteria are
     recorded, and its mean absolute error is averaged over replicated
     artificial samples drawn from the fitted parameters.  The smallest
     mean absolute error wins; candidates within 1% of it are re-ranked
@@ -183,7 +183,7 @@ def tune(
         raise ValueError("candidate grid must be non-empty")
     n = len(data)
     if sizes is None:
-        sizes = (7, n - 9, 2) if n > 9 else (0, n, 0)
+        sizes = _default_sizes(n)
     if sum(sizes) != n:
         raise ValueError(f"component sizes {sizes} must sum to the sample size {n}")
 
@@ -191,27 +191,16 @@ def tune(
     for idx, cand in enumerate(candidates):
         label = _label_of(cand)
         try:
-            if isinstance(cand, (MLE, MqLE, MDLE)):
-                ga_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx, 0))
-                fit = fit_objective(
-                    data, cand, seed=ga_seed,
-                    population=ga_population, generations=ga_generations,
-                )
-            else:
-                fit = fit_ee_location_scale(data, cand, alpha=alpha, config=config)
-            fit = evaluate_fit(data, fit)
-            maes = np.empty(replications)
-            for r in range(replications):
-                rng = np.random.SeedSequence(entropy=seed, spawn_key=(idx, r + 1))
-                maes[r] = mae(data, artificial_sample(fit.params, cand, sizes, rng))
+            fit = evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha, config=config))
             records.append(CandidateRecord(
-                label=label, tuning=_tc_of(cand), fit=fit,
+                label=label, tuning=cand.tuning(), fit=fit,
                 volume=fit.volume, aic=fit.ic[0], caic=fit.ic[1], bic=fit.ic[2],
-                mae=float(np.mean(maes)),
+                mae=replicated_mae(data, fit.params, cand, seed,
+                                   [(idx, r + 1) for r in range(replications)], sizes),
             ))
         except Exception as exc:  # candidate-level failure is data, not fatal
             records.append(CandidateRecord(
-                label=label, tuning=_tc_of(cand), fit=None,
+                label=label, tuning=cand.tuning(), fit=None,
                 volume=math.inf, aic=math.nan, caic=math.nan, bic=math.nan,
                 mae=math.inf, error=f"{type(exc).__name__}: {exc}",
             ))

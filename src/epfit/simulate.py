@@ -19,12 +19,9 @@ import numpy as np
 
 from .epd import EpdParams, sample
 from .estimate import (
-    MDLE,
-    MLE,
     AlphaRootError,
     DegenerateDataError,
     FitConfig,
-    MqLE,
     fit_ee_location_scale,
     fit_objective,
 )
@@ -116,43 +113,35 @@ def generate(design: SimulationDesign, seed) -> np.ndarray:
 class EstimatorSpec:
     """One estimator column of a simulation table.
 
-    Either a score family (estimating-equation route, with ``alpha``
-    fixed unless ``config.estimate_alpha`` is set) or an objective mode
-    (genetic-optimizer route).
+    A score family fitted by its estimating equations (``alpha`` fixed
+    unless ``config.estimate_alpha`` is set) or, with ``objective``, by
+    maximizing its log-likelihood with the genetic optimizer (plain,
+    q-weighted and distorted families only, shape always estimated).
     """
 
     label: str
-    family: ScoreFamily | None = None
-    objective: MLE | MqLE | MDLE | None = None
+    family: ScoreFamily
+    objective: bool = False
     alpha: float | None = None
     config: FitConfig = field(default_factory=FitConfig)
     ga_population: int = 50
     ga_generations: int = 200
 
-    def __post_init__(self):
-        if (self.family is None) == (self.objective is None):
-            raise ValueError("specify exactly one of family or objective")
-
     @property
     def n_params(self) -> int:
-        if self.objective is not None or self.config.estimate_alpha:
+        if self.objective or self.config.estimate_alpha:
             return 3
         return 2
 
     def tuning_label(self) -> str:
-        target = self.family if self.family is not None else self.objective
-        parts = [
-            f"{name}={getattr(target, name):g}"
-            for name in ("r", "k", "t", "q", "beta")
-            if hasattr(target, name)
-        ]
+        parts = [f"{name}={value:g}" for name, value in self.family.tuning().items()]
         return ",".join(parts) if parts else "-"
 
 
 def _fit_one(spec: EstimatorSpec, data: np.ndarray, fit_seed) -> tuple:
-    if spec.objective is not None:
+    if spec.objective:
         res = fit_objective(
-            data, spec.objective, seed=fit_seed,
+            data, spec.family, seed=fit_seed,
             population=spec.ga_population, generations=spec.ga_generations,
         )
     else:

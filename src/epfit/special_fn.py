@@ -22,6 +22,7 @@ __all__ = [
     "gamma_fn",
     "log_gamma",
     "incomplete_gamma",
+    "regularized_gamma",
     "digamma",
     "trigamma",
     "integrate",
@@ -109,9 +110,7 @@ def log_gamma(z: float) -> float:
 
 
 def _lower_gamma_series(z: float, a: float) -> float:
-    """gamma(z, a) by power series; preferred for a < z + 1."""
-    if a == 0.0:
-        return 0.0
+    """gamma(z, a) e^a / a^z by power series; preferred for a < z + 1."""
     term = 1.0 / z
     total = term
     denom = z
@@ -121,11 +120,12 @@ def _lower_gamma_series(z: float, a: float) -> float:
         total += term
         if abs(term) < 1e-17 * abs(total):
             break
-    return total * math.exp(z * math.log(a) - a)
+    return total
 
 
 def _upper_gamma_cf(z: float, a: float) -> float:
-    """Gamma(z, a) by Lentz continued fraction; preferred for a >= z + 1."""
+    """Gamma(z, a) e^a / a^z by Lentz continued fraction; preferred for
+    a >= z + 1."""
     tiny = 1e-300
     b = a + 1.0 - z
     c = 1.0 / tiny
@@ -145,7 +145,7 @@ def _upper_gamma_cf(z: float, a: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return math.exp(z * math.log(a) - a) * h
+    return h
 
 
 def incomplete_gamma(z: float, a: float, kind: str = "lower") -> float:
@@ -164,10 +164,37 @@ def incomplete_gamma(z: float, a: float, kind: str = "lower") -> float:
         raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     whole = gamma_fn(z)
     if a < z + 1.0:
-        lower = _lower_gamma_series(z, a)
+        lower = _lower_gamma_series(z, a) * math.exp(z * math.log(a) - a) if a > 0.0 else 0.0
         return lower if kind == "lower" else whole - lower
-    upper = _upper_gamma_cf(z, a)
+    upper = math.exp(z * math.log(a) - a) * _upper_gamma_cf(z, a)
     return whole - upper if kind == "lower" else upper
+
+
+def regularized_gamma(z: float, a: float) -> tuple[float, float]:
+    """P(z, a) = gamma(z, a) / Gamma(z) and Q(z, a) = 1 - P(z, a), for
+    z > 0 and a in [0, inf].
+
+    The series gives P and the continued fraction Q, each to full
+    relative accuracy, so a small P or Q is not lost to cancellation.
+    The prefactor a^z e^(-a) / Gamma(z) is formed in log space, so the
+    pair stays finite where gamma_fn(z) overflows.
+    """
+    z = float(z)
+    a = float(a)
+    if not z > 0.0:
+        raise DomainError(f"regularized_gamma requires z > 0, got {z}")
+    if not a >= 0.0:
+        raise DomainError(f"regularized_gamma requires a >= 0, got {a}")
+    if a == 0.0:
+        return 0.0, 1.0
+    if math.isinf(a):
+        return 1.0, 0.0
+    prefactor = math.exp(z * math.log(a) - a - log_gamma(z))
+    if a < z + 1.0:
+        lower = _lower_gamma_series(z, a) * prefactor
+        return lower, 1.0 - lower
+    upper = _upper_gamma_cf(z, a) * prefactor
+    return 1.0 - upper, upper
 
 
 # Asymptotic Bernoulli coefficients B_2k / (2k) for the digamma tail.

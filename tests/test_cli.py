@@ -181,6 +181,8 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert report["payload"]["alpha_estimated"] is True
         assert abs(report["payload"]["estimates"]["alpha"] - 2.1) < 0.8
+        assert report["payload"]["family"] == "MDLE"
+        assert report["payload"]["beta"] == 0.01
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -9,12 +9,9 @@ import pytest
 import epfit.estimate
 from epfit.epd import EpdParams, distorted_log_pdf, log_pdf, log_q_pdf, sample
 from epfit.estimate import (
-    MDLE,
-    MLE,
     AlphaRootError,
     DegenerateDataError,
     FitConfig,
-    MqLE,
     fit_ee_alpha,
     fit_ee_location_scale,
     fit_objective,
@@ -149,8 +146,8 @@ class TestShapeEE:
         data = sample(EpdParams(0, 1, 2), 2_000, 17)
         res = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
         h = 1e-5
-        up = objective_value(MLE(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha + h))
-        dn = objective_value(MLE(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha - h))
+        up = objective_value(Plain(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha + h))
+        dn = objective_value(Plain(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha - h))
         assert (up - dn) / (2 * h) == pytest.approx(0.0, abs=1e-3)
 
     def test_no_root_in_bracket_raises(self):
@@ -162,7 +159,7 @@ class TestShapeEE:
 class TestObjectiveFits:
     def test_mle_matches_ee_route(self):
         data = sample(EpdParams(0, 1, 2), 1_000, 31)
-        via_ga = fit_objective(data, MLE(), seed=11)
+        via_ga = fit_objective(data, Plain(), seed=11)
         via_ee = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
         assert via_ga.params.mu == pytest.approx(via_ee.params.mu, abs=1e-4)
         assert via_ga.params.sigma == pytest.approx(via_ee.params.sigma, abs=1e-4)
@@ -171,27 +168,37 @@ class TestObjectiveFits:
     def test_mqle_at_one_is_mle_objective(self):
         data = sample(EpdParams(0, 1, 2), 200, 5)
         p = EpdParams(0.1, 1.2, 1.9)
-        assert objective_value(MqLE(1.0), data, p) == objective_value(MLE(), data, p)
+        assert objective_value(QWeighted(1.0), data, p) == objective_value(Plain(), data, p)
 
     def test_mdle_at_zero_consistent(self):
         data = sample(EpdParams(0, 1, 2), 10_000, 444)
-        res = fit_objective(data, MDLE(0.0), seed=2, population=30, generations=80)
+        res = fit_objective(data, Distorted(0.0), seed=2, population=30, generations=80)
         assert res.params.mu == pytest.approx(0.0, abs=0.05)
         assert res.params.sigma == pytest.approx(1.0, abs=0.05)
         assert res.params.alpha == pytest.approx(2.0, abs=0.15)
 
     def test_history_monotone(self):
         data = sample(EpdParams(0, 1, 2), 100, 6)
-        res = fit_objective(data, MqLE(0.8), seed=4, population=20, generations=30)
+        res = fit_objective(data, QWeighted(0.8), seed=4, population=20, generations=30)
         assert np.all(np.diff(np.array(res.ga_history)) >= 0.0)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            MqLE(0.0)
+            QWeighted(0.0)
         with pytest.raises(ValueError):
-            MDLE(-0.1)
+            Distorted(-0.1)
         with pytest.raises(DegenerateDataError):
-            fit_objective(np.array([1.0, 2.0]), MLE(), seed=0)
+            fit_objective(np.array([1.0, 2.0]), Plain(), seed=0)
+
+    @pytest.mark.parametrize("family", [
+        Huber(1.3),
+        CombinedPlain(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0),
+        CombinedHuber(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0),
+    ])
+    def test_no_likelihood_no_objective(self, family):
+        data = sample(EpdParams(0, 1, 2), 50, 3)
+        with pytest.raises(TypeError):
+            fit_objective(data, family, seed=0, population=8, generations=2)
 
 
 def reference_samples():
@@ -274,12 +281,12 @@ class TestShapeRootSolver:
 # history length, SHA-256 of the history as little-endian float64).
 # Floats are in float.hex form; every one must be reproduced exactly.
 OBJECTIVE_PINS = [
-    ("contaminated", MLE(), 5, ('0x1.35fad22236a52p-3', '0x1.a40a1c469b0bbp-2', '0x1.600a3e27baf97p-1'), '-0x1.4b4a448dfe499p+7', 201, 'efddb412cb4d206ac6644ba09447002b644e6a15fd28f435b1d77117cf190db0'),
-    ("contaminated", MqLE(q=0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69b047edfb8p-2', '0x1.a4ee07419e943p-1'), '-0x1.0332d4fd1a8c5p+7', 201, '36c6488160f6d80cc007d16372e077beeb8b922dfa8d038a89d8bb6330ae17d4'),
-    ("contaminated", MDLE(beta=0.006), 9, ('-0x1.b38c89e712d68p-6', '0x1.21856a05e3414p+0', '0x1.23c671f7f1eacp+1'), '-0x1.27dbdf5087db0p+7', 201, '6a0d05ca3007968adf5240e414402c8904531d2f088e0b5db4016c6073282276'),
-    ("clean", MLE(), 5, ('0x1.7d1f826a6c696p+0', '0x1.2c25727f2a87dp-1', '0x1.5816f1b9749e2p+0'), '-0x1.8842d82640c6ap+5', 201, 'dba0aba3ccbe5daddf791bd9206967de38d0472125b81fa4a3cc94e2391ea9ac'),
-    ("clean", MqLE(q=0.8), 5, ('0x1.80100efcee651p+0', '0x1.c35ebb94eba43p-2', '0x1.3138b1092ba41p+0'), '-0x1.4a264a95ac275p+5', 201, '229b1a0950275931e1441ecdc858c7384a7ae66ab4f632209e3ce977c4ad9497'),
-    ("clean", MDLE(beta=0.006), 9, ('0x1.7db0110d40c41p+0', '0x1.29b054fd79e78p-1', '0x1.608fc11b4c8a0p+0'), '-0x1.7d212efa61159p+5', 201, 'b950f9376fcbae1cf0432c96ba02b88f4a90ecf3810bac12b4ec7fea1d09f7ca'),
+    ("contaminated", Plain(), 5, ('0x1.35fad22236a52p-3', '0x1.a40a1c469b0bbp-2', '0x1.600a3e27baf97p-1'), '-0x1.4b4a448dfe499p+7', 201, 'efddb412cb4d206ac6644ba09447002b644e6a15fd28f435b1d77117cf190db0'),
+    ("contaminated", QWeighted(0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69b047edfb8p-2', '0x1.a4ee07419e943p-1'), '-0x1.0332d4fd1a8c5p+7', 201, '36c6488160f6d80cc007d16372e077beeb8b922dfa8d038a89d8bb6330ae17d4'),
+    ("contaminated", Distorted(0.006), 9, ('-0x1.b38c89e712d68p-6', '0x1.21856a05e3414p+0', '0x1.23c671f7f1eacp+1'), '-0x1.27dbdf5087db0p+7', 201, '6a0d05ca3007968adf5240e414402c8904531d2f088e0b5db4016c6073282276'),
+    ("clean", Plain(), 5, ('0x1.7d1f826a6c696p+0', '0x1.2c25727f2a87dp-1', '0x1.5816f1b9749e2p+0'), '-0x1.8842d82640c6ap+5', 201, 'dba0aba3ccbe5daddf791bd9206967de38d0472125b81fa4a3cc94e2391ea9ac'),
+    ("clean", QWeighted(0.8), 5, ('0x1.80100efcee651p+0', '0x1.c35ebb94eba43p-2', '0x1.3138b1092ba41p+0'), '-0x1.4a264a95ac275p+5', 201, '229b1a0950275931e1441ecdc858c7384a7ae66ab4f632209e3ce977c4ad9497'),
+    ("clean", Distorted(0.006), 9, ('0x1.7db0110d40c41p+0', '0x1.29b054fd79e78p-1', '0x1.608fc11b4c8a0p+0'), '-0x1.7d212efa61159p+5', 201, 'b950f9376fcbae1cf0432c96ba02b88f4a90ecf3810bac12b4ec7fea1d09f7ca'),
 ]
 
 
@@ -295,11 +302,11 @@ class TestObjectiveRoutePinned:
         assert digest == history
 
     @pytest.mark.parametrize("n", [3, 110])
-    @pytest.mark.parametrize("mode", [MLE(), MqLE(0.8), MDLE(6e-3), MqLE(1.0), MDLE(0.0)])
+    @pytest.mark.parametrize("mode", [Plain(), QWeighted(0.8), Distorted(6e-3), QWeighted(1.0), Distorted(0.0)])
     def test_rows_match_single_point_densities(self, mode, n):
-        if isinstance(mode, MLE):
+        if isinstance(mode, Plain):
             density = log_pdf
-        elif isinstance(mode, MqLE):
+        elif isinstance(mode, QWeighted):
             density = lambda x, p: log_q_pdf(x, p, mode.q)
         else:
             density = lambda x, p: distorted_log_pdf(x, p, mode.beta)

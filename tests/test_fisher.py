@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from epfit.epd import EpdParams
-from epfit.estimate import MDLE, MLE, MqLE
 from epfit.fisher import (
     FisherMatrix,
     fisher_combined,
@@ -205,10 +204,10 @@ class TestDispatch:
         assert fisher_for_family(Plain(), p, 10).method == "closed_form"
         assert fisher_for_family(Huber(1.3), p, 10).method == "quadrature"
         assert fisher_for_family(QWeighted(0.8), p, 10).dim == 2
-        assert fisher_for_family(MqLE(0.8), p, 10).dim == 3
-        assert fisher_for_family(MLE(), p, 10).dim == 3
+        assert fisher_for_family(QWeighted(0.8), p, 10, dim=3).dim == 3
+        assert fisher_for_family(Plain(), p, 10, dim=3).dim == 3
         assert fisher_for_family(Distorted(0.01), p, 10).method == "quadrature"
-        assert fisher_for_family(MDLE(0.01), p, 10).dim == 3
+        assert fisher_for_family(Distorted(0.01), p, 10, dim=3).dim == 3
         hub = CombinedHuber(ShapeTriple(2, 2, 2), 1.0, 1.0)
         assert fisher_for_family(hub, p, 10).method == "closed_form"
 

@@ -134,10 +134,18 @@ class TestRun:
         assert mse_sigma["mle"] <= mse_sigma["sd"]
 
     def test_estimator_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EstimatorSpec(label="bad")
         with pytest.raises(ValueError):
             run(reference_design(1), [], m=1)
+
+    def test_objective_route_column(self):
+        spec = EstimatorSpec(label="mdle", family=Distorted(6e-3), objective=True,
+                             ga_population=8, ga_generations=3)
+        assert spec.n_params == 3
+        row = run(reference_design(4, n2=20), [spec], m=2, seed=3).rows[0]
+        assert row.tuning == "beta=0.006"
+        assert [c.parameter for c in row.cells] == ["mu", "sigma", "alpha"]
 
     def test_csv_shape(self):
         d = reference_design(1, n2=20)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, strategies as st
 
 from epfit.special_fn import (
     DomainError,
@@ -16,6 +18,7 @@ from epfit.special_fn import (
     integrate,
     log_gamma,
     quad,
+    regularized_gamma,
     trigamma,
 )
 
@@ -149,3 +152,45 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+class TestAgainstScipy:
+    """scipy.special as an independent oracle, over each function's
+    supported range (gamma_fn overflows above about 141)."""
+
+    @given(_floats(1e-6, 141.0))
+    def test_gamma(self, z):
+        assert gamma_fn(z) == pytest.approx(scipy.special.gamma(z), rel=1e-13)
+
+    @given(_floats(1e-6, 1e8))
+    def test_log_gamma(self, z):
+        want = scipy.special.gammaln(z)
+        assert log_gamma(z) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    @given(_floats(1e-6, 1e8))
+    def test_digamma(self, z):
+        want = scipy.special.digamma(z)
+        assert digamma(z) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    @given(_floats(1e-6, 1e8))
+    def test_trigamma(self, z):
+        assert trigamma(z) == pytest.approx(scipy.special.polygamma(1, z), rel=1e-13)
+
+    @given(_floats(1e-3, 50.0), _floats(0.0, 200.0))
+    def test_incomplete_gamma(self, z, a):
+        # compared regularized, so both kinds are judged on one scale
+        whole = gamma_fn(z)
+        lower = incomplete_gamma(z, a, "lower") / whole
+        upper = incomplete_gamma(z, a, "upper") / whole
+        assert lower == pytest.approx(scipy.special.gammainc(z, a), abs=1e-12)
+        assert upper == pytest.approx(scipy.special.gammaincc(z, a), abs=1e-12)
+
+    @given(_floats(1e-3, 1e3), _floats(0.0, 2e3))
+    def test_regularized_gamma(self, z, a):
+        lower, upper = regularized_gamma(z, a)
+        assert lower == pytest.approx(scipy.special.gammainc(z, a), rel=1e-11, abs=1e-300)
+        assert upper == pytest.approx(scipy.special.gammaincc(z, a), rel=1e-11, abs=1e-300)
