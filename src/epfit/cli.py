@@ -232,8 +232,8 @@ def _build_family(score: str, args, alpha):
 
 def _family_payload(family) -> dict:
     out = {"family": type(family).__name__, **family.tuning()}
-    if isinstance(family, (CombinedPlain, CombinedHuber)):
-        out["alpha_triple"] = list(family.triple.as_tuple())
+    if family.shapes is not None:
+        out["alpha_triple"] = list(family.shapes.as_tuple())
     return out
 
 
@@ -339,8 +339,9 @@ def _cmd_fisher(args, argv) -> int:
     scalar = alpha.alpha2 if isinstance(alpha, ShapeTriple) else alpha
     p = epd.EpdParams(args.mu, args.sigma, scalar)
     family = _build_family(args.family, args, alpha)
-    dim = 3 if args.family in ("sq", "sd") and args.dim == 3 else 2
-    matrix = fisher_for_family(family, p, args.n, dim=dim, method=args.mode)
+    if args.dim == 3 and family.likelihood is None:
+        raise UsageError(f"--dim 3 needs a likelihood score (s, sq or sd), got {args.family}")
+    matrix = fisher_for_family(family, p, args.n, dim=args.dim, method=args.mode)
     var = variances(matrix)
     payload = {
         **_family_payload(family),
@@ -387,8 +388,10 @@ def _cmd_tune(args, argv) -> int:
     else:
         raise UsageError(f"family {args.family!r} has no tuning grid")
 
-    sizes = tuple(int(v) for v in args.sizes.split(",")) if args.sizes else None
     scalar_alpha = alpha if isinstance(alpha, float) else None
+    if scalar_alpha is None and any(c.shapes is None for c in candidates):
+        raise UsageError(f"family {args.family} needs a scalar --alpha")
+    sizes = tuple(int(v) for v in args.sizes.split(",")) if args.sizes else None
     report = tune(
         data, candidates, seed=args.seed, alpha=scalar_alpha,
         replications=args.replications, sizes=sizes,

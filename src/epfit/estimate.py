@@ -28,14 +28,7 @@ import numpy as np
 
 from .epd import EpdParams
 from .optimize import GaConfig, maximize, polish
-from .scores import (
-    CombinedHuber,
-    CombinedPlain,
-    ScoreFamily,
-    density_weight,
-    ee_weight,
-    uses_weight_denominator,
-)
+from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight
 from .special_fn import digamma, log_gamma
 
 __all__ = [
@@ -191,19 +184,13 @@ def _as_clean_array(data) -> np.ndarray:
     return arr
 
 
-def _max_shape(score: ScoreFamily, alpha: float) -> float:
-    if isinstance(score, (CombinedPlain, CombinedHuber)):
-        return max(score.triple.as_tuple())
-    return alpha
-
-
 def _resolve_alpha(score: ScoreFamily, alpha: float | None) -> float:
     if alpha is not None:
         if not alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         return float(alpha)
-    if isinstance(score, (CombinedPlain, CombinedHuber)):
-        return score.triple.alpha2
+    if score.shapes is not None:
+        return score.shapes.alpha2
     raise ValueError("a scalar shape value is required for this score family")
 
 
@@ -215,7 +202,7 @@ def _ee_sweep(
     if not math.isfinite(sw) or sw <= 0.0:
         raise DegenerateDataError("estimating-equation weights vanished")
     mu_new = float(np.sum(w * data) / sw)
-    if uses_weight_denominator(score):
+    if score.density_weighted:
         denom = float(np.sum(density_weight(score, data, p)))
     else:
         denom = float(len(data))
@@ -247,8 +234,7 @@ class _AlphaResidual:
         self.log_y = np.log(np.where(self.zero, 1.0, y))
         self.n_total = len(y)
         self.sigma = sigma
-        self.q = q
-        self.beta = beta
+        self.weight = likelihood_weight(q, beta)
 
     def __call__(self, alpha: float) -> float:
         # near-zero residuals: |y|^alpha -> 0 and the log term vanishes,
@@ -256,17 +242,12 @@ class _AlphaResidual:
         with np.errstate(over="ignore", invalid="ignore"):
             pow_a = np.where(self.zero, 0.0, np.exp(alpha * self.log_y))
             pow_log = pow_a * self.log_y
-            if self.q != 1.0 or self.beta > 0.0:
+            if self.weight is not None:
                 log_c = (
                     math.log(alpha) - math.log(2.0 * self.sigma)
                     - log_gamma(1.0 / alpha)
                 )
-                log_f = log_c - pow_a
-                if self.q != 1.0:
-                    w = np.exp((1.0 - self.q) * log_f)
-                else:
-                    f = np.exp(log_f)
-                    w = f / (self.beta + f)
+                w = self.weight(log_c - pow_a)
                 sw = float(np.sum(w))
                 if sw <= 0.0:
                     raise DegenerateDataError("shape-equation weights vanished")
@@ -383,7 +364,7 @@ def _irls(
     mu0, sigma0 = initial_values(data)
     mu, sigma = start if start is not None else (mu0, sigma0)
     floor = 1e-10 * max(sigma0, _SIGMA_FLOOR)
-    shape_max = _max_shape(score, alpha)
+    shape_max = alpha if score.shapes is None else max(score.shapes.as_tuple())
     damp = min(1.0, 2.0 / shape_max) if shape_max > 2.5 else 1.0
     converged = False
     iterations = 0
@@ -423,7 +404,7 @@ def fit_ee_location_scale(
     config = config or FitConfig()
     data = _as_clean_array(data)
     estimate_alpha = config.estimate_alpha
-    if estimate_alpha and isinstance(score, (CombinedPlain, CombinedHuber)):
+    if estimate_alpha and score.shapes is not None:
         raise ValueError("shape estimation is undefined for the combined families")
 
     if not estimate_alpha:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epd import EpdParams, pdf
-from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
+from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted
 from .special_fn import (
     DomainError,
     QuadratureError,
@@ -133,56 +133,25 @@ def _piecewise_quad(f, breaks: list[float], lo: float, hi: float, spec: Quadratu
     return total, err
 
 
-def _slope_raw(family, y: np.ndarray, params: EpdParams) -> np.ndarray:
-    """dS/dy without the estimating-equation zero clamp.
-
-    The fitting code treats near-zero residuals as dropped points; the
-    matrix integrands must instead keep the raw (integrable) singular
-    powers so no mass is discarded.
-    """
-    ay = np.abs(np.asarray(y, dtype=float))
-    if isinstance(family, Huber):
-        return np.where(ay <= family.r, 1.0, 0.0)
-    if isinstance(family, (CombinedPlain, CombinedHuber)):
-        left = y < -family.k
-        right = y > family.t
-        a1, a2, a3 = family.triple.as_tuple()
-        alpha = np.where(left, a1, np.where(right, a3, a2))
-        mult = 1.0
-        if isinstance(family, CombinedHuber):
-            mult = np.where(left, family.k, np.where(right, family.t, 1.0))
-    else:
-        alpha = params.alpha
-        mult = 1.0
-    safe = np.where(ay > 0.0, ay, 1.0)
-    power = np.where(ay > 0.0, safe ** (alpha - 2.0), 0.0)
-    return mult * alpha * (alpha - 1.0) * power
-
-
 def _ee_2x2_quadrature(family, params: EpdParams, n: int, spec: QuadratureSpec | None):
     """Expected outer products of dS/d(mu, sigma) under the EP density.
 
-    For a score S(y) of the standardized residual alone, the parameter
-    derivatives are dS/dmu = -S'(y)/sigma and dS/dsigma = -y S'(y)/sigma,
-    so every entry is a weighted moment of S'(y)^2.
+    For a score S(y) of the standardized residual alone (the Huber and
+    combined scores), the parameter derivatives are dS/dmu = -S'(y)/sigma
+    and dS/dsigma = -y S'(y)/sigma, so every entry is a weighted moment
+    of S'(y)^2.  The family gives S'(y) and the residuals where it breaks;
+    the combined scores integrate under their center shape.
     """
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
     sig = params.sigma
-    if isinstance(family, (CombinedPlain, CombinedHuber)):
-        alpha_ref = family.triple.alpha2
-        breaks = [-family.k, 0.0, family.t]
-    elif isinstance(family, Huber):
-        alpha_ref = params.alpha
-        breaks = [-family.r, 0.0, family.r]
-    else:
-        alpha_ref = params.alpha
-        breaks = [0.0]
+    alpha_ref = params.alpha if family.shapes is None else family.shapes.alpha2
+    breaks = list(family.breaks)
     w = _truncation_halfwidth(alpha_ref)
     dens = EpdParams(0.0, 1.0, alpha_ref)
 
     def integrand(power):
         def f(y):
-            slope = _slope_raw(family, y, params)
+            slope = family.slope(y)
             return slope**2 * y**power * pdf(y, dens)
         return f
 
@@ -202,15 +171,14 @@ def _ee_2x2_quadrature(family, params: EpdParams, n: int, spec: QuadratureSpec |
     return FisherMatrix(n * entries, 2, n, method, element_errors=errors)
 
 
-def _combined_closed(params: EpdParams, triple: ShapeTriple, k: float, t: float, huberized: bool):
-    a1, a2, a3 = triple.as_tuple()
+def _combined_closed(params: EpdParams, family: CombinedPlain | CombinedHuber):
+    a1, a2, a3 = family.triple.as_tuple()
+    k, t, huberized = family.k, family.t, family.huberized
     for name, val in (("alpha1", a1), ("alpha2", a2), ("alpha3", a3)):
         if val <= 1.5:
             raise DomainError(
                 f"closed form requires {name} > 3/2 (got {val}); use the quadrature method"
             )
-    if k < 0.0 or t < 0.0:
-        raise DomainError("cut points must be non-negative")
     sig = params.sigma
     pref = 1.0 / (2.0 * sig**2 * gamma_fn(1.0 / a2))
     A1 = (a1**2 - a1) ** 2 * (k**2 if huberized else 1.0)
@@ -244,11 +212,8 @@ def _combined_closed(params: EpdParams, triple: ShapeTriple, k: float, t: float,
 
 def fisher_combined(
     params: EpdParams,
-    triple: ShapeTriple,
-    k: float,
-    t: float,
+    family: CombinedPlain | CombinedHuber,
     n: int,
-    huberized: bool = False,
     method: str = "closed",
     spec: QuadratureSpec | None = None,
 ) -> FisherMatrix:
@@ -260,12 +225,10 @@ def fisher_combined(
     """
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
-    fam_cls = CombinedHuber if huberized else CombinedPlain
-    family = fam_cls(triple=triple, k=k, t=t)
     if method == "quad":
         return _ee_2x2_quadrature(family, params, n, spec)
     try:
-        entries = _combined_closed(params, triple, k, t, huberized)
+        entries = _combined_closed(params, family)
     except DomainError:
         if method == "auto":
             return _ee_2x2_quadrature(family, params, n, spec)
@@ -458,10 +421,7 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     combined matrices are always 2x2.
     """
     if isinstance(family, (CombinedPlain, CombinedHuber)):
-        return fisher_combined(
-            params, family.triple, family.k, family.t, n,
-            huberized=isinstance(family, CombinedHuber), method=method,
-        )
+        return fisher_combined(params, family, n, method=method)
     if isinstance(family, Plain):
         return fisher_q(params, 1.0, n, method=method, dim=dim)
     if isinstance(family, Huber):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, log_pdf, pdf
+from .epd import EpdParams, log_pdf
 from .special_fn import digamma
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "score",
     "ee_weight",
     "density_weight",
-    "uses_weight_denominator",
+    "likelihood_weight",
     "psi_vector",
 ]
 
@@ -68,21 +68,56 @@ class _Family:
     beta.  ``likelihood`` is the (q, beta) deformation of the
     log-likelihood the score is the gradient of; it is None for the
     Huber and combined scores, which derive from no likelihood.
+    ``shapes`` is the ShapeTriple of branch shapes of the combined
+    scores; the other families use one EP shape throughout (None).
+    ``density_weighted`` says whether the scale EE divides by the summed
+    density weights rather than the sample size.
+
+    Each family computes ``score``, ``ee_weight`` (the reweighting factor
+    S(y)/y) and ``density_weight`` (None for a family without one) at x
+    as arrays; the module-level functions of the same names wrap them.
+    The Huber and combined scores also give ``slope`` (dS/dy) and its
+    ``breaks``, from which their information matrix is integrated.
     """
 
     tuning_names: tuple[str, ...] = ()
     likelihood: tuple[float, float] | None = None
+    shapes: ShapeTriple | None = None
+    density_weighted = False
 
     def tuning(self) -> dict:
         """Tuning constants by name, in the order r, k, t, q, beta."""
         return {name: getattr(self, name) for name in self.tuning_names}
 
+    def density_weight(self, x: np.ndarray, p: EpdParams):
+        return None
 
-@dataclass(frozen=True)
-class Plain(_Family):
-    """Unweighted log-score S(y) = alpha |y|^(alpha-1) sign(y)."""
+
+class _LikelihoodScore(_Family):
+    """The plain EP score times the density weight of the family's
+    likelihood: f^(1-q) for the log_q likelihood, f/(beta + f) for the
+    distorted one, none for the plain one."""
 
     likelihood = (1.0, 0.0)
+
+    def density_weight(self, x, p):
+        weight = likelihood_weight(*self.likelihood)
+        return None if weight is None else weight(log_pdf(x, p))
+
+    def score(self, x, p):
+        s = s_plain((x - p.mu) / p.sigma, p.alpha)
+        w = self.density_weight(x, p)
+        return s if w is None else w * s
+
+    def ee_weight(self, x, p):
+        pow_am2 = _abs_pow(np.abs((x - p.mu) / p.sigma), p.alpha - 2.0)
+        w = self.density_weight(x, p)
+        return p.alpha * pow_am2 if w is None else w * p.alpha * pow_am2
+
+
+@dataclass(frozen=True)
+class Plain(_LikelihoodScore):
+    """Unweighted log-score S(y) = alpha |y|^(alpha-1) sign(y)."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +131,23 @@ class Huber(_Family):
         if not self.r > 0.0:
             raise ValueError(f"r must be positive, got {self.r}")
 
+    @property
+    def breaks(self) -> tuple[float, float, float]:
+        """Standardized residuals where the score is not smooth."""
+        return (-self.r, 0.0, self.r)
+
+    def score(self, x, p):
+        return s_huber((x - p.mu) / p.sigma, self.r)
+
+    def ee_weight(self, x, p):
+        ay = np.abs((x - p.mu) / p.sigma)
+        with np.errstate(divide="ignore"):
+            return np.where(ay <= self.r, 1.0, self.r / np.where(ay == 0, 1.0, ay))
+
+    def slope(self, y):
+        """dS/dy of the standardized residual."""
+        return np.where(np.abs(y) <= self.r, 1.0, 0.0)
+
 
 def _validate_cut(k: float, t: float):
     if k < 0.0 or t < 0.0:
@@ -103,41 +155,70 @@ def _validate_cut(k: float, t: float):
 
 
 @dataclass(frozen=True)
-class CombinedPlain(_Family):
+class _Combined(_Family):
     """Piecewise score with branch shapes alpha1/alpha2/alpha3.
 
     Branches split at y = -k and y = t; the discontinuities there are
-    intentional.
+    intentional.  The huberized variant scales the left branch by k and
+    the right branch by t.
     """
 
     triple: ShapeTriple
     k: float
     t: float
     tuning_names = ("k", "t")
+    huberized = False
 
     def __post_init__(self):
         _validate_cut(self.k, self.t)
 
+    @property
+    def shapes(self) -> ShapeTriple:
+        return self.triple
+
+    @property
+    def breaks(self) -> tuple[float, float, float]:
+        """Standardized residuals where the score jumps or kinks."""
+        return (-self.k, 0.0, self.t)
+
+    def score(self, x, p):
+        return s_combined((x - p.mu) / p.sigma, self.triple, self.k, self.t, self.huberized)
+
+    def ee_weight(self, x, p):
+        y = (x - p.mu) / p.sigma
+        _, alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
+        return alpha * _abs_pow(np.abs(y), alpha - 2.0) * mult
+
+    def slope(self, y):
+        """dS/dy of the standardized residual, keeping the raw
+        (integrable) singular power at y = 0 instead of the EE zero
+        clamp."""
+        _, alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
+        ay = np.abs(y)
+        safe = np.where(ay > 0.0, ay, 1.0)
+        power = np.where(ay > 0.0, safe ** (alpha - 2.0), 0.0)
+        return mult * alpha * (alpha - 1.0) * power
+
 
 @dataclass(frozen=True)
-class CombinedHuber(_Family):
+class CombinedPlain(_Combined):
+    """Combined piecewise score with plain branches."""
+
+
+@dataclass(frozen=True)
+class CombinedHuber(_Combined):
     """Huberized combined score: tail branches scaled by k and t."""
 
-    triple: ShapeTriple
-    k: float
-    t: float
-    tuning_names = ("k", "t")
-
-    def __post_init__(self):
-        _validate_cut(self.k, self.t)
+    huberized = True
 
 
 @dataclass(frozen=True)
-class QWeighted(_Family):
+class QWeighted(_LikelihoodScore):
     """Redescending score S_q = f^(1-q) S; q in (0, 1]."""
 
     q: float
     tuning_names = ("q",)
+    density_weighted = True
 
     @property
     def likelihood(self) -> tuple[float, float]:
@@ -149,11 +230,12 @@ class QWeighted(_Family):
 
 
 @dataclass(frozen=True)
-class Distorted(_Family):
+class Distorted(_LikelihoodScore):
     """Redescending score S^D = f/(beta + f) S; beta >= 0."""
 
     beta: float
     tuning_names = ("beta",)
+    density_weighted = True
 
     @property
     def likelihood(self) -> tuple[float, float]:
@@ -191,12 +273,15 @@ def s_huber(y, r: float):
     return out if out.ndim else float(out)
 
 
-def _branch_arrays(y: np.ndarray, triple: ShapeTriple, k: float, t: float):
+def _branches(y: np.ndarray, triple: ShapeTriple, k: float, t: float, huberized: bool):
+    """Left-tail mask, per-point shape and branch multiplier (k on the
+    left tail and t on the right when huberized, else 1)."""
     a1, a2, a3 = triple.as_tuple()
     left = y < -k
     right = y > t
     alpha = np.where(left, a1, np.where(right, a3, a2))
-    return left, right, alpha
+    mult = np.where(left, k, np.where(right, t, 1.0)) if huberized else 1.0
+    return left, alpha, mult
 
 
 def s_combined(
@@ -217,15 +302,30 @@ def s_combined(
     its printed minus) for comparison.
     """
     y = np.asarray(y, dtype=float)
-    left, right, alpha = _branch_arrays(y, triple, k, t)
-    mag = alpha * _abs_pow(np.abs(y), alpha - 1.0)
-    if huberized:
-        mag = mag * np.where(left, k, np.where(right, t, 1.0))
+    left, alpha, mult = _branches(y, triple, k, t, huberized)
+    mag = alpha * _abs_pow(np.abs(y), alpha - 1.0) * mult
     if literal_tail_sign:
         out = np.where(left & huberized, -mag, mag)
     else:
         out = mag * np.sign(y)
     return out if out.ndim else float(out)
+
+
+def likelihood_weight(q: float, beta: float):
+    """The density weight of the (q, beta)-deformed likelihood as a map
+    of the log-density: exp((1-q) lf) = f^(1-q) for q != 1, f/(beta + f)
+    with f = exp(lf) for beta > 0, and None for the plain likelihood."""
+    if q != 1.0:
+        def weight(lf):
+            with np.errstate(over="ignore"):
+                return np.exp((1.0 - q) * lf)
+    elif beta > 0.0:
+        def weight(lf):
+            f = np.exp(lf)
+            return f / (beta + f)
+    else:
+        weight = None
+    return weight
 
 
 def weight_q(x, p: EpdParams, q: float):
@@ -237,85 +337,35 @@ def weight_q(x, p: EpdParams, q: float):
     if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
     x = np.asarray(x, dtype=float)
-    if q == 1.0:
-        out = np.ones_like(x)
-    else:
-        with np.errstate(over="ignore"):
-            out = np.exp((1.0 - q) * log_pdf(x, p))
+    weight = likelihood_weight(q, 0.0)
+    out = np.ones_like(x) if weight is None else weight(log_pdf(x, p))
     return out if out.ndim else float(out)
 
 
 def weight_distorted(x, p: EpdParams, beta: float):
     """Density weight f/(beta + f) in (0, 1]; identically 1 at beta = 0."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(pdf(x, p), dtype=float)
-    out = np.ones_like(f) if beta == 0.0 else f / (beta + f)
-    return out if out.ndim else float(out)
+    return density_weight(Distorted(beta), x, p)
 
 
 def score(family: ScoreFamily, x, p: EpdParams):
     """Score value of the family at x, standardized through p."""
-    x = np.asarray(x, dtype=float)
-    y = (x - p.mu) / p.sigma
-    if isinstance(family, Plain):
-        out = s_plain(y, p.alpha)
-    elif isinstance(family, Huber):
-        out = s_huber(y, family.r)
-    elif isinstance(family, CombinedPlain):
-        out = s_combined(y, family.triple, family.k, family.t, huberized=False)
-    elif isinstance(family, CombinedHuber):
-        out = s_combined(y, family.triple, family.k, family.t, huberized=True)
-    elif isinstance(family, QWeighted):
-        out = weight_q(x, p, family.q) * s_plain(y, p.alpha)
-    elif isinstance(family, Distorted):
-        out = weight_distorted(x, p, family.beta) * s_plain(y, p.alpha)
-    else:
-        raise TypeError(f"unknown score family {family!r}")
+    out = family.score(np.asarray(x, dtype=float), p)
     return out if np.ndim(out) else float(out)
 
 
 def ee_weight(family: ScoreFamily, x, p: EpdParams):
     """The non-negative reweighting factor S(y)/y of the EE updates."""
-    x = np.asarray(x, dtype=float)
-    y = (x - p.mu) / p.sigma
-    ay = np.abs(y)
-    if isinstance(family, Plain):
-        out = p.alpha * _abs_pow(ay, p.alpha - 2.0)
-    elif isinstance(family, Huber):
-        with np.errstate(divide="ignore"):
-            out = np.where(ay <= family.r, 1.0, family.r / np.where(ay == 0, 1.0, ay))
-    elif isinstance(family, (CombinedPlain, CombinedHuber)):
-        left, right, alpha = _branch_arrays(y, family.triple, family.k, family.t)
-        out = alpha * _abs_pow(ay, alpha - 2.0)
-        if isinstance(family, CombinedHuber):
-            out = out * np.where(left, family.k, np.where(right, family.t, 1.0))
-    elif isinstance(family, QWeighted):
-        out = weight_q(x, p, family.q) * p.alpha * _abs_pow(ay, p.alpha - 2.0)
-    elif isinstance(family, Distorted):
-        out = weight_distorted(x, p, family.beta) * p.alpha * _abs_pow(ay, p.alpha - 2.0)
-    else:
-        raise TypeError(f"unknown score family {family!r}")
+    out = family.ee_weight(np.asarray(x, dtype=float), p)
     return out if np.ndim(out) else float(out)
 
 
 def density_weight(family: ScoreFamily, x, p: EpdParams):
     """The density factor w_i of the weighted families (ones otherwise)."""
     x = np.asarray(x, dtype=float)
-    if isinstance(family, QWeighted):
-        out = weight_q(x, p, family.q)
-    elif isinstance(family, Distorted):
-        out = weight_distorted(x, p, family.beta)
-    else:
+    out = family.density_weight(x, p)
+    if out is None:
         out = np.ones_like(x)
     return out if np.ndim(out) else float(out)
-
-
-def uses_weight_denominator(family: ScoreFamily) -> bool:
-    """Whether the scale EE divides by the summed density weights
-    rather than the sample size."""
-    return isinstance(family, (QWeighted, Distorted))
 
 
 def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):
@@ -334,12 +384,8 @@ def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):
     ay = np.abs(y)
     alpha, sigma = p.alpha, p.sigma
 
-    if q != 1.0:
-        w = weight_q(x, p, q)
-    elif beta > 0.0:
-        w = weight_distorted(x, p, beta)
-    else:
-        w = np.ones_like(np.asarray(x, dtype=float))
+    weight = likelihood_weight(q, beta)
+    w = np.ones_like(x) if weight is None else weight(log_pdf(x, p))
 
     pow_am1 = _abs_pow(ay, alpha - 1.0)
     pow_a = ay**alpha

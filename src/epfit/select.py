@@ -18,7 +18,7 @@ import numpy as np
 from .epd import EpdParams, make_rng, sample
 from .estimate import FitConfig, FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
-from .scores import CombinedHuber, CombinedPlain, score
+from .scores import score
 from .special_fn import gamma_fn
 
 __all__ = [
@@ -79,10 +79,10 @@ def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rn
     combined families give each component its own branch shape, the
     others use the fitted shape throughout.
     """
-    if isinstance(family, (CombinedPlain, CombinedHuber)):
-        shapes = family.triple.as_tuple()
-    else:
+    if family.shapes is None:
         shapes = (params.alpha, params.alpha, params.alpha)
+    else:
+        shapes = family.shapes.as_tuple()
     rng = make_rng(rng)
     parts = [
         sample(EpdParams(params.mu, params.sigma, a), n, rng)

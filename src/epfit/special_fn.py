@@ -69,6 +69,11 @@ _LANCZOS_C = (
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# from here base ** (z - 0.5) comes close to overflowing before exp(-base)
+# scales it back, so gamma_fn takes the power as two half-powers
+_GAMMA_SPLIT = 140.0
+# largest argument whose Gamma is a finite double
+_GAMMA_MAX = 171.6243769563027
 
 
 def _lanczos_sum(z: float) -> float:
@@ -82,15 +87,22 @@ def gamma_fn(z: float) -> float:
     """Gamma function for real z > 0.
 
     Lanczos approximation for z >= 0.5; the recurrence Gamma(z) =
-    Gamma(z+1)/z handles (0, 0.5) without a reflection step.
+    Gamma(z+1)/z handles (0, 0.5) without a reflection step.  Above
+    about 171.62 Gamma exceeds the largest double and DomainError is
+    raised.
     """
     z = float(z)
     if not z > 0.0:
         raise DomainError(f"gamma_fn requires z > 0, got {z}")
+    if z > _GAMMA_MAX:
+        raise DomainError(f"gamma_fn overflows for z > {_GAMMA_MAX}, got {z}")
     if z < 0.5:
         return gamma_fn(z + 1.0) / z
     base = z + _LANCZOS_G - 0.5
-    return _SQRT_2PI * base ** (z - 0.5) * math.exp(-base) * _lanczos_sum(z)
+    if z < _GAMMA_SPLIT:
+        return _SQRT_2PI * base ** (z - 0.5) * math.exp(-base) * _lanczos_sum(z)
+    half = base ** (0.5 * (z - 0.5))
+    return _SQRT_2PI * half * (half * math.exp(-base)) * _lanczos_sum(z)
 
 
 def log_gamma(z: float) -> float:

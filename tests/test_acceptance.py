@@ -18,7 +18,9 @@ import pytest
 from epfit.epd import EpdParams, cdf, pdf, sample
 from epfit.estimate import FitConfig, fit_ee_location_scale, objective_value
 from epfit.fisher import fisher_combined, fisher_distorted, fisher_q, psd_check
-from epfit.scores import Distorted, Plain, QWeighted, ShapeTriple, psi_vector
+from epfit.scores import (
+    CombinedHuber, CombinedPlain, Distorted, Plain, QWeighted, ShapeTriple, psi_vector,
+)
 from epfit.simulate import EstimatorSpec, generate, reference_design, run
 from epfit.special_fn import quad
 
@@ -172,8 +174,9 @@ class TestCriterion6:
             triple = ShapeTriple(*(1.6 + rng.random(3) * 2.0))
             k, t = 0.3 + rng.random(2) * 2.0
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, triple.alpha2)
-            closed = fisher_combined(p, triple, k, t, 100, method="closed")
-            quadm = fisher_combined(p, triple, k, t, 100, method="quad")
+            family = CombinedPlain(triple, k, t)
+            closed = fisher_combined(p, family, 100, method="closed")
+            quadm = fisher_combined(p, family, 100, method="quad")
             scale = float(np.max(np.abs(quadm.entries)))
             rel = np.max(np.abs(closed.entries - quadm.entries)
                          / (np.abs(quadm.entries) + 1e-8 * scale))
@@ -294,8 +297,8 @@ class TestCriterion10:
             k = 0.1 + rng.random() * 2.5
             t = 0.1 + rng.random() * 2.5
             p = EpdParams(rng.normal(), 0.4 + rng.random() * 2.0, triple.alpha2)
-            F = fisher_combined(p, triple, k, t, 100,
-                                huberized=bool(rng.integers(0, 2)))
+            family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
+            F = fisher_combined(p, family, 100)
             d = psd_check(F)
             all_ok &= d.determinant_test and d.pivot_test
         assert report("criterion 10 (semidefiniteness)", all_ok,

@@ -235,6 +235,31 @@ class TestFisherCommand:
         assert fish["entries"][0][1] == 0.0
         assert fish["psd"]["asymmetry"] > 0
 
+    def test_plain_score_gives_the_requested_3x3(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = dispatch(["fisher", "--family", "s", "--mu", "0", "--sigma", "1",
+                         "--alpha", "2.1", "--n", "115", "--dim", "3",
+                         "--mode", "closed", "--out", str(out)])
+        assert code == 0
+        fish = json.loads(out.read_text())["payload"]["fisher"]
+        assert fish["dim"] == 3
+        assert np.array(fish["entries"]).shape == (3, 3)
+
+    @pytest.mark.parametrize("family_args", [
+        ["--family", "huber", "--r", "1.345", "--alpha", "2"],
+        ["--family", "combined", "--alpha", "2,2.5,3", "--k", "1", "--t", "1"],
+        ["--family", "combined-huber", "--alpha", "2,2.5,3", "--k", "1", "--t", "1"],
+    ])
+    def test_dim3_without_likelihood_is_usage_error(self, family_args, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = dispatch(["fisher", *family_args, "--mu", "0", "--sigma", "1",
+                         "--n", "100", "--dim", "3", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "usage"
+        assert "--dim 3" in err["error"]["message"]
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def _write_configs(self, tmp_path):
@@ -290,6 +315,24 @@ class TestTuneCommand:
         assert len(payload["candidates"]) == 3
         assert 0 <= payload["chosen"] < 3
         assert all(c["mae"] > 0 for c in payload["candidates"])
+
+    @pytest.mark.parametrize("family_args", [
+        ["--family", "sq", "--grid-q", "0.8,0.9"],
+        ["--family", "sd", "--grid-beta", "0.003"],
+        ["--family", "huber", "--grid-r", "1.345"],
+    ])
+    def test_scalar_shape_family_needs_alpha(self, family_args, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert dispatch(["rng", "--mu", "0", "--sigma", "1", "--alpha", "2",
+                         "--n", "60", "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "tune.json"
+        code = dispatch(["tune", "--data", str(data), *family_args,
+                         "--replications", "5", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "usage"
+        assert "--alpha" in err["error"]["message"]
+        assert not out.exists()
 
     def test_unknown_flag_usage_error(self, sample_file, tmp_path, capsys):
         code = dispatch(["tune", "--data", str(sample_file), "--family", "sd",

@@ -280,6 +280,62 @@ class TestShapeRootSolver:
 # with one call: (sample, mode, GA seed, best point, objective value,
 # history length, SHA-256 of the history as little-endian float64).
 # Floats are in float.hex form; every one must be reproduced exactly.
+# (q, beta, root without hint, root with hint 1.7) of the shape equation
+# on the contaminated sample at (mu, sigma) = SHAPE_ROOT_START, and
+# (family, estimate_alpha, (mu, sigma, alpha), iterations) of EE fits of
+# that sample at shape 2.4 (the combined families use their triple),
+# recorded before the density weights moved onto the family classes
+SHAPE_ROOT_START = (0.10280336621197306, 0.6091271521826309)
+SHAPE_ROOT_PINS = [
+    (1.0, 0.0, '0x1.9f4a58260f6fbp-1', '0x1.9f4a58260f6fdp-1'),
+    (0.8, 0.0, '0x1.01e6153410bfep+0', '0x1.01e6153410bfep+0'),
+    (1.0, 0.006, '0x1.079aa23305154p+0', '0x1.079aa23305149p+0'),
+]
+EE_FIT_PINS = [
+    ("plain", False, ("0x1.18693891e8e5ep-3", "0x1.434004d1c5570p+1", "0x1.3333333333333p+1"), 26),
+    ("huber", False, ("0x1.0a00f5b222855p-5", "0x1.d7f5dd096034dp-1", "0x1.3333333333333p+1"), 24),
+    ("combined", False, ("0x1.203fb9fffa103p-1", "0x1.44076ebf77025p+1", "0x1.4000000000000p+1"), 20),
+    ("combined_huber", False, ("0x1.4f032008124a2p-1", "0x1.42d483ddfeef7p+1", "0x1.4000000000000p+1"), 21),
+    ("q", False, ("-0x1.c24d3347427c9p-6", "0x1.1677b3ce7429ap+0", "0x1.3333333333333p+1"), 16),
+    ("q1", False, ("0x1.18693891e8e5ep-3", "0x1.434004d1c5570p+1", "0x1.3333333333333p+1"), 26),
+    ("d", False, ("-0x1.df2abd2105c4ep-6", "0x1.27b9fd594061cp+0", "0x1.3333333333333p+1"), 21),
+    ("d0", False, ("0x1.18693891e8e5ep-3", "0x1.434004d1c5570p+1", "0x1.3333333333333p+1"), 26),
+    ("plain", True, ("0x1.374c5ad7bd63dp-3", "0x1.9edfb1523100dp-2", "0x1.5eca50debdd9ep-1"), 500),
+    ("huber", True, ("0x1.0a00f5b22dde8p-5", "0x1.d7f5dd096425dp-1", "0x1.f8be51e4377a4p-1"), 35),
+    ("q", True, ("0x1.15ea11aebeba1p-3", "0x1.e97dc3442caf4p-2", "0x1.bc9d9eb2dea0cp-1"), 500),
+    ("d", True, ("-0x1.b38c7e28a81c5p-6", "0x1.21856a2bec529p+0", "0x1.23c672175a9d0p+1"), 178),
+]
+EE_FIT_FAMILIES = {
+    "plain": Plain(),
+    "huber": Huber(1.345),
+    "combined": CombinedPlain(ShapeTriple(1.6, 2.5, 3.2), 0.7, 1.1),
+    "combined_huber": CombinedHuber(ShapeTriple(1.6, 2.5, 3.2), 0.7, 1.1),
+    "q": QWeighted(0.8),
+    "q1": QWeighted(1.0),
+    "d": Distorted(6e-3),
+    "d0": Distorted(0.0),
+}
+
+
+class TestEePinned:
+    @pytest.mark.parametrize("q, beta, root, hinted", SHAPE_ROOT_PINS)
+    def test_shape_roots(self, q, beta, root, hinted):
+        data = reference_samples()["contaminated"]
+        current = EpdParams(*SHAPE_ROOT_START, 2.0)
+        assert fit_ee_alpha(data, current, q=q, beta=beta).hex() == root
+        assert fit_ee_alpha(data, current, q=q, beta=beta, hint=1.7).hex() == hinted
+
+    @pytest.mark.parametrize("name, estimate_alpha, point, iterations", EE_FIT_PINS)
+    def test_fits(self, name, estimate_alpha, point, iterations):
+        family = EE_FIT_FAMILIES[name]
+        alpha = None if estimate_alpha or name.startswith("combined") else 2.4
+        res = fit_ee_location_scale(reference_samples()["contaminated"], family, alpha=alpha,
+                                    config=FitConfig(estimate_alpha=estimate_alpha))
+        p = res.params
+        assert (p.mu.hex(), p.sigma.hex(), p.alpha.hex()) == point
+        assert res.iterations == iterations
+
+
 OBJECTIVE_PINS = [
     ("contaminated", Plain(), 5, ('0x1.35fad22236a52p-3', '0x1.a40a1c469b0bbp-2', '0x1.600a3e27baf97p-1'), '-0x1.4b4a448dfe499p+7', 201, 'efddb412cb4d206ac6644ba09447002b644e6a15fd28f435b1d77117cf190db0'),
     ("contaminated", QWeighted(0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69b047edfb8p-2', '0x1.a4ee07419e943p-1'), '-0x1.0332d4fd1a8c5p+7', 201, '36c6488160f6d80cc007d16372e077beeb8b922dfa8d038a89d8bb6330ae17d4'),

@@ -14,7 +14,9 @@ from epfit.fisher import (
     psd_check,
     variances,
 )
-from epfit.scores import CombinedHuber, Distorted, Huber, Plain, QWeighted, ShapeTriple
+from epfit.scores import (
+    CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
+)
 from epfit.special_fn import DomainError
 
 
@@ -30,33 +32,33 @@ class TestCombined:
             triple = ShapeTriple(*(1.6 + rng.random(3) * 2.0))
             k, t = 0.3 + rng.random(2) * 2.0
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, triple.alpha2)
-            hub = bool(rng.integers(0, 2))
-            closed = fisher_combined(p, triple, k, t, 100, huberized=hub, method="closed")
-            quad = fisher_combined(p, triple, k, t, 100, huberized=hub, method="quad")
+            family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
+            closed = fisher_combined(p, family, 100, method="closed")
+            quad = fisher_combined(p, family, 100, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
 
     def test_cross_entry_cancels_in_symmetric_case(self):
-        F = fisher_combined(EpdParams(0, 1, 2), ShapeTriple(2, 2, 2), 1.0, 1.0, 50)
+        F = fisher_combined(EpdParams(0, 1, 2), CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0), 50)
         assert F.entries[0, 1] == 0.0
 
     def test_shape_below_threshold_raises(self):
         with pytest.raises(DomainError):
             fisher_combined(
-                EpdParams(0, 1, 3.18), ShapeTriple(1.52, 3.18, 1.11),
-                0.69, 0.67, 100, method="closed",
+                EpdParams(0, 1, 3.18), CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
+                100, method="closed",
             )
 
     def test_auto_falls_back_to_quadrature(self):
         F = fisher_combined(
-            EpdParams(0, 1, 3.18), ShapeTriple(1.52, 3.18, 1.11),
-            0.69, 0.67, 100, method="auto",
+            EpdParams(0, 1, 3.18), CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
+            100, method="auto",
         )
         assert F.method == "quadrature"
 
     def test_scaling_linear_in_n(self):
-        tri = ShapeTriple(2.0, 2.0, 2.0)
-        F1 = fisher_combined(EpdParams(0, 1.5, 2), tri, 1.0, 1.0, 1)
-        F2 = fisher_combined(EpdParams(0, 1.5, 2), tri, 1.0, 1.0, 77)
+        family = CombinedPlain(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0)
+        F1 = fisher_combined(EpdParams(0, 1.5, 2), family, 1)
+        F2 = fisher_combined(EpdParams(0, 1.5, 2), family, 77)
         np.testing.assert_allclose(F2.entries, 77.0 * F1.entries, rtol=1e-14)
 
 
@@ -137,7 +139,8 @@ class TestPsd:
             triple = ShapeTriple(*(1.55 + rng.random(3) * 2.5))
             k, t = 0.1 + rng.random(2) * 2.5
             p = EpdParams(rng.normal(), 0.4 + rng.random() * 2.0, triple.alpha2)
-            F = fisher_combined(p, triple, k, t, 100, huberized=bool(rng.integers(0, 2)))
+            family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
+            F = fisher_combined(p, family, 100)
             d = psd_check(F)
             assert d.determinant_test and d.pivot_test
 

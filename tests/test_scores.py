@@ -2,6 +2,7 @@
 its boundedness probes."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -194,3 +195,85 @@ class TestPsiVector:
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
             psi_vector(1.0, STANDARD, q=0.8, beta=0.1)
+
+
+# SHA-256 of the little-endian float64 bytes of each function's output at
+# shapes 1.3, 2 and 3.5 on PINNED_X, recorded before the family
+# computations moved onto the family classes; every refactor of the score
+# code must keep them bit-identical
+PINNED_X = 0.3 + 1.7 * np.array([
+    0.0, 1e-13, -1e-13, 2e-12, 1e-6, -0.01, 0.4, -0.69, 0.7, -0.71, 1.0, 1.1, 1.2,
+    -1.345, 1.345, 2.0, -3.3, 5.0, -8.0, 12.0, 40.0, -40.0, 300.0, -1e4,
+])
+PINNED_X[0] = 0.3  # the exact centre
+PINNED_PARAMS = [EpdParams(0.3, 1.7, alpha) for alpha in (1.3, 2.0, 3.5)]
+PINNED_FAMILIES = {
+    "plain": Plain(),
+    "huber": Huber(1.345),
+    "combined": CombinedPlain(ShapeTriple(1.6, 2.5, 3.2), 0.7, 1.1),
+    "combined_huber": CombinedHuber(ShapeTriple(1.6, 2.5, 3.2), 0.7, 1.1),
+    "q": QWeighted(0.8),
+    "q1": QWeighted(1.0),
+    "d": Distorted(6e-3),
+    "d0": Distorted(0.0),
+}
+OUTPUT_PINS = {
+    ("score", "plain"): "9dd3bdbff73a644c7e3fcd26e0ca55449443710c22b0588f1e95c5a3fb5ced7a",
+    ("score", "huber"): "6936acb25d5ab14464392fdf5ae36036d971af5e1a897a3b589303fef47911d3",
+    ("score", "combined"): "289ae65ea62f6fbdbfda066d2934ef38d9bd468dc618b4f0afc7a22562a18dd7",
+    ("score", "combined_huber"): "0618dda009591a8002bbc3b8be50ad9780a5d4403d433ffae0a61ecaaefd893b",
+    ("score", "q"): "009c0bf0f3de131350edb81570a6445fc277400b2a47b237a948bf513e982803",
+    ("score", "q1"): "9dd3bdbff73a644c7e3fcd26e0ca55449443710c22b0588f1e95c5a3fb5ced7a",
+    ("score", "d"): "91ef8b739bf82911379e6938a36a81b624f9ee2f6c84a7a041ac9402b904e2e0",
+    ("score", "d0"): "9dd3bdbff73a644c7e3fcd26e0ca55449443710c22b0588f1e95c5a3fb5ced7a",
+    ("ee_weight", "plain"): "60adb8b1d88411573aef87f8d36db6f3b5a9a4ec0261fda558417b143df350bf",
+    ("ee_weight", "huber"): "c0c1a6a8099758bf6cb8bed61301ffdafd9c63737c1512822f7ab3622efa3d3a",
+    ("ee_weight", "combined"): "5e73b3f773bb2707abf0103c76f2e7f0690df40f0d54ffab6951e434ed8c7acf",
+    ("ee_weight", "combined_huber"): "b25fd70ea9c2c0a988e5558e4c73b3a860647e47a273702644e561c5a5774c05",
+    ("ee_weight", "q"): "c47492ba98b393ef10d5c607f24d02b6b42d675209aa371d73dfe1fd0c069d3f",
+    ("ee_weight", "q1"): "60adb8b1d88411573aef87f8d36db6f3b5a9a4ec0261fda558417b143df350bf",
+    ("ee_weight", "d"): "b9cfafeaaa9f1e540d31ff3c70ca7aefdaa4f8c066f4fea5e8f85f8c0c898201",
+    ("ee_weight", "d0"): "60adb8b1d88411573aef87f8d36db6f3b5a9a4ec0261fda558417b143df350bf",
+    ("density_weight", "plain"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("density_weight", "huber"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("density_weight", "combined"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("density_weight", "combined_huber"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("density_weight", "q"): "1d9c4deac60a4b58a34bd5355e75928bba771796234526b31544884c65993f3f",
+    ("density_weight", "q1"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("density_weight", "d"): "add995f08200b37315b241ced6c2c8a273cdcad46cd8edcff3602be0fb010b55",
+    ("density_weight", "d0"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
+    ("psi_vector", "plain"): "27ebef2161f9929bbea9bed4e786a942d05468cdea06217f8e9441d4d6264d5f",
+    ("psi_vector", "q"): "8e564225a8b550adaf020e12b9a4dfa4645f213167dfc85f7dd58e5dd0a56d1c",
+    ("psi_vector", "d"): "81b8419603a8d9a7a9255b19aea48c0fe7206e485959c17d138c8325f9aade5b",
+    ("weight_q", "0.8"): "1d9c4deac60a4b58a34bd5355e75928bba771796234526b31544884c65993f3f",
+    ("weight_q", "1.7"): "8cd7a50f123e9f29281b7037bb3aab3fbe154c844f57d7d7df069ec691099ee0",
+    ("weight_distorted", "6e-3"): "add995f08200b37315b241ced6c2c8a273cdcad46cd8edcff3602be0fb010b55",
+}
+
+
+def _digest(outputs) -> str:
+    h = hashlib.sha256()
+    for out in outputs:
+        h.update(np.asarray(out, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestOutputsPinned:
+    @pytest.mark.parametrize("fn", [score, ee_weight, density_weight])
+    @pytest.mark.parametrize("name", list(PINNED_FAMILIES))
+    def test_family_functions(self, fn, name):
+        family = PINNED_FAMILIES[name]
+        got = _digest(fn(family, PINNED_X, p) for p in PINNED_PARAMS)
+        assert got == OUTPUT_PINS[(fn.__name__, name)]
+
+    @pytest.mark.parametrize("name, kwargs", [("plain", {}), ("q", {"q": 0.8}), ("d", {"beta": 6e-3})])
+    def test_psi_vector(self, name, kwargs):
+        got = _digest(psi_vector(PINNED_X, p, **kwargs) for p in PINNED_PARAMS)
+        assert got == OUTPUT_PINS[("psi_vector", name)]
+
+    @pytest.mark.parametrize("fn, arg, key", [
+        (weight_q, 0.8, "0.8"), (weight_q, 1.7, "1.7"), (weight_distorted, 6e-3, "6e-3"),
+    ])
+    def test_density_weights(self, fn, arg, key):
+        got = _digest(fn(PINNED_X, p, arg) for p in PINNED_PARAMS)
+        assert got == OUTPUT_PINS[(fn.__name__, key)]

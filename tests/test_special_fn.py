@@ -160,11 +160,16 @@ def _floats(lo, hi):
 
 class TestAgainstScipy:
     """scipy.special as an independent oracle, over each function's
-    supported range (gamma_fn overflows above about 141)."""
+    supported range (Gamma exceeds the largest double above about 171.62)."""
 
-    @given(_floats(1e-6, 141.0))
+    @given(_floats(1e-6, 171.6))
     def test_gamma(self, z):
         assert gamma_fn(z) == pytest.approx(scipy.special.gamma(z), rel=1e-13)
+
+    def test_gamma_overflow_is_domain_error(self):
+        assert math.isfinite(gamma_fn(171.62437))
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_fn(172.0)
 
     @given(_floats(1e-6, 1e8))
     def test_log_gamma(self, z):
