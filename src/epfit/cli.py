@@ -182,9 +182,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _number(text: str, flag: str, cast=float):
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(f"{flag} expects numbers, got {text!r}") from None
+
+
 def _parse_triple(text: str):
-    parts = [p for p in text.split(",") if p != ""]
-    vals = [float(p) for p in parts]
+    vals = [_number(p, "--alpha") for p in text.split(",") if p != ""]
     if len(vals) == 1:
         return vals[0]
     if len(vals) == 3:
@@ -192,17 +198,20 @@ def _parse_triple(text: str):
     raise UsageError(f"--alpha expects one value or a1,a2,a3, got {text!r}")
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, flag: str):
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
-            raise UsageError(f"grid {text!r} must be start:stop:step or a comma list")
-        start, stop, step = (float(p) for p in pieces)
-        if step <= 0:
-            raise UsageError("grid step must be positive")
+            raise UsageError(f"{flag} {text!r} must be start:stop:step or a comma list")
+        start, stop, step = (_number(p, flag) for p in pieces)
+        if step <= 0 or stop < start:
+            raise UsageError(f"{flag} {text!r} needs start <= stop and a positive step")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 1))]
-    return [float(p) for p in text.split(",") if p != ""]
+        return [start + i * step for i in range(count)]
+    grid = [_number(p, flag) for p in text.split(",") if p != ""]
+    if not grid:
+        raise UsageError(f"{flag} has no values")
+    return grid
 
 
 def _build_family(score: str, args, alpha):
@@ -365,15 +374,15 @@ def _cmd_tune(args, argv) -> int:
     if args.family == "sd":
         if not args.grid_beta:
             raise UsageError("--grid-beta is required for family sd")
-        candidates = [Distorted(b) for b in _parse_grid(args.grid_beta)]
+        candidates = [Distorted(b) for b in _parse_grid(args.grid_beta, "--grid-beta")]
     elif args.family == "sq":
         if not args.grid_q:
             raise UsageError("--grid-q is required for family sq")
-        candidates = [QWeighted(q) for q in _parse_grid(args.grid_q)]
+        candidates = [QWeighted(q) for q in _parse_grid(args.grid_q, "--grid-q")]
     elif args.family == "huber":
         if not args.grid_r:
             raise UsageError("--grid-r is required for family huber")
-        candidates = [Huber(r) for r in _parse_grid(args.grid_r)]
+        candidates = [Huber(r) for r in _parse_grid(args.grid_r, "--grid-r")]
     elif args.family in ("combined", "combined-huber"):
         if not isinstance(alpha, ShapeTriple):
             raise UsageError("combined tuning needs --alpha a1,a2,a3")
@@ -382,8 +391,8 @@ def _cmd_tune(args, argv) -> int:
         cls = CombinedHuber if args.family == "combined-huber" else CombinedPlain
         candidates = [
             cls(triple=alpha, k=k, t=t)
-            for k in _parse_grid(args.grid_k)
-            for t in _parse_grid(args.grid_t)
+            for k in _parse_grid(args.grid_k, "--grid-k")
+            for t in _parse_grid(args.grid_t, "--grid-t")
         ]
     else:
         raise UsageError(f"family {args.family!r} has no tuning grid")
@@ -391,7 +400,11 @@ def _cmd_tune(args, argv) -> int:
     scalar_alpha = alpha if isinstance(alpha, float) else None
     if scalar_alpha is None and any(c.shapes is None for c in candidates):
         raise UsageError(f"family {args.family} needs a scalar --alpha")
-    sizes = tuple(int(v) for v in args.sizes.split(",")) if args.sizes else None
+    if args.replications < 1:
+        raise UsageError("--replications must be at least 1")
+    sizes = tuple(_number(v, "--sizes", int) for v in args.sizes.split(",")) if args.sizes else None
+    if sizes is not None and (len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != len(data)):
+        raise UsageError(f"--sizes needs three non-negative integers summing to {len(data)}")
     report = tune(
         data, candidates, seed=args.seed, alpha=scalar_alpha,
         replications=args.replications, sizes=sizes,

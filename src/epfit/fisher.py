@@ -6,7 +6,10 @@ weighted families the integrand carries the deformation term and the
 tilted density, giving generally asymmetric 3x3 matrices.  Closed forms
 (in terms of complete/incomplete gammas, digamma and trigamma) are
 provided where the shape constraints allow; adaptive quadrature is the
-authoritative fallback and the cross-check for every closed form.
+authoritative fallback and the cross-check for every closed form.  A
+quadrature matrix is one vector-valued pass over its entries: parity
+decides which vanish or coincide, and the power of the residual at the
+center which diverge, reported as ``inf`` without being integrated.
 
 All matrices are scaled by the sample size n; scaling is exactly linear.
 """
@@ -14,12 +17,14 @@ All matrices are scaled by the sample size n; scaling is exactly linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .epd import EpdParams, pdf
-from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted
+from .scores import (
+    CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, likelihood_weight,
+)
 from .special_fn import (
     DomainError,
     QuadratureError,
@@ -42,9 +47,6 @@ __all__ = [
     "psd_check",
     "variances",
 ]
-
-_PARAM_NAMES = ("mu", "sigma", "alpha")
-
 
 @dataclass
 class PsdDiagnostics:
@@ -85,90 +87,62 @@ class VarianceReport:
     negative: tuple
 
 
+# per-entry tolerances and the split budget of one integration pass
+_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
+
+
 def _truncation_halfwidth(alpha: float) -> float:
     # exp(-y^alpha) tail mass beyond the window is far below quadrature
     # tolerance; the width grows as the shape drops below 1
     return max(40.0, 60.0 ** (1.0 / alpha))
 
 
-def _quad_entry(f, lo: float, hi: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """One panel; a panel that cannot meet its own tolerance still
-    returns its best estimate with an honest bound."""
-    local = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions, (lo, hi))
-    try:
-        res = integrate(f, local)
-        return res.value, res.error
-    except QuadratureError as exc:
-        return exc.best, exc.bound
+def _integrate_finite(finite, integrand, grid, closed=0.0):
+    """Entries of one matrix: ``closed`` plus one vector-valued pass of
+    ``integrand`` over the panels between grid points for those flagged
+    ``finite`` (the others are infinite).  Returns values, error bounds
+    and whether each is finite with a bound within 1e-7 of it or 1e-10."""
+    errors = np.where(finite, 0.0, math.inf)
+    values = errors + closed
+    # nothing is integrated when every entry diverges
+    for lo, hi in zip(grid[:-1], grid[1:]) if finite.any() else ():
+        try:
+            res = integrate(integrand, replace(_QUAD, domain=(lo, hi)))
+            v, e = res.value, res.error
+        except QuadratureError as exc:  # keep the best estimate and its bound
+            v, e = exc.best, exc.bound
+        values[finite] += v
+        errors[finite] += e
+    usable = finite.all() and np.all(errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
+    return values, errors, usable
 
 
-def _piecewise_quad(f, breaks: list[float], lo: float, hi: float, spec: QuadratureSpec,
-                    singular: tuple[float, ...] = ()):
-    """Sum of panel integrals with the error judged at the entry level.
-
-    Graded panels around algebraic singularities jump-start the adaptive
-    refinement that would otherwise crawl toward them.  Raises only when
-    the summed bound is too large relative to the summed value.
-    """
-    pts = set(b for b in breaks if lo < b < hi)
-    width = hi - lo
-    for s in singular:
-        if lo < s < hi:
-            for scale in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
-                for side in (-1.0, 1.0):
-                    cand = s + side * scale * width
-                    if lo < cand < hi:
-                        pts.add(cand)
-    grid = [lo] + sorted(pts) + [hi]
-    total, err = 0.0, 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        v, e = _quad_entry(f, a, b, spec)
-        total += v
-        err += e
-    if err > max(100.0 * spec.abs_tol, 1e-7 * abs(total)):
-        raise QuadratureError(
-            f"matrix entry integral uncertain (estimate {total:.6g}, bound {err:.3g})",
-            best=total, bound=err,
-        )
-    return total, err
-
-
-def _ee_2x2_quadrature(family, params: EpdParams, n: int, spec: QuadratureSpec | None):
+def _ee_2x2_quadrature(family, params: EpdParams, n: int):
     """Expected outer products of dS/d(mu, sigma) under the EP density.
 
     For a score S(y) of the standardized residual alone (the Huber and
     combined scores), the parameter derivatives are dS/dmu = -S'(y)/sigma
-    and dS/dsigma = -y S'(y)/sigma, so every entry is a weighted moment
-    of S'(y)^2.  The family gives S'(y) and the residuals where it breaks;
-    the combined scores integrate under their center shape.
+    and dS/dsigma = -y S'(y)/sigma, so the entries are the moments
+    p = 0, 1, 2 of y^p S'(y)^2.  The family gives S'(y) and the residuals
+    where it breaks.  The combined scores integrate under their center
+    shape alpha2, where y^p S'(y)^2 ~ |y|^(2 alpha2 - 4 + p), finite iff
+    that power exceeds -1; Huber's slope is bounded.
     """
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
-    sig = params.sigma
+    powers = np.array([0.0, 1.0, 2.0])
     alpha_ref = params.alpha if family.shapes is None else family.shapes.alpha2
-    breaks = list(family.breaks)
-    w = _truncation_halfwidth(alpha_ref)
+    finite = powers > (-math.inf if family.shapes is None else 3.0 - 2.0 * alpha_ref)
     dens = EpdParams(0.0, 1.0, alpha_ref)
+    w = _truncation_halfwidth(alpha_ref)
+    grid = [-w] + [b for b in family.breaks if -w < b < w] + [w]
 
-    def integrand(power):
-        def f(y):
-            slope = family.slope(y)
-            return slope**2 * y**power * pdf(y, dens)
-        return f
+    def integrand(y):
+        return family.slope(y) ** 2 * y ** powers[finite, None] * pdf(y, dens)
 
-    entries = np.zeros((2, 2))
-    errors = np.zeros((2, 2))
-    failed = False
-    for (i, j, power) in ((0, 0, 0), (0, 1, 1), (1, 1, 2)):
-        try:
-            v, e = _piecewise_quad(integrand(power), breaks, -w, w, spec, singular=(0.0,))
-        except QuadratureError as exc:
-            v, e = exc.best, exc.bound
-            failed = True
-        entries[i, j] = v / sig**2
-        errors[i, j] = e / sig**2
-    entries[1, 0], errors[1, 0] = entries[0, 1], errors[0, 1]
-    method = "quadrature-partial" if failed else "quadrature"
-    return FisherMatrix(n * entries, 2, n, method, element_errors=errors)
+    m, e, ok = _integrate_finite(finite, integrand, grid)
+    # moments p = 0, 1, 2 fill [[(mu, mu), (mu, sigma)], [(sigma, mu), (sigma, sigma)]]
+    entries, errors = np.array([m, e])[:, [[0, 1], [1, 2]]] / params.sigma**2
+    return FisherMatrix(n * entries, 2, n, "quadrature" if ok else "quadrature-partial",
+                        element_errors=errors)
 
 
 def _combined_closed(params: EpdParams, family: CombinedPlain | CombinedHuber):
@@ -215,7 +189,6 @@ def fisher_combined(
     family: CombinedPlain | CombinedHuber,
     n: int,
     method: str = "closed",
-    spec: QuadratureSpec | None = None,
 ) -> FisherMatrix:
     """2x2 information matrix of the combined piecewise score.
 
@@ -226,12 +199,12 @@ def fisher_combined(
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
     if method == "quad":
-        return _ee_2x2_quadrature(family, params, n, spec)
+        return _ee_2x2_quadrature(family, params, n)
     try:
         entries = _combined_closed(params, family)
     except DomainError:
         if method == "auto":
-            return _ee_2x2_quadrature(family, params, n, spec)
+            return _ee_2x2_quadrature(family, params, n)
         raise
     return FisherMatrix(n * entries, 2, n, "closed_form")
 
@@ -280,83 +253,65 @@ def _q_closed(params: EpdParams, q: float) -> np.ndarray:
     ])
 
 
-def _weighted_integrands(params: EpdParams, q: float, beta: float):
-    """Integrand factory for the weighted-family matrices.
+# The weighted-family entries E[(deform d_j + d_i) d_j] under the tilted
+# density: d_mu, the deformation and the tilt are even in y, d_sigma and
+# d_alpha odd, so (mu, sigma) and (mu, alpha) vanish, (alpha, mu) equals
+# (sigma, mu), (alpha, sigma) equals (sigma, alpha), and five even
+# integrands remain.  Each is finite iff alpha exceeds its threshold: near
+# y = 0 they behave like y^(2 alpha - 4), y^(3 alpha - 4) and y^(2 alpha - 2)
+# (times powers of log y for the shape entries).
+_WEIGHTED_THRESHOLDS = {(0, 0): 1.5, (1, 0): 1.0, (1, 1): 0.5, (1, 2): 0.5, (2, 2): 0.5}
 
-    Works on the standardized residual y directly (never reconstituting
-    x), so evaluations arbitrarily close to the center keep their full
-    floating-point resolution.
-    """
-    sig, alpha = params.sigma, params.alpha
+
+def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
+                         dim: int) -> FisherMatrix:
+    alpha, sig = params.alpha, params.sigma
+    weight = likelihood_weight(q, beta)
     log_norm = params.log_norm_const()
+    c = alpha * (alpha - 1.0) / sig
+    # without a deformation the (sigma, mu) integrand is identically zero
+    keys = [k for k in _WEIGHTED_THRESHOLDS if max(k) < dim and (k != (1, 0) or weight is not None)]
+    finite = np.array([alpha > _WEIGHTED_THRESHOLDS[k] for k in keys])
+    t0 = math.exp(log_norm) * (1.0 if weight is None else weight(log_norm))
 
-    def parts(y):
-        y = np.asarray(y, dtype=float)
-        ay = np.abs(y)
-        tiny = ay < 1e-290
-        ay_safe = np.where(tiny, 1.0, ay)
-        sgn = np.sign(y)
-        pow_a = np.where(tiny, 0.0, ay_safe**alpha)
-        pow_am1 = np.where(tiny, 0.0, ay_safe ** (alpha - 1.0))
-        pow_am2 = np.where(tiny, 0.0, ay_safe ** (alpha - 2.0))
-        log_ay = np.log(ay_safe)
-        s_val = alpha * pow_am1 * sgn
-        d_mu = -(alpha * (alpha - 1.0) / sig) * pow_am2
-        d_sigma = -(alpha * (alpha - 1.0) / sig) * pow_am1 * sgn
-        d_alpha = pow_am1 * sgn * (1.0 + alpha * log_ay)
-        f = np.exp(log_norm - pow_a)
-        if q != 1.0:
-            tilt = f ** (2.0 - q)
-            deform = (1.0 - q) * s_val**2
-        else:
-            denom = np.where(beta + f > 0.0, beta + f, 1.0)
-            tilt = f * f / denom
-            deform = (beta / denom) * s_val**2
-        return (d_mu, d_sigma, d_alpha), deform, tilt
+    def integrand(u):
+        # y = u^3 on the half line, doubled; the jacobian 3 u^2 and the
+        # scale of dx = sigma dy are folded into each single power of u,
+        # so no factor overflows however close to the center u gets
+        ya = u ** (3.0 * alpha)
+        lf = log_norm - ya
+        dens = np.exp(lf)
+        t, deform = dens, 0.0
+        if weight is not None:
+            t = dens * weight(lf)
+            deform = alpha * alpha * ((1.0 - q) if q != 1.0 else beta / (beta + dens))
+        grow = 1.0 + 3.0 * alpha * np.log(u)
+        block = u ** (6.0 * alpha - 4.0) * t
+        terms = {
+            # the location entry leaves its singular part, t0 exp(-y^alpha)
+            # for the tilt, to the closed form below; the rest is regular
+            (0, 0): lambda: c * (c * u ** (6.0 * alpha - 10.0) * (t - t0 * np.exp(-ya))
+                                 - deform * u ** (9.0 * alpha - 10.0) * t),
+            (1, 0): lambda: -c * deform * u ** (9.0 * alpha - 10.0) * t,
+            (1, 1): lambda: c * c * block,
+            (1, 2): lambda: -c * grow * block,
+            (2, 2): lambda: grow * grow * block,
+        }
+        return 6.0 * sig * np.stack([terms[k]() for k, ok in zip(keys, finite) if ok])
 
-    return parts
-
-
-def _weighted_quadrature(
-    params: EpdParams, q: float, beta: float, n: int, dim: int,
-    spec: QuadratureSpec | None,
-) -> FisherMatrix:
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=400)
-    parts = _weighted_integrands(params, q, beta)
-    # integrate over the standardized residual through y = u^3: the cubic
-    # jacobian absorbs most of the algebraic singularity at the center,
-    # so the adaptive refinement converges instead of crawling
-    w = _truncation_halfwidth(params.alpha)
-    ulim = w ** (1.0 / 3.0)
-    sig = params.sigma
-    entries = np.zeros((dim, dim))
-    errors = np.zeros((dim, dim))
-    failed = False
-    for i in range(dim):
-        for j in range(dim):
-            # the location-location entry integrand carries the steepest
-            # inverse power of the residual and stops being integrable at
-            # shape 3/2; report it as divergent rather than chase it
-            if i == 0 and j == 0 and params.alpha <= 1.5:
-                entries[i, j] = math.inf
-                errors[i, j] = math.inf
-                failed = True
-                continue
-            def f(u, i=i, j=j):
-                u = np.asarray(u, dtype=float)
-                y = u**3
-                derivs, deform, tilt = parts(y)
-                core = (deform * derivs[j] + derivs[i] * derivs[j]) * tilt
-                return core * 3.0 * sig * u**2
-            try:
-                v, e = _piecewise_quad(f, [0.0], -ulim, ulim, spec, singular=(0.0,))
-            except QuadratureError as exc:
-                v, e = exc.best, exc.bound
-                failed = True
-            entries[i, j] = v
-            errors[i, j] = e
-    method = "quadrature-partial" if failed else "quadrature"
-    return FisherMatrix(n * entries, dim, n, method, element_errors=errors)
+    closed = np.zeros(len(keys))
+    if finite[0]:
+        closed[0] = 2.0 * sig * c * c * t0 * gamma_fn(2.0 - 3.0 / alpha) / alpha
+    grid = [0.0, _truncation_halfwidth(alpha) ** (1.0 / 3.0)]
+    values, errors, ok = _integrate_finite(finite, integrand, grid, closed)
+    full = np.zeros((2, 3, 3))  # the entries and their error bounds
+    for (i, j), v, e in zip(keys, values, errors):
+        full[:, i, j] = v, e
+    # (alpha, mu) = (sigma, mu) and (alpha, sigma) = (sigma, alpha)
+    full[:, 2, :2] = full[:, 1, [0, 2]]
+    entries, bounds = full[:, :dim, :dim]
+    return FisherMatrix(n * entries, dim, n, "quadrature" if ok else "quadrature-partial",
+                        element_errors=bounds)
 
 
 def fisher_q(
@@ -365,7 +320,6 @@ def fisher_q(
     n: int,
     method: str = "closed",
     dim: int = 3,
-    spec: QuadratureSpec | None = None,
 ) -> FisherMatrix:
     """Information matrix of the q-weighted score family.
 
@@ -381,12 +335,12 @@ def fisher_q(
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
     if method == "quad":
-        return _weighted_quadrature(params, q, 0.0, n, dim, spec)
+        return _weighted_quadrature(params, q, 0.0, n, dim)
     try:
         full = _q_closed(params, q)
     except DomainError:
         if method == "auto":
-            return _weighted_quadrature(params, q, 0.0, n, dim, spec)
+            return _weighted_quadrature(params, q, 0.0, n, dim)
         raise
     return FisherMatrix(n * full[:dim, :dim].copy(), dim, n, "closed_form")
 
@@ -396,20 +350,20 @@ def fisher_distorted(
     beta: float,
     n: int,
     dim: int = 3,
-    spec: QuadratureSpec | None = None,
 ) -> FisherMatrix:
     """Information matrix of the distorted score family, by quadrature.
 
-    beta = 0 coincides with the q = 1 matrix.  The shape integrands are
-    only integrable for alpha above roughly 3/2 in the location entry;
-    failures degrade the matrix to quadrature-partial with per-entry
-    error bounds kept.
+    beta = 0 coincides with the q = 1 matrix.  The location entry is
+    finite for alpha > 3/2, the (sigma, mu) entry for alpha > 1 and the
+    (sigma, alpha) block for alpha > 1/2; a divergent entry is ``inf``
+    and makes the matrix quadrature-partial, with per-entry error bounds
+    kept.
     """
     if beta < 0.0:
         raise DomainError(f"beta must be non-negative, got {beta}")
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    return _weighted_quadrature(params, 1.0, beta, n, dim, spec)
+    return _weighted_quadrature(params, 1.0, beta, n, dim)
 
 
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
@@ -425,7 +379,7 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     if isinstance(family, Plain):
         return fisher_q(params, 1.0, n, method=method, dim=dim)
     if isinstance(family, Huber):
-        return _ee_2x2_quadrature(family, params, n, None)
+        return _ee_2x2_quadrature(family, params, n)
     if isinstance(family, QWeighted):
         return fisher_q(params, family.q, n, method=method, dim=dim)
     if isinstance(family, Distorted):
@@ -437,41 +391,45 @@ def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:
     """Determinant and pivot tests for positive semidefiniteness.
 
     Asymmetric matrices are tested on their symmetrized part, with the
-    asymmetry magnitude reported separately.
+    asymmetry magnitude reported separately.  A non-finite matrix fails
+    both tests, with NaN eigenvalue and asymmetry.
     """
     entries = matrix.entries if isinstance(matrix, FisherMatrix) else np.asarray(matrix, dtype=float)
-    sym = 0.5 * (entries + entries.T)
-    asym = float(np.max(np.abs(entries - entries.T)))
-    scale = max(1.0, float(np.max(np.abs(sym))))
-    tol = 1e-10 * scale
-    d = sym.shape[0]
+    if not np.all(np.isfinite(entries)):
+        diag = PsdDiagnostics(False, False, math.nan, math.nan)
+    else:
+        sym = 0.5 * (entries + entries.T)
+        asym = float(np.max(np.abs(entries - entries.T)))
+        scale = max(1.0, float(np.max(np.abs(sym))))
+        tol = 1e-10 * scale
+        d = sym.shape[0]
 
-    det_ok = True
-    for k in range(1, d + 1):
-        if np.linalg.det(sym[:k, :k]) < -tol * scale ** (k - 1):
-            det_ok = False
-            break
+        det_ok = True
+        for k in range(1, d + 1):
+            if np.linalg.det(sym[:k, :k]) < -tol * scale ** (k - 1):
+                det_ok = False
+                break
 
-    pivot_ok = True
-    work = sym.copy()
-    for k in range(d):
-        pivot = work[0, 0]
-        if pivot < -tol:
-            pivot_ok = False
-            break
-        if work.shape[0] == 1:
-            break
-        if abs(pivot) <= tol:
-            # zero pivot: semidefiniteness requires the whole row to vanish
-            if np.max(np.abs(work[0, 1:])) > tol:
+        pivot_ok = True
+        work = sym.copy()
+        for k in range(d):
+            pivot = work[0, 0]
+            if pivot < -tol:
                 pivot_ok = False
                 break
-            work = work[1:, 1:]
-            continue
-        work = work[1:, 1:] - np.outer(work[1:, 0], work[0, 1:]) / pivot
+            if work.shape[0] == 1:
+                break
+            if abs(pivot) <= tol:
+                # zero pivot: semidefiniteness requires the whole row to vanish
+                if np.max(np.abs(work[0, 1:])) > tol:
+                    pivot_ok = False
+                    break
+                work = work[1:, 1:]
+                continue
+            work = work[1:, 1:] - np.outer(work[1:, 0], work[0, 1:]) / pivot
 
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    diag = PsdDiagnostics(det_ok, pivot_ok, min_eig, asym)
+        min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+        diag = PsdDiagnostics(det_ok, pivot_ok, min_eig, asym)
     if isinstance(matrix, FisherMatrix):
         matrix.psd = diag
     return diag
@@ -480,23 +438,29 @@ def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:
 def variances(matrix: FisherMatrix) -> VarianceReport:
     """Diagonal of the inverse information matrix.
 
-    Falls back to the Moore-Penrose pseudo-inverse when the matrix is
-    numerically singular, or when the inversion fails on finite entries.
-    A matrix with non-finite entries that cannot be inverted (overflowed
-    quadrature) gets NaN variances.  Asymmetric matrices are inverted
-    as-is.
+    A parameter with infinite information (a divergent diagonal entry)
+    gets variance 0, the limit of the inverse.  The block of the others
+    is inverted as-is, by the Moore-Penrose pseudo-inverse when it is
+    numerically singular or the inversion fails; a non-finite entry left
+    in it gives NaN variances.
     """
-    entries = matrix.entries
-    d = matrix.dim
-    try:
-        norm = float(np.linalg.norm(entries, 2))
-        det = float(np.linalg.det(entries))
-        pseudo = abs(det) < 1e-12 * max(norm, 1.0) ** d
-        inv = np.linalg.pinv(entries) if pseudo else np.linalg.inv(entries)
-    except np.linalg.LinAlgError:
-        pseudo = bool(np.all(np.isfinite(entries)))
-        inv = np.linalg.pinv(entries) if pseudo else np.full((d, d), np.nan)
-    raw = tuple(float(v) for v in np.diag(inv))
+    keep = np.diag(matrix.entries) != np.inf
+    block = matrix.entries[np.ix_(keep, keep)]
+    diag = np.zeros(matrix.dim)
+    pseudo = False
+    if not np.all(np.isfinite(block)):
+        diag[keep] = np.nan
+    elif keep.any():
+        try:
+            norm = float(np.linalg.norm(block, 2))
+            det = float(np.linalg.det(block))
+            pseudo = abs(det) < 1e-12 * max(norm, 1.0) ** len(block)
+            inv = np.linalg.pinv(block) if pseudo else np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            pseudo = True
+            inv = np.linalg.pinv(block)
+        diag[keep] = np.diag(inv)
+    raw = tuple(float(v) for v in diag)
     return VarianceReport(
         raw=raw,
         abs_values=tuple(abs(v) for v in raw),

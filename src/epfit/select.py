@@ -38,8 +38,10 @@ def volume(matrix: FisherMatrix, n: int, v: int | None = None, d: int | None = N
     """Ellipsoid volume (2 pi v / n)^(d/2) / Gamma(d/2+1) / sqrt(det F).
 
     v defaults to the rank of the matrix and d to its dimension; a
-    non-positive determinant reports an infinite volume.
+    non-positive determinant or a non-finite entry reports an infinite volume.
     """
+    if not np.all(np.isfinite(matrix.entries)):
+        return math.inf
     d = matrix.dim if d is None else d
     if v is None:
         v = int(np.linalg.matrix_rank(matrix.entries))

@@ -184,24 +184,31 @@ class TestFitCommand:
         assert report["payload"]["family"] == "MDLE"
         assert report["payload"]["beta"] == 0.01
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_overflowed_fisher_matrix_still_reports(self, tmp_path):
-        # on this contaminated sample the sq objective fit lands at a
-        # shape where the quadrature information matrix overflows: an
-        # infinite corner entry and two identical rows, which no inverse
-        # can handle; the fit still reports, with NaN variances
+    def test_overflowed_fisher_matrix_still_reports(self, tmp_path, capfd):
+        # on this contaminated sample the sq objective fit lands at shape
+        # 0.574, where the location and (sigma, mu) information integrals
+        # diverge; the quadrature used to overflow there.  The fit reports
+        # them as infinite, mu gets variance 0 and sigma, alpha the
+        # inverse of the finite (sigma, alpha) block
         data = Path(__file__).parent / "data" / "overflowed_fisher.csv"
         out = tmp_path / "obj.json"
         code = dispatch(["fit", "--data", str(data), "--score", "sq", "--q", "0.8",
                          "--method", "objective", "--ga-seed", "1833331738",
                          "--out", str(out)])
         assert code == 0
+        assert capfd.readouterr() == ("", "")
         report = json.loads(out.read_text())
         validate_report(report)
         payload = report["payload"]
-        assert payload["fisher"]["method"] == "quadrature-partial"
-        assert payload["variances"]["raw"] == ["nan", "nan", "nan"]
+        fisher = payload["fisher"]
+        assert fisher["method"] == "quadrature-partial"
+        assert [row[0] for row in fisher["entries"]] == ["inf", "inf", "inf"]
+        assert fisher["entries"][0][1:] == [0.0, 0.0]
+        assert fisher["psd"]["min_eigenvalue"] == "nan"
+        assert payload["volume"] == "inf"
+        raw = payload["variances"]["raw"]
+        assert raw[0] == 0.0
+        assert raw[1:] == pytest.approx([1.8312548146e-3, 1.361105524e-4], rel=1e-8)
         assert payload["variances"]["pseudo_inverse"] is False
 
     def test_outlier_flag(self, sample_file, tmp_path):
@@ -213,6 +220,14 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert report["payload"]["outliers_added"] is True
         assert report["payload"]["n"] == 116
+
+    def test_non_numeric_alpha_is_usage_error(self, sample_file, tmp_path, capsys):
+        code = dispatch(["fit", "--data", str(sample_file), "--score", "s",
+                         "--alpha", "abc", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "usage"
+        assert "--alpha" in err["error"]["message"]
 
     def test_missing_tc_is_usage_error(self, sample_file, tmp_path, capsys):
         code = dispatch(["fit", "--data", str(sample_file), "--score", "sd",
@@ -332,6 +347,25 @@ class TestTuneCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "usage"
         assert "--alpha" in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_args", [
+        ["--grid-q", ","],
+        ["--grid-q", "1:0.5:0.1"],
+        ["--grid-q", "abc"],
+        ["--grid-q", "0.8", "--sizes", "a,b,c"],
+        ["--grid-q", "0.8", "--sizes", "1,2"],
+        ["--grid-q", "0.8", "--sizes", "7,100,2"],
+        ["--grid-q", "0.8", "--replications", "0"],
+    ], ids=["empty-grid", "descending-range", "non-numeric-grid", "non-numeric-sizes",
+            "two-sizes", "sizes-not-summing-to-n", "no-replications"])
+    def test_bad_numbers_are_usage_errors(self, bad_args, sample_file, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        args = ["--replications", "5", *bad_args]
+        code = dispatch(["tune", "--data", str(sample_file), "--family", "sq",
+                         "--alpha", "2.1", *args, "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
         assert not out.exists()
 
     def test_unknown_flag_usage_error(self, sample_file, tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Information matrices: closed form vs quadrature, structure,
 semidefiniteness diagnostics and variance extraction."""
 
+import json
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,12 @@ from epfit.fisher import (
 from epfit.scores import (
     CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
 )
+from epfit.select import volume
 from epfit.special_fn import DomainError
+
+# quadrature entries recorded with the per-entry integration that the
+# one-pass vector quadrature replaced
+PINNED = json.loads((Path(__file__).parent / "data" / "fisher_pinned.json").read_text())
 
 
 def assert_matrices_close(a, b, rtol, atol_scale=1e-8):
@@ -167,9 +177,11 @@ class TestVariances:
         assert rep.negative == (True, False)
         assert rep.abs_values[0] == pytest.approx(0.5)
 
-    def test_overflowed_matrix_gives_nan(self):
-        # the shape an overflowed quadrature leaves: an infinite corner
-        # entry and two identical rows; np.linalg.inv raises on it
+    def test_overflowed_matrix_inverts_its_finite_block(self):
+        # the shape an overflowed quadrature left: an infinite corner
+        # entry and two identical rows; np.linalg.inv raises on it.  The
+        # location gets variance 0 (infinite information) and the
+        # singular (sigma, alpha) block its pseudo-inverse
         entries = np.array([
             [np.inf, -1.1169201648680040e128, -1.1913815091925376e129],
             [6.7861122571073626e173, 8.2311772214476452e52, -5.2679534217264930e54],
@@ -177,10 +189,17 @@ class TestVariances:
         ])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(entries)
-        with np.errstate(all="ignore"):
-            rep = variances(FisherMatrix(entries, 3, 110, "quadrature-partial"))
-        assert all(np.isnan(v) for v in rep.raw)
-        assert all(np.isnan(v) for v in rep.abs_values)
+        rep = variances(FisherMatrix(entries, 3, 110, "quadrature-partial"))
+        assert rep.raw[0] == 0.0
+        np.testing.assert_allclose(rep.raw[1:], np.diag(np.linalg.pinv(entries[1:, 1:])),
+                                   rtol=1e-12)
+        assert rep.pseudo_inverse
+
+    def test_non_finite_block_gives_nan(self):
+        entries = np.array([[np.inf, 0.0, 0.0], [1.0, 2.0, np.inf], [1.0, np.inf, 3.0]])
+        rep = variances(FisherMatrix(entries, 3, 10, "quadrature-partial"))
+        assert rep.raw[0] == 0.0
+        assert all(np.isnan(v) for v in rep.raw[1:])
         assert rep.negative == (False, False, False)
         assert not rep.pseudo_inverse
 
@@ -220,3 +239,100 @@ class TestDispatch:
         F = fisher_for_family(Plain(), EpdParams(0, 1, 1.2), 10)
         assert F.method == "quadrature-partial"
         assert F.element_errors is not None
+
+
+def assert_pinned(entries, recorded, zeros=()):
+    """1e-9 relative agreement with recorded entries; the entries that
+    vanish by parity are exactly 0.0, where the recording left noise
+    below 1e-9 max|F|."""
+    recorded = np.asarray(recorded)
+    scale = float(np.max(np.abs(recorded)))
+    exact = np.zeros(recorded.shape, dtype=bool)
+    for ij in zeros:
+        if max(ij) < recorded.shape[0]:
+            exact[ij] = True
+    np.testing.assert_allclose(entries[~exact], recorded[~exact], rtol=1e-9, atol=0.0)
+    assert np.all(np.abs(recorded[exact]) <= 1e-9 * scale)
+    assert np.all(entries[exact] == 0.0)
+
+
+class TestPinnedQuadrature:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_q_weighted(self, dim):
+        for rec in PINNED["q"]:
+            p = EpdParams(0.0, rec["sigma"], rec["alpha"])
+            F = fisher_q(p, rec["q"], 1, method="quad", dim=dim)
+            zeros = [(0, 1), (0, 2)] + ([(1, 0), (2, 0)] if rec["q"] == 1.0 else [])
+            assert_pinned(F.entries, np.array(rec["entries"])[:dim, :dim], zeros)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_distorted(self, dim):
+        for rec in PINNED["beta"]:
+            p = EpdParams(0.0, rec["sigma"], rec["alpha"])
+            F = fisher_distorted(p, rec["beta"], 1, dim=dim)
+            assert_pinned(F.entries, np.array(rec["entries"])[:dim, :dim], [(0, 1), (0, 2)])
+
+    def test_huber_and_combined(self):
+        for rec in PINNED["huber"]:
+            F = fisher_for_family(Huber(1.5), EpdParams(0.0, rec["sigma"], rec["alpha"]), 1)
+            recorded = np.array(rec["entries"])
+            np.testing.assert_allclose(F.entries, recorded, rtol=1e-9,
+                                       atol=1e-9 * float(np.max(np.abs(recorded))))
+        for rec in PINNED["combined"]:
+            cls = CombinedHuber if rec["huberized"] else CombinedPlain
+            family = cls(ShapeTriple(*rec["triple"]), rec["k"], rec["t"])
+            p = EpdParams(0.0, rec["sigma"], rec["triple"][1])
+            F = fisher_combined(p, family, 1, method="quad")
+            assert_pinned(F.entries, rec["entries"])
+
+    def test_location_entry_near_its_threshold(self):
+        # the location integrand behaves like y^(2 alpha - 4), barely
+        # integrable just above alpha = 3/2; the quadrature may not drift
+        # farther from the closed form than the recorded integration did
+        for rec in PINNED["near_threshold"]:
+            p = EpdParams(0.0, 1.0, rec["alpha"])
+            quad = fisher_q(p, rec["q"], 1, method="quad").entries[0, 0]
+            closed = fisher_q(p, rec["q"], 1, method="closed").entries[0, 0]
+            assert abs(quad - closed) / abs(closed) <= rec["rel_err"]
+
+
+# shape at or below which an entry of the weighted-family matrices
+# diverges; (sigma, mu) and (alpha, mu) vanish without a deformation
+DIVERGENCE_RULE = {(0, 0): 1.5, (1, 0): 1.0, (2, 0): 1.0,
+                   (1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.5}
+
+
+class TestLowShapeRegime:
+    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(6e-3)],
+                             ids=["plain", "q0.8", "beta6e-3"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.7, 0.9, 1.2, 1.45])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd):
+        n = 110
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), n, dim=dim)
+            diag = psd_check(F)
+            rep = variances(F)
+            vol = volume(F, n)
+        assert capfd.readouterr() == ("", "")
+        deformed = family.likelihood != (1.0, 0.0)
+        expected = np.zeros((dim, dim), dtype=bool)
+        for (i, j), threshold in DIVERGENCE_RULE.items():
+            if max(i, j) < dim and alpha <= threshold and (j > 0 or i == 0 or deformed):
+                expected[i, j] = True
+        np.testing.assert_array_equal(np.isinf(F.entries), expected)
+        assert np.all(F.entries[~expected] > -np.inf)
+        assert F.method == "quadrature-partial"
+        assert not diag.determinant_test and not diag.pivot_test
+        assert math.isnan(diag.min_eigenvalue) and math.isnan(diag.asymmetry)
+        assert math.isinf(vol)
+        # infinite information gives variance 0; the finite (sigma, alpha)
+        # block gives the diagonal of its inverse
+        assert rep.raw[0] == 0.0
+        if alpha > 0.5:
+            block = F.entries[1:, 1:]
+            np.testing.assert_allclose(rep.raw[1:], np.diag(np.linalg.inv(block)), rtol=1e-12)
+            assert all(v > 0.0 for v in rep.raw[1:])
+        else:
+            assert rep.raw == (0.0,) * dim
