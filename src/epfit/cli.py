@@ -15,9 +15,9 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import epd, simulate
-from .estimate import FitConfig, fit_ee_location_scale, fit_objective
+from .estimate import FitConfig
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
 from .select import evaluate_fit, replicated_mae, tune
@@ -43,6 +43,11 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
+# the score families by --score name; a family's flags are its tuning_names
+_FAMILIES = {"s": Plain, "huber": Huber, "combined": CombinedPlain,
+             "combined-huber": CombinedHuber, "sq": QWeighted, "sd": Distorted}
+# every tuning constant, in the order r, k, t, q, beta
+_TUNING_NAMES = tuple(dict.fromkeys(n for cls in _FAMILIES.values() for n in cls.tuning_names))
 # report label of an objective-route fit, by --score
 _OBJECTIVE_LABELS = {"s": "MLE", "sq": "MqLE", "sd": "MDLE"}
 
@@ -189,12 +194,31 @@ def _number(text: str, flag: str, cast=float):
         raise UsageError(f"{flag} expects numbers, got {text!r}") from None
 
 
+def _count(minimum: int):
+    """argparse type of an integer flag that must be at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _usage(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError for an unusable value
+    turned into a UsageError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_triple(text: str):
     vals = [_number(p, "--alpha") for p in text.split(",") if p != ""]
     if len(vals) == 1:
         return vals[0]
     if len(vals) == 3:
-        return ShapeTriple(*vals)
+        return _usage(ShapeTriple, *vals)
     raise UsageError(f"--alpha expects one value or a1,a2,a3, got {text!r}")
 
 
@@ -214,29 +238,22 @@ def _parse_grid(text: str, flag: str):
     return grid
 
 
-def _build_family(score: str, args, alpha):
-    if score == "s":
-        return Plain()
-    if score == "huber":
-        if args.r is None:
-            raise UsageError("--r is required for the huber score")
-        return Huber(args.r)
-    if score in ("combined", "combined-huber"):
+def _build_family(score: str, values, alpha):
+    """The family named ``score`` with its tuning constants read from the
+    mapping ``values`` by name; a combined family takes the ShapeTriple
+    ``alpha`` as its branch shapes."""
+    if score not in _FAMILIES:
+        raise UsageError(f"unknown score {score!r}")
+    cls = _FAMILIES[score]
+    missing = [f"--{name}" for name in cls.tuning_names if values.get(name) is None]
+    if missing:
+        raise UsageError(f"the {score} score needs {' and '.join(missing)}")
+    constants = {name: values[name] for name in cls.tuning_names}
+    if "triple" in (f.name for f in dataclasses.fields(cls)):
         if not isinstance(alpha, ShapeTriple):
-            raise UsageError("combined scores need --alpha a1,a2,a3")
-        if args.k is None or args.t is None:
-            raise UsageError("combined scores need --k and --t")
-        cls = CombinedHuber if score == "combined-huber" else CombinedPlain
-        return cls(triple=alpha, k=args.k, t=args.t)
-    if score == "sq":
-        if args.q is None:
-            raise UsageError("--q is required for the sq score")
-        return QWeighted(args.q)
-    if score == "sd":
-        if args.beta is None:
-            raise UsageError("--beta is required for the sd score")
-        return Distorted(args.beta)
-    raise UsageError(f"unknown score {score!r}")
+            raise UsageError(f"the {score} score needs --alpha a1,a2,a3")
+        constants["triple"] = alpha
+    return _usage(cls, **constants)
 
 
 def _family_payload(family) -> dict:
@@ -292,7 +309,7 @@ def _fit_payload(data, result) -> dict:
 
 
 def _cmd_rng(args, argv) -> int:
-    p = epd.EpdParams(args.mu, args.sigma, args.alpha)
+    p = _usage(epd.EpdParams, args.mu, args.sigma, args.alpha)
     draws = epd.sample(p, args.n, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for v in draws:
@@ -305,28 +322,14 @@ def _cmd_fit(args, argv) -> int:
     digest = _sha256(args.data)
     if args.add_outliers:
         data = add_outliers(data, use_abs=args.outlier_abs)
-    alpha = _parse_triple(args.alpha) if args.alpha else None
     started = time.perf_counter()
-
-    if args.method == "objective":
-        if args.ga_seed is None:
-            raise UsageError("--ga-seed is required for objective fits")
-        if args.score not in _OBJECTIVE_LABELS:
-            raise UsageError("objective fits support scores s, sq and sd")
-    family = _build_family(args.score, args, alpha)
-    family_info = _family_payload(family)
-    if args.method == "objective":
-        result = fit_objective(
-            data, family, seed=args.ga_seed,
-            population=args.ga_pop, generations=args.ga_gens,
-        )
+    if args.method == "objective" and args.ga_seed is None:
+        raise UsageError("--ga-seed is required for objective fits")
+    spec = _estimator(args.score, vars(args))
+    family_info = _family_payload(spec.family)
+    if spec.objective:
         family_info["family"] = _OBJECTIVE_LABELS[args.score]
-    else:
-        config = FitConfig(estimate_alpha=args.estimate_alpha)
-        scalar_alpha = alpha if isinstance(alpha, float) else None
-        result = fit_ee_location_scale(data, family, alpha=scalar_alpha, config=config)
-
-    result = evaluate_fit(data, result, fisher_method=args.fisher)
+    result = evaluate_fit(data, spec.fit(data, args.ga_seed), fisher_method=args.fisher)
     if args.mae_reps > 0:
         if args.seed is None:
             raise UsageError("--seed is required when --mae-reps is set")
@@ -346,8 +349,8 @@ def _cmd_fit(args, argv) -> int:
 def _cmd_fisher(args, argv) -> int:
     alpha = _parse_triple(args.alpha)
     scalar = alpha.alpha2 if isinstance(alpha, ShapeTriple) else alpha
-    p = epd.EpdParams(args.mu, args.sigma, scalar)
-    family = _build_family(args.family, args, alpha)
+    p = _usage(epd.EpdParams, args.mu, args.sigma, scalar)
+    family = _build_family(args.family, vars(args), alpha)
     if args.dim == 3 and family.likelihood is None:
         raise UsageError(f"--dim 3 needs a likelihood score (s, sq or sd), got {args.family}")
     matrix = fisher_for_family(family, p, args.n, dim=args.dim, method=args.mode)
@@ -370,38 +373,17 @@ def _cmd_tune(args, argv) -> int:
     digest = _sha256(args.data)
     alpha = _parse_triple(args.alpha) if args.alpha else None
 
-    candidates = []
-    if args.family == "sd":
-        if not args.grid_beta:
-            raise UsageError("--grid-beta is required for family sd")
-        candidates = [Distorted(b) for b in _parse_grid(args.grid_beta, "--grid-beta")]
-    elif args.family == "sq":
-        if not args.grid_q:
-            raise UsageError("--grid-q is required for family sq")
-        candidates = [QWeighted(q) for q in _parse_grid(args.grid_q, "--grid-q")]
-    elif args.family == "huber":
-        if not args.grid_r:
-            raise UsageError("--grid-r is required for family huber")
-        candidates = [Huber(r) for r in _parse_grid(args.grid_r, "--grid-r")]
-    elif args.family in ("combined", "combined-huber"):
-        if not isinstance(alpha, ShapeTriple):
-            raise UsageError("combined tuning needs --alpha a1,a2,a3")
-        if not (args.grid_k and args.grid_t):
-            raise UsageError("combined tuning needs --grid-k and --grid-t")
-        cls = CombinedHuber if args.family == "combined-huber" else CombinedPlain
-        candidates = [
-            cls(triple=alpha, k=k, t=t)
-            for k in _parse_grid(args.grid_k, "--grid-k")
-            for t in _parse_grid(args.grid_t, "--grid-t")
-        ]
-    else:
-        raise UsageError(f"family {args.family!r} has no tuning grid")
+    names = _FAMILIES[args.family].tuning_names
+    missing = [f"--grid-{name}" for name in names if not getattr(args, f"grid_{name}")]
+    if missing:
+        raise UsageError(f"family {args.family} needs {' and '.join(missing)}")
+    grids = [_parse_grid(getattr(args, f"grid_{name}"), f"--grid-{name}") for name in names]
+    candidates = [_build_family(args.family, dict(zip(names, combo)), alpha)
+                  for combo in itertools.product(*grids)]
 
     scalar_alpha = alpha if isinstance(alpha, float) else None
     if scalar_alpha is None and any(c.shapes is None for c in candidates):
         raise UsageError(f"family {args.family} needs a scalar --alpha")
-    if args.replications < 1:
-        raise UsageError("--replications must be at least 1")
     sizes = tuple(_number(v, "--sizes", int) for v in args.sizes.split(",")) if args.sizes else None
     if sizes is not None and (len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != len(data)):
         raise UsageError(f"--sizes needs three non-negative integers summing to {len(data)}")
@@ -492,42 +474,39 @@ def _load_design(arg: str, n2: int | None) -> simulate.SimulationDesign:
     return simulate.SimulationDesign(tuple(built))
 
 
+def _estimator(label: str, values) -> simulate.EstimatorSpec:
+    """One estimator from a mapping of flag values: ``vars(args)`` of
+    ``fit`` or one [estimator.*] section, whose keys are the flag names."""
+    alpha = values.get("alpha")
+    alpha = None if alpha is None else _parse_triple(str(alpha))
+    score = str(values.get("score", "s"))
+    family = _build_family(score, values, alpha)
+    if values.get("method", "ee") != "objective":
+        scalar = alpha if isinstance(alpha, float) else None
+        estimate_alpha = bool(values.get("estimate_alpha", False))
+        if scalar is None and family.shapes is None and not estimate_alpha:
+            raise UsageError(f"estimator {label}: the {score} score needs a scalar --alpha "
+                             "or --estimate-alpha")
+        return simulate.EstimatorSpec(label=label, family=family, alpha=scalar,
+                                      config=FitConfig(estimate_alpha=estimate_alpha))
+    if family.likelihood is None:
+        raise UsageError(f"estimator {label}: objective fits need a likelihood score "
+                         "(s, sq or sd)")
+    return simulate.EstimatorSpec(
+        label=label, family=family, objective=True,
+        ga_population=int(values.get("ga_pop", 50)),
+        ga_generations=int(values.get("ga_gens", 200)),
+    )
+
+
 def _load_estimators(path: str) -> list[simulate.EstimatorSpec]:
-    specs = []
-    for name, vals in _read_sections(path, "estimator"):
-        score = str(vals.get("score", "s"))
-        method = str(vals.get("method", "ee"))
-        alpha = vals.get("alpha")
-        estimate_alpha = bool(vals.get("estimate_alpha", False))
-        constants = argparse.Namespace(**{k: vals.get(k) for k in ("r", "k", "t", "q", "beta")})
-        triple = None
-        if isinstance(alpha, str):
-            triple = _parse_triple(alpha)
-        elif alpha is not None:
-            triple = float(alpha)
-        if method == "objective" and score not in _OBJECTIVE_LABELS:
-            raise UsageError(f"{path}: estimator {name}: objective supports s/sq/sd")
-        family = _build_family(score, constants, triple)
-        if method == "objective":
-            specs.append(simulate.EstimatorSpec(
-                label=name, family=family, objective=True,
-                ga_population=int(vals.get("ga_pop", 50)),
-                ga_generations=int(vals.get("ga_gens", 200)),
-            ))
-        else:
-            scalar = triple if isinstance(triple, float) else None
-            specs.append(simulate.EstimatorSpec(
-                label=name, family=family, alpha=scalar,
-                config=FitConfig(estimate_alpha=estimate_alpha),
-            ))
-    return specs
+    return [_estimator(name, vals) for name, vals in _read_sections(path, "estimator")]
 
 
 def _cmd_simulate(args, argv) -> int:
     design = _load_design(args.design, args.n2)
     estimators = _load_estimators(args.estimators)
-    threads = args.threads or int(os.environ.get("EPFIT_THREADS", "1"))
-    report = simulate.run(design, estimators, m=args.m, seed=args.seed, threads=threads)
+    report = simulate.run(design, estimators, m=args.m, seed=args.seed, threads=args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     return 0
@@ -551,47 +530,35 @@ def _build_parser() -> argparse.ArgumentParser:
     rng.add_argument("--mu", type=float, required=True)
     rng.add_argument("--sigma", type=float, required=True)
     rng.add_argument("--alpha", type=float, required=True)
-    rng.add_argument("--n", type=int, required=True)
+    rng.add_argument("--n", type=_count(1), required=True)
     rng.add_argument("--seed", type=int, required=True)
     rng.add_argument("--out", required=True)
 
     fit = sub.add_parser("fit", help="fit a score family or objective to data")
     fit.add_argument("--data", required=True)
-    fit.add_argument("--score", required=True,
-                     choices=["s", "huber", "combined", "combined-huber", "sq", "sd"])
+    fit.add_argument("--score", required=True, choices=list(_FAMILIES))
     fit.add_argument("--method", choices=["ee", "objective"], default="ee")
     fit.add_argument("--alpha", help="shape value, or a1,a2,a3 for combined scores")
-    fit.add_argument("--r", type=float)
-    fit.add_argument("--k", type=float)
-    fit.add_argument("--t", type=float)
-    fit.add_argument("--q", type=float)
-    fit.add_argument("--beta", type=float)
     fit.add_argument("--estimate-alpha", action="store_true")
     fit.add_argument("--fisher", choices=["closed", "quad", "auto"], default="auto")
-    fit.add_argument("--ga-pop", type=int, default=50)
+    fit.add_argument("--ga-pop", type=_count(4), default=50)
     fit.add_argument("--ga-gens", type=int, default=200)
     fit.add_argument("--ga-seed", type=int)
     fit.add_argument("--add-outliers", action="store_true",
                      help="append the +/- doubled sample maximum before fitting")
     fit.add_argument("--outlier-abs", action="store_true",
                      help="use the doubled absolute maximum instead")
-    fit.add_argument("--mae-reps", type=int, default=0)
+    fit.add_argument("--mae-reps", type=_count(0), default=0)
     fit.add_argument("--seed", type=int)
     fit.add_argument("--timings", action="store_true")
     fit.add_argument("--out", required=True)
 
     fis = sub.add_parser("fisher", help="information matrix at given parameters")
-    fis.add_argument("--family", required=True,
-                     choices=["s", "huber", "combined", "combined-huber", "sq", "sd"])
+    fis.add_argument("--family", required=True, choices=list(_FAMILIES))
     fis.add_argument("--mu", type=float, required=True)
     fis.add_argument("--sigma", type=float, required=True)
     fis.add_argument("--alpha", required=True)
-    fis.add_argument("--r", type=float)
-    fis.add_argument("--k", type=float)
-    fis.add_argument("--t", type=float)
-    fis.add_argument("--q", type=float)
-    fis.add_argument("--beta", type=float)
-    fis.add_argument("--n", type=int, required=True)
+    fis.add_argument("--n", type=_count(1), required=True)
     fis.add_argument("--dim", type=int, choices=[2, 3], default=2)
     fis.add_argument("--mode", choices=["closed", "quad", "auto"], default="auto")
     fis.add_argument("--out", required=True)
@@ -599,14 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tun = sub.add_parser("tune", help="grid search over tuning constants")
     tun.add_argument("--data", required=True)
     tun.add_argument("--family", required=True,
-                     choices=["huber", "combined", "combined-huber", "sq", "sd"])
-    tun.add_argument("--grid-beta")
-    tun.add_argument("--grid-q")
-    tun.add_argument("--grid-r")
-    tun.add_argument("--grid-k")
-    tun.add_argument("--grid-t")
+                     choices=[name for name, cls in _FAMILIES.items() if cls.tuning_names])
     tun.add_argument("--alpha")
-    tun.add_argument("--replications", type=int, default=500)
+    tun.add_argument("--replications", type=_count(1), default=500)
     tun.add_argument("--sizes", help="component sizes n1,n2,n3 for artificial samples")
     tun.add_argument("--seed", type=int, required=True)
     tun.add_argument("--out", required=True)
@@ -615,11 +577,16 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--design", required=True,
                       help="design1..design4 or a config file path")
     simp.add_argument("--estimators", required=True, help="estimator config file")
-    simp.add_argument("--m", type=int, required=True)
+    simp.add_argument("--m", type=_count(2), required=True)
     simp.add_argument("--seed", type=int, required=True)
-    simp.add_argument("--n2", type=int)
-    simp.add_argument("--threads", type=int)
+    simp.add_argument("--n2", type=_count(1))
+    simp.add_argument("--threads", type=_count(1), default=1)
     simp.add_argument("--out", required=True)
+
+    for name in _TUNING_NAMES:
+        fit.add_argument(f"--{name}", type=float)
+        fis.add_argument(f"--{name}", type=float)
+        tun.add_argument(f"--grid-{name}")
 
     return parser
 

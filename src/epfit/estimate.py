@@ -50,6 +50,9 @@ _ALPHA_BRACKET = (0.05, 50.0)
 # the shape root is returned once its bracket is this narrow, relative
 # to the root
 _ALPHA_RTOL = 1e-13
+# the shape iteration approaches from the Laplace side so it locks onto
+# the first (central) solution of the shape equation
+_ALPHA_START = 1.0
 
 
 class DegenerateDataError(ValueError):
@@ -72,9 +75,6 @@ class FitConfig:
     max_iter: int = 500
     tol: float = 1e-11
     estimate_alpha: bool = False
-    # the shape iteration approaches from the Laplace side so it locks
-    # onto the first (central) solution of the shape equation
-    alpha_start: float = 1.0
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -420,7 +420,7 @@ def fit_ee_location_scale(
 
     # the Huber score alternates with the plain-likelihood shape equation
     q, beta = score.likelihood or (1.0, 0.0)
-    alpha_val = float(config.alpha_start) if alpha is None else _resolve_alpha(score, alpha)
+    alpha_val = _ALPHA_START if alpha is None else _resolve_alpha(score, alpha)
     mu, sigma = initial_values(data)
     converged = False
     iterations = 0
@@ -474,7 +474,6 @@ def fit_objective(
     bounds: Sequence[tuple[float, float]] | None = None,
     population: int = 50,
     generations: int = 200,
-    do_polish: bool = True,
 ) -> FitResult:
     """Maximize the family's log-likelihood over (mu, sigma, alpha).
 
@@ -503,9 +502,7 @@ def fit_objective(
         seed=seed,
     )
     ga = maximize(f, cfg, seed_points=seeds)
-    point, value = ga.best_point, ga.best_value
-    if do_polish:
-        point, value = polish(f, point, cfg.bounds)
+    point, value = polish(f, ga.best_point, cfg.bounds)
 
     return FitResult(
         params=EpdParams(float(point[0]), float(point[1]), float(point[2])),

@@ -22,9 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .epd import EpdParams, pdf
-from .scores import (
-    CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, likelihood_weight,
-)
+from .scores import likelihood_weight
 from .special_fn import (
     DomainError,
     QuadratureError,
@@ -145,7 +143,7 @@ def _ee_2x2_quadrature(family, params: EpdParams, n: int):
                         element_errors=errors)
 
 
-def _combined_closed(params: EpdParams, family: CombinedPlain | CombinedHuber):
+def _combined_closed(params: EpdParams, family):
     a1, a2, a3 = family.triple.as_tuple()
     k, t, huberized = family.k, family.t, family.huberized
     for name, val in (("alpha1", a1), ("alpha2", a2), ("alpha3", a3)):
@@ -186,7 +184,7 @@ def _combined_closed(params: EpdParams, family: CombinedPlain | CombinedHuber):
 
 def fisher_combined(
     params: EpdParams,
-    family: CombinedPlain | CombinedHuber,
+    family,
     n: int,
     method: str = "closed",
 ) -> FisherMatrix:
@@ -272,7 +270,13 @@ def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
     # without a deformation the (sigma, mu) integrand is identically zero
     keys = [k for k in _WEIGHTED_THRESHOLDS if max(k) < dim and (k != (1, 0) or weight is not None)]
     finite = np.array([alpha > _WEIGHTED_THRESHOLDS[k] for k in keys])
-    t0 = math.exp(log_norm) * (1.0 if weight is None else weight(log_norm))
+    f0 = math.exp(log_norm)
+    t0 = f0 * (1.0 if weight is None else weight(log_norm))
+
+    def deformation(dens):
+        return alpha * alpha * ((1.0 - q) if q != 1.0 else beta / (beta + dens))
+
+    d0 = deformation(f0)
 
     def integrand(u):
         # y = u^3 on the half line, doubled; the jacobian 3 u^2 and the
@@ -284,24 +288,30 @@ def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
         t, deform = dens, 0.0
         if weight is not None:
             t = dens * weight(lf)
-            deform = alpha * alpha * ((1.0 - q) if q != 1.0 else beta / (beta + dens))
+            deform = deformation(dens)
         grow = 1.0 + 3.0 * alpha * np.log(u)
         block = u ** (6.0 * alpha - 4.0) * t
+        # the location and (sigma, mu) entries leave their singular parts,
+        # the center values t0 exp(-y^alpha) and d0 t0 exp(-y^alpha), to
+        # the closed forms below; the rest is regular
+        singular = t0 * np.exp(-ya)
         terms = {
-            # the location entry leaves its singular part, t0 exp(-y^alpha)
-            # for the tilt, to the closed form below; the rest is regular
-            (0, 0): lambda: c * (c * u ** (6.0 * alpha - 10.0) * (t - t0 * np.exp(-ya))
+            (0, 0): lambda: c * (c * u ** (6.0 * alpha - 10.0) * (t - singular)
                                  - deform * u ** (9.0 * alpha - 10.0) * t),
-            (1, 0): lambda: -c * deform * u ** (9.0 * alpha - 10.0) * t,
+            (1, 0): lambda: -c * u ** (9.0 * alpha - 10.0) * (deform * t - d0 * singular),
             (1, 1): lambda: c * c * block,
             (1, 2): lambda: -c * grow * block,
             (2, 2): lambda: grow * grow * block,
         }
         return 6.0 * sig * np.stack([terms[k]() for k, ok in zip(keys, finite) if ok])
 
+    # 6 sigma u^(3 alpha p - 10) exp(-u^(3 alpha)) integrates to
+    # 2 sigma Gamma(p - 3/alpha) / alpha; keys[1] is (sigma, mu) when deformed
     closed = np.zeros(len(keys))
     if finite[0]:
         closed[0] = 2.0 * sig * c * c * t0 * gamma_fn(2.0 - 3.0 / alpha) / alpha
+    if weight is not None and finite[1]:
+        closed[1] = -2.0 * sig * c * d0 * t0 * gamma_fn(3.0 - 3.0 / alpha) / alpha
     grid = [0.0, _truncation_halfwidth(alpha) ** (1.0 / 3.0)]
     values, errors, ok = _integrate_finite(finite, integrand, grid, closed)
     full = np.zeros((2, 3, 3))  # the entries and their error bounds
@@ -368,23 +378,25 @@ def fisher_distorted(
 
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
                       method: str = "auto") -> FisherMatrix:
-    """Dispatch the appropriate information matrix for a fitted family.
+    """The information matrix of a fitted family, chosen from what the
+    family states: its branch shapes (combined scores), its likelihood
+    deformation (q, beta), or that it has none (Huber).
 
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
-    of the plain, q-weighted and distorted families; the Huber and
-    combined matrices are always 2x2.
+    of the likelihood families; the Huber and combined matrices are
+    always 2x2.  Huber and distorted (beta > 0) matrices have no closed
+    form: ``method='closed'`` raises DomainError for them.
     """
-    if isinstance(family, (CombinedPlain, CombinedHuber)):
+    if family.shapes is not None:
         return fisher_combined(params, family, n, method=method)
-    if isinstance(family, Plain):
-        return fisher_q(params, 1.0, n, method=method, dim=dim)
-    if isinstance(family, Huber):
+    if family.likelihood is not None and family.likelihood[1] == 0.0:
+        return fisher_q(params, family.likelihood[0], n, method=method, dim=dim)
+    if method == "closed":
+        raise DomainError(f"no closed-form information matrix for {family!r}; "
+                          "use the quadrature method")
+    if family.likelihood is None:
         return _ee_2x2_quadrature(family, params, n)
-    if isinstance(family, QWeighted):
-        return fisher_q(params, family.q, n, method=method, dim=dim)
-    if isinstance(family, Distorted):
-        return fisher_distorted(params, family.beta, n, dim=dim)
-    raise TypeError(f"no information matrix for {family!r}")
+    return fisher_distorted(params, family.likelihood[1], n, dim=dim)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

@@ -21,6 +21,13 @@ from .epd import make_rng
 
 __all__ = ["GaConfig", "GaResult", "maximize", "polish"]
 
+# the polish stops once the simplex spans less than _POLISH_XATOL in every
+# coordinate and its values less than _POLISH_FATOL, or after
+# _POLISH_ITERS steps per dimension
+_POLISH_XATOL = 1e-10
+_POLISH_FATOL = 1e-12
+_POLISH_ITERS = 400
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -119,9 +126,6 @@ def polish(
     f: Callable,
     start: np.ndarray,
     bounds: Sequence[tuple[float, float]],
-    max_iter: int | None = None,
-    xatol: float = 1e-10,
-    fatol: float = 1e-12,
 ) -> tuple[np.ndarray, float]:
     """Bounded Nelder-Mead refinement of a maximum.
 
@@ -133,8 +137,6 @@ def polish(
     hi = np.array([b[1] for b in bounds])
     start = np.clip(np.asarray(start, dtype=float), lo, hi)
     dim = len(start)
-    if max_iter is None:
-        max_iter = 400 * dim
 
     def g(points):
         vals = np.asarray(f(np.clip(points, lo, hi)), dtype=float)
@@ -150,11 +152,11 @@ def polish(
     simplex = np.array(simplex)
     values = g(simplex)
 
-    for _ in range(max_iter):
+    for _ in range(_POLISH_ITERS * dim):
         order = np.argsort(-values)
         simplex, values = simplex[order], values[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) < xatol
-                and np.max(np.abs(values[0] - values[1:])) < fatol):
+        if (np.max(np.abs(simplex[1:] - simplex[0])) < _POLISH_XATOL
+                and np.max(np.abs(values[0] - values[1:])) < _POLISH_FATOL):
             break
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]

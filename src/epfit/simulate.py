@@ -22,6 +22,7 @@ from .estimate import (
     AlphaRootError,
     DegenerateDataError,
     FitConfig,
+    FitResult,
     fit_ee_location_scale,
     fit_objective,
 )
@@ -137,19 +138,13 @@ class EstimatorSpec:
         parts = [f"{name}={value:g}" for name, value in self.family.tuning().items()]
         return ",".join(parts) if parts else "-"
 
-
-def _fit_one(spec: EstimatorSpec, data: np.ndarray, fit_seed) -> tuple:
-    if spec.objective:
-        res = fit_objective(
-            data, spec.family, seed=fit_seed,
-            population=spec.ga_population, generations=spec.ga_generations,
-        )
-    else:
-        # budget-limited fits come back flagged but carry usable
-        # parameters; only exceptions count as failures
-        res = fit_ee_location_scale(data, spec.family, alpha=spec.alpha, config=spec.config)
-    p = res.params
-    return (p.mu, p.sigma, p.alpha)[: spec.n_params]
+    def fit(self, data, seed) -> FitResult:
+        """This estimator fitted to ``data``; ``seed`` drives the genetic
+        optimizer of the objective route and is unused otherwise."""
+        if self.objective:
+            return fit_objective(data, self.family, seed=seed, population=self.ga_population,
+                                 generations=self.ga_generations)
+        return fit_ee_location_scale(data, self.family, alpha=self.alpha, config=self.config)
 
 
 @dataclass
@@ -195,7 +190,6 @@ def run(
     design: SimulationDesign,
     estimators,
     m: int,
-    true_params: tuple | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> SimulationReport:
@@ -203,7 +197,7 @@ def run(
 
     The variance column is the squared spread about the replication
     mean, the error column the squared spread about the truth (the
-    underlying component's parameters unless overridden); both use the
+    underlying component's parameters); both use the
     1/m normalization so error = variance + bias^2 holds exactly.
     Failed fits are excluded and counted; a rate above 5% flags the row.
     """
@@ -212,19 +206,19 @@ def run(
     under = design.underlying
     rows = []
     for e_idx, spec in enumerate(estimators):
-        if true_params is None:
-            truth = (under.mu, under.sigma, under.alpha)[: spec.n_params]
-        else:
-            truth = tuple(true_params)[: spec.n_params]
+        truth = (under.mu, under.sigma, under.alpha)[: spec.n_params]
 
         def one(rep: int, spec=spec, e_idx=e_idx):
             data_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 0))
             fit_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 1))
             data = generate(design, data_seed)
+            # budget-limited fits come back flagged but carry usable
+            # parameters; only exceptions count as failures
             try:
-                return _fit_one(spec, data, fit_seed)
+                p = spec.fit(data, fit_seed).params
             except _FAILURE_TYPES:
                 return None
+            return (p.mu, p.sigma, p.alpha)[: spec.n_params]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, outlier handling, dispatch, report
 schema and byte-level reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -373,3 +374,139 @@ class TestTuneCommand:
                          "--made-up-flag", "1", "--seed", "3",
                          "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+
+_FISHER_S = ["fisher", "--family", "s", "--mu", "0", "--alpha", "2"]
+_SIMULATE = ["simulate", "--design", "design1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["rng", "--mu", "0", "--sigma", "1", "--alpha", "2", "--n", "0", "--seed", "1"],
+    [*_FISHER_S, "--sigma", "1", "--n", "0"],
+    [*_FISHER_S, "--sigma", "-1", "--n", "10"],
+    ["fit", "--score", "s", "--alpha", "2", "--mae-reps", "-3", "--seed", "1"],
+    ["fit", "--score", "s", "--method", "objective", "--ga-seed", "1", "--ga-pop", "2"],
+    ["fit", "--score", "sq", "--q", "1.5", "--alpha", "2"],
+    ["fit", "--score", "sq", "--q", "0.8"],
+    [*_SIMULATE, "--m", "1"],
+    [*_SIMULATE, "--m", "4", "--threads", "0"],
+    [*_SIMULATE, "--m", "4", "--threads", "-2"],
+    [*_SIMULATE, "--m", "4", "--n2", "0"],
+], ids=["rng-n", "fisher-n", "fisher-sigma", "fit-mae-reps", "fit-ga-pop", "fit-q", "fit-no-alpha",
+        "simulate-m", "simulate-threads-0", "simulate-threads-negative", "simulate-n2"])
+def test_unusable_numbers_are_usage_errors(command, sample_file, tmp_path, capsys):
+    est = tmp_path / "est.ini"
+    est.write_text("[estimator.s]\nscore = s\nalpha = 2\n")
+    if command[0] == "fit":
+        command = [*command, "--data", str(sample_file)]
+    if command[0] == "simulate":
+        command = [*command, "--estimators", str(est)]
+    out = tmp_path / "out"
+    code = dispatch([*command, "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
+    assert not out.exists()
+
+
+# Report bytes of a fixed command set, run from one directory with
+# relative paths because argv is part of every report.  Each entry is
+# (output file, argv); the data file comes from the first command.
+_ESTIMATORS_INI = (
+    "[estimator.sd]\nscore = sd\nbeta = 0.006\nalpha = 2\n\n"
+    "[estimator.sq-shape]\nscore = sq\nq = 0.8\nestimate_alpha = true\n\n"
+    "[estimator.mle]\nscore = s\nmethod = objective\nga_pop = 12\nga_gens = 10\n\n"
+    "[estimator.combined]\nscore = combined-huber\nalpha = 1.8,2,2.4\nk = 1\nt = 1.2\n"
+)
+_DESIGN_INI = (
+    "[component.1]\nalpha = 1.1\nmu = 5\nsigma = 6\nn = 3\n\n"
+    "[component.2]\nalpha = 2\nmu = 0\nsigma = 1\nn = 40\n\n"
+    "[component.3]\nalpha = 1.2\nmu = 4\nsigma = 2\nn = 3\n"
+)
+_FISHER_AT = ["--mu", "0", "--sigma", "1.3", "--n", "115"]
+_PINNED_COMMANDS = [
+    ("data.csv", ["rng", "--mu", "3.12", "--sigma", "1.68", "--alpha", "2.1",
+                  "--n", "114", "--seed", "99"]),
+    ("fit-sd.json", ["fit", "--data", "data.csv", "--score", "sd", "--beta", "0.01",
+                     "--alpha", "2.1"]),
+    ("fit-sq-shape.json", ["fit", "--data", "data.csv", "--score", "sq", "--q", "0.8",
+                           "--estimate-alpha"]),
+    ("fit-huber-outliers.json", ["fit", "--data", "data.csv", "--score", "huber",
+                                 "--r", "1.345", "--alpha", "2.1", "--add-outliers",
+                                 "--mae-reps", "20", "--seed", "5"]),
+    ("fit-combined.json", ["fit", "--data", "data.csv", "--score", "combined-huber",
+                           "--alpha", "1.8,2.1,2.4", "--k", "1", "--t", "1.2"]),
+    ("fit-s-quad.json", ["fit", "--data", "data.csv", "--score", "s", "--alpha", "2.1",
+                         "--fisher", "quad"]),
+    ("fit-objective.json", ["fit", "--data", "data.csv", "--score", "sq", "--q", "0.8",
+                            "--method", "objective", "--ga-seed", "3", "--ga-pop", "24",
+                            "--ga-gens", "40"]),
+    ("fisher-s.json", ["fisher", "--family", "s", "--alpha", "2.1", *_FISHER_AT,
+                       "--dim", "3", "--mode", "closed"]),
+    ("fisher-sq-quad.json", ["fisher", "--family", "sq", "--q", "0.8", "--alpha", "2.1",
+                             *_FISHER_AT, "--dim", "3", "--mode", "quad"]),
+    ("fisher-sq-low.json", ["fisher", "--family", "sq", "--q", "0.8", "--alpha", "1.2",
+                            *_FISHER_AT, "--dim", "3"]),
+    ("fisher-sd.json", ["fisher", "--family", "sd", "--beta", "0.006", "--alpha", "2.1",
+                        *_FISHER_AT, "--dim", "3"]),
+    ("fisher-huber.json", ["fisher", "--family", "huber", "--r", "1.345", "--alpha", "2.1",
+                           *_FISHER_AT]),
+    ("fisher-combined.json", ["fisher", "--family", "combined", "--alpha", "1.8,2.1,2.4",
+                              "--k", "1", "--t", "1", *_FISHER_AT, "--mode", "closed"]),
+    ("fisher-combined-huber.json", ["fisher", "--family", "combined-huber",
+                                    "--alpha", "1.8,2.1,2.4", "--k", "1", "--t", "1",
+                                    *_FISHER_AT, "--mode", "quad"]),
+    ("tune-sd.json", ["tune", "--data", "data.csv", "--family", "sd",
+                      "--grid-beta", "0:0.01:0.005", "--alpha", "2.1",
+                      "--replications", "20", "--seed", "3"]),
+    ("tune-sq.json", ["tune", "--data", "data.csv", "--family", "sq", "--grid-q", "0.7,0.9",
+                      "--alpha", "2.1", "--replications", "20", "--seed", "3"]),
+    ("tune-huber.json", ["tune", "--data", "data.csv", "--family", "huber",
+                         "--grid-r", "1,1.5", "--alpha", "2.1", "--replications", "20",
+                         "--seed", "3"]),
+    ("tune-combined.json", ["tune", "--data", "data.csv", "--family", "combined",
+                            "--alpha", "1.8,2.1,2.4", "--grid-k", "0.5,1",
+                            "--grid-t", "1,1.5", "--replications", "10", "--seed", "3"]),
+    ("tune-combined-huber.json", ["tune", "--data", "data.csv", "--family", "combined-huber",
+                                  "--alpha", "1.8,2.1,2.4", "--grid-k", "0.5,1",
+                                  "--grid-t", "1", "--replications", "10", "--seed", "3",
+                                  "--sizes", "7,105,2"]),
+    ("simulate-design1.csv", ["simulate", "--design", "design1", "--estimators", "est.ini",
+                              "--m", "4", "--seed", "7"]),
+    ("simulate-file.csv", ["simulate", "--design", "design.ini", "--estimators", "est.ini",
+                           "--m", "3", "--seed", "8", "--n2", "30", "--threads", "2"]),
+]
+_PINNED_SHA256 = {
+    "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
+    "fit-sd.json": "0962139688b118046b9ea885c28855f793f18d023c153514f2a06f8f35a3068b",
+    "fit-sq-shape.json": "cd6ee7ecf037d4b6cb43019ebe1e44b846797bf3cb8f78924c59764c71f85cb2",
+    "fit-huber-outliers.json": "dfc664f9c4bc4f1795e368cf02f09c95baa025e66a21c7fdc6544aaa9431b29b",
+    "fit-combined.json": "8f9ba20148018a7cec97a34640a6b9d893a9fdee12c1dc97bedaf530d046a416",
+    "fit-s-quad.json": "e0eab2c6f8245ffc08ea7b1ce2b6f2f59dd216cd55e6f5b66f09cb9ea2dc7ffd",
+    "fit-objective.json": "661f3539cb19f839f592d6c5f2759b0b3d7e5a2e89e9928910e3728bf414b6ff",
+    "fisher-s.json": "340a7bdb618747c985ee7f10ec864166ca005f43aa4f7e4f93a3b228f2ba2021",
+    "fisher-sq-quad.json": "abca0ac6ed069bfe0d0760f50f6171f576be8acb04b07dd6f6c62e3c9a7f805e",
+    "fisher-sq-low.json": "adc678d945d80701923e2f3829968b19e2d6fa3de247c6b5a3bd0af1c9492026",
+    "fisher-sd.json": "d7fe52ab65373bf06d913f24e29230ac05c86387f0e52834d50bb34afb61d407",
+    "fisher-huber.json": "e53e29a4008ea53675ac0027b6e0ee30b7f666af750f2ddceda04c80da46e71e",
+    "fisher-combined.json": "1a92102b407499a52b500f7c59e10f3bd820d8eb6798957c0cfff5b0ed592c68",
+    "fisher-combined-huber.json": "0d26bea5172e2eacf12823d0f706da8b952dacad4918f67a1f8b0da02752885e",
+    "tune-sd.json": "0bd8c206333e69ba09b9bb26e6970c3745625cf0b14d17696eebaaf9d28495a1",
+    "tune-sq.json": "5634d92ea96001b0d4991ccf781200b997435f304ab4341b979eb868080b4afa",
+    "tune-huber.json": "ffd0acd7aadf5fb98be8ff96f473c19ba8a6523c80d8214c17a577b8b06c2bc0",
+    "tune-combined.json": "0734ea2398777cde52869dd560ba03bb8a90bbc43cdba454f1062b653bdab545",
+    "tune-combined-huber.json": "f5273b538edea0681377106e3d71e90ba9d8bac4e5fd03296c0bbf16c8c59a89",
+    "simulate-design1.csv": "3ba4c0d3956406baecf053f041b799a9653913b297c35aac4e824b186550fe7e",
+    "simulate-file.csv": "bbdf2a4d70d024a97f64378bca6174c5f5bdb7bc17d8909496311bd204c76f34",
+}
+
+
+class TestPinnedReports:
+    def test_report_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("est.ini").write_text(_ESTIMATORS_INI)
+        Path("design.ini").write_text(_DESIGN_INI)
+        digests = {}
+        for out, args in _PINNED_COMMANDS:
+            assert dispatch([*args, "--out", out]) == 0, out
+            digests[out] = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digests == _PINNED_SHA256

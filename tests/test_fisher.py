@@ -232,6 +232,13 @@ class TestDispatch:
         assert fisher_for_family(Distorted(0.01), p, 10, dim=3).dim == 3
         hub = CombinedHuber(ShapeTriple(2, 2, 2), 1.0, 1.0)
         assert fisher_for_family(hub, p, 10).method == "closed_form"
+        # no distortion is the plain likelihood, with its closed form
+        assert fisher_for_family(Distorted(0.0), p, 10).method == "closed_form"
+
+    @pytest.mark.parametrize("family", [Huber(1.3), Distorted(0.01)], ids=["huber", "sd"])
+    def test_closed_mode_without_closed_form_raises(self, family):
+        with pytest.raises(DomainError, match="closed-form"):
+            fisher_for_family(family, EpdParams(0, 1, 2.0), 10, method="closed")
 
     def test_low_shape_plain_degrades_to_partial(self):
         # below shape 3/2 the location entry integral diverges, so the
@@ -294,6 +301,22 @@ class TestPinnedQuadrature:
             quad = fisher_q(p, rec["q"], 1, method="quad").entries[0, 0]
             closed = fisher_q(p, rec["q"], 1, method="closed").entries[0, 0]
             assert abs(quad - closed) / abs(closed) <= rec["rel_err"]
+
+    @pytest.mark.parametrize("alpha", [1.0045, 1.02, 1.1, 1.6, 2.1, 4.0])
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_sigma_mu_entry_above_shape_one(self, alpha, sigma):
+        # the (sigma, mu) integrand behaves like y^(3 alpha - 4), barely
+        # integrable just above alpha = 1; its closed form e_sm holds for
+        # every alpha > 1
+        q = 0.8
+        F = fisher_q(EpdParams(0.0, sigma, alpha), q, 1, method="quad")
+        e_sm = (2.0 ** (q - 1.0) * math.gamma(1.0 / alpha) ** (q - 2.0) * (q - 1.0)
+                * alpha ** (4.0 - q) * (alpha - 1.0) * sigma ** (q - 2.0)
+                * (2.0 - q) ** (3.0 / alpha - 3.0) * math.gamma(3.0 - 3.0 / alpha))
+        error = abs(F.entries[1, 0] - e_sm)
+        assert error <= 1e-12 * abs(e_sm)
+        # the bound covers the error, up to the rounding of e_sm itself
+        assert error <= F.element_errors[1, 0] + 4.0 * np.finfo(float).eps * abs(e_sm)
 
 
 # shape at or below which an entry of the weighted-family matrices

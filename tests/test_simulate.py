@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from epfit.estimate import FitConfig
+from epfit.epd import EpdParams
+from epfit.estimate import FitConfig, FitResult
 from epfit.scores import Distorted, Plain
 from epfit.simulate import (
     DesignComponent,
@@ -66,21 +67,13 @@ class TestGenerate:
 
 
 class TestRun:
-    def test_truth_estimator_gives_zero_error(self):
-        class TruthFamily(Plain):
-            pass
+    def test_truth_estimator_gives_zero_error(self, monkeypatch):
         d = reference_design(1, n2=20, n1=2, n3=2)
         spec = EstimatorSpec(label="truth", family=Plain(), alpha=2.0)
-        import epfit.simulate as sim
-
-        def fake_fit(spec, data, fit_seed):
-            return (0.0, 1.0)
-        original = sim._fit_one
-        sim._fit_one = fake_fit
-        try:
-            rep = run(d, [spec], m=10, seed=1)
-        finally:
-            sim._fit_one = original
+        truth = FitResult(EpdParams(0.0, 1.0, 2.0), converged=True, iterations=0,
+                          estimated_alpha=False)
+        monkeypatch.setattr(EstimatorSpec, "fit", lambda self, data, seed: truth)
+        rep = run(d, [spec], m=10, seed=1)
         for cell in rep.rows[0].cells:
             assert cell.var_hat == 0.0
             assert cell.mse_hat == 0.0
