@@ -487,16 +487,18 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
         if scalar is None and family.shapes is None and not estimate_alpha:
             raise UsageError(f"estimator {label}: the {score} score needs a scalar --alpha "
                              "or --estimate-alpha")
-        return simulate.EstimatorSpec(label=label, family=family, alpha=scalar,
-                                      config=FitConfig(estimate_alpha=estimate_alpha))
-    if family.likelihood is None:
-        raise UsageError(f"estimator {label}: objective fits need a likelihood score "
-                         "(s, sq or sd)")
-    return simulate.EstimatorSpec(
-        label=label, family=family, objective=True,
-        ga_population=int(values.get("ga_pop", 50)),
-        ga_generations=int(values.get("ga_gens", 200)),
-    )
+        route = dict(alpha=scalar, config=FitConfig(estimate_alpha=estimate_alpha))
+    else:
+        if family.likelihood is None:
+            raise UsageError(f"estimator {label}: objective fits need a likelihood score "
+                             "(s, sq or sd)")
+        ga_pop = _number(str(values.get("ga_pop", 50)), f"estimator {label}: ga_pop", int)
+        ga_gens = _number(str(values.get("ga_gens", 200)), f"estimator {label}: ga_gens", int)
+        route = dict(objective=True, ga_population=ga_pop, ga_generations=ga_gens)
+    try:
+        return simulate.EstimatorSpec(label=label, family=family, **route)
+    except ValueError as exc:
+        raise UsageError(f"estimator {label}: {exc}") from None
 
 
 def _load_estimators(path: str) -> list[simulate.EstimatorSpec]:
@@ -542,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--estimate-alpha", action="store_true")
     fit.add_argument("--fisher", choices=["closed", "quad", "auto"], default="auto")
     fit.add_argument("--ga-pop", type=_count(4), default=50)
-    fit.add_argument("--ga-gens", type=int, default=200)
+    fit.add_argument("--ga-gens", type=_count(1), default=200)
     fit.add_argument("--ga-seed", type=int)
     fit.add_argument("--add-outliers", action="store_true",
                      help="append the +/- doubled sample maximum before fitting")

@@ -3,7 +3,10 @@
 The GA uses binary tournament selection, single-point crossover on the
 coordinate vector, Gaussian mutation scaled to the box width, and
 elitism, all driven by one counter-based generator so a fixed seed gives
-a bit-identical trajectory.
+a bit-identical trajectory.  Each generation draws its randomness as
+whole arrays, in five generator calls whatever the population size
+(tournament entrants, crossover flags, cut points, mutation masks and
+mutation steps), and builds its children by fancy indexing.
 
 Both maximizers take a population-wise objective: ``f`` maps an (m, dim)
 array of points to the m objective values, so a whole GA generation is
@@ -75,6 +78,15 @@ def maximize(
     Non-finite evaluations count as -inf fitness.  ``seed_points`` are
     injected into the initial population (clipped to the box), which
     speeds up convergence without changing reachability.
+
+    Each generation ranks the population (stable sort, best first),
+    keeps the ``cfg.elitism`` best with their known values, and breeds
+    the rest in pairs from one array draw per kind: two binary
+    tournaments per pair, a crossover flag and a cut point per pair (a
+    crossing pair swaps its coordinates from the cut on), then a
+    mutation mask and a Gaussian step for every child coordinate, the
+    step applied where the mask is set.  Children are clipped to the
+    box, and an odd last child is dropped.
     """
     rng = make_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
@@ -90,6 +102,8 @@ def maximize(
     if not np.any(np.isfinite(fit)):
         raise RuntimeError("all initial candidates evaluated non-finite")
 
+    n_children = cfg.population - cfg.elitism
+    n_pairs = (n_children + 1) // 2
     history = []
     for _ in range(cfg.generations):
         fit = np.where(np.isfinite(fit), fit, -np.inf)
@@ -97,24 +111,25 @@ def maximize(
         pop, fit = pop[order], fit[order]
         history.append(float(fit[0]))
 
-        children = [pop[i].copy() for i in range(cfg.elitism)]
-        while len(children) < cfg.population:
-            parents = []
-            for _ in range(2):
-                i, j = rng.integers(0, cfg.population, size=2)
-                parents.append(pop[i] if fit[i] >= fit[j] else pop[j])
-            c1, c2 = parents[0].copy(), parents[1].copy()
-            if dim > 1 and rng.random() < cfg.crossover_rate:
-                cut = int(rng.integers(1, dim))
-                c1[cut:], c2[cut:] = parents[1][cut:], parents[0][cut:]
-            for child in (c1, c2):
-                mask = rng.random(dim) < cfg.mutation_rate
-                if mask.any():
-                    child[mask] += rng.normal(0.0, cfg.mutation_scale, size=int(mask.sum())) * width[mask]
-                children.append(child.clip(lo, hi))
-        pop = np.array(children[: cfg.population])
+        # two binary tournaments per pair of children, ties to the first entrant
+        entrants = rng.integers(0, cfg.population, size=(n_pairs, 2, 2))
+        first, second = entrants[..., 0], entrants[..., 1]
+        winners = np.where(fit[first] >= fit[second], first, second)
+        parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
+        # with one coordinate every cut lands at 1 and nothing swaps
+        crossed = rng.random(n_pairs) < cfg.crossover_rate
+        cut = rng.integers(1, max(dim, 2), size=n_pairs)
+        swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
+        children = np.stack([np.where(swap, parent_b, parent_a),
+                             np.where(swap, parent_a, parent_b)], axis=1)
+        children = children.reshape(2 * n_pairs, dim)[:n_children]
+        mutate = rng.random((n_children, dim)) < cfg.mutation_rate
+        steps = rng.normal(0.0, cfg.mutation_scale, size=(n_children, dim)) * width
+        children = np.where(mutate, children + steps, children).clip(lo, hi)
+
         # elites keep their known fitness; re-evaluation is redundant for a pure f
-        fit = np.concatenate([fit[: cfg.elitism], f(pop[cfg.elitism:])])
+        pop = np.concatenate([pop[: cfg.elitism], children])
+        fit = np.concatenate([fit[: cfg.elitism], f(children)])
 
     fit = np.where(np.isfinite(fit), fit, -np.inf)
     best = int(np.argmax(fit))

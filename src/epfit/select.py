@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, make_rng, sample
+from .epd import EpdParams, gamma_transform, make_rng, sample
 from .estimate import FitConfig, FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
@@ -74,6 +74,14 @@ def mae(real_data, artificial_data) -> float:
     return float(np.mean(np.abs(real - art)))
 
 
+def _component_shapes(params: EpdParams, family) -> tuple[float, float, float]:
+    """Shapes of the three artificial-sample components: the combined
+    families' branch shapes, else the fitted shape throughout."""
+    if family.shapes is None:
+        return (params.alpha, params.alpha, params.alpha)
+    return family.shapes.as_tuple()
+
+
 def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rng) -> np.ndarray:
     """Replicated sample from the fitted parameters.
 
@@ -81,14 +89,10 @@ def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rn
     combined families give each component its own branch shape, the
     others use the fitted shape throughout.
     """
-    if family.shapes is None:
-        shapes = (params.alpha, params.alpha, params.alpha)
-    else:
-        shapes = family.shapes.as_tuple()
     rng = make_rng(rng)
     parts = [
         sample(EpdParams(params.mu, params.sigma, a), n, rng)
-        for a, n in zip(shapes, sizes)
+        for a, n in zip(_component_shapes(params, family), sizes)
         if n > 0
     ]
     return np.concatenate(parts)
@@ -96,6 +100,11 @@ def artificial_sample(params: EpdParams, family, sizes: tuple[int, int, int], rn
 
 def _default_sizes(n: int) -> tuple[int, int, int]:
     return (7, n - 9, 2) if n > 9 else (0, n, 0)
+
+
+# replicated_mae draws its replications in blocks of at most this many
+# values (32 KiB per buffer), or of one replication of a larger sample
+_MAE_BLOCK_VALUES = 4096
 
 
 def replicated_mae(data, params: EpdParams, family, seed: int, spawn_keys,
@@ -106,14 +115,36 @@ def replicated_mae(data, params: EpdParams, family, seed: int, spawn_keys,
     ``seed`` with that key; ``sizes`` defaults to seven left and two
     right contamination draws around the bulk (all bulk below ten
     observations).
+
+    Equal bit for bit to the mean of ``mae(data, artificial_sample(...))``
+    over the keys, but batched: the real data are sorted once, and each
+    key's generator fills one row of a block of replications with the
+    draws ``epd.sample`` makes, in its order (per component the
+    Gamma(1/alpha, 1) variates, then the sign uniforms); the blocks are
+    transformed per component, sorted by row and averaged by row.
     """
-    data = np.asarray(data, dtype=float)
+    real = np.sort(np.asarray(data, dtype=float))
     if sizes is None:
-        sizes = _default_sizes(len(data))
+        sizes = _default_sizes(real.size)
+    if sum(sizes) != real.size:
+        raise ValueError(f"length mismatch: {real.size} vs {sum(sizes)}")
+    components = [(EpdParams(params.mu, params.sigma, a), n)
+                  for a, n in zip(_component_shapes(params, family), sizes) if n > 0]
+    rows = max(1, _MAE_BLOCK_VALUES // max(real.size, 1))
     maes = np.empty(len(spawn_keys))
-    for i, key in enumerate(spawn_keys):
-        rng = np.random.SeedSequence(entropy=seed, spawn_key=key)
-        maes[i] = mae(data, artificial_sample(params, family, sizes, rng))
+    for start in range(0, len(spawn_keys), rows):
+        keys = spawn_keys[start:start + rows]
+        gammas = [np.empty((len(keys), n)) for _, n in components]
+        uniforms = [np.empty((len(keys), n)) for _, n in components]
+        for i, key in enumerate(keys):
+            rng = make_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+            for (p, _), y, u in zip(components, gammas, uniforms):
+                rng.standard_gamma(1.0 / p.alpha, out=y[i])
+                rng.random(out=u[i])
+        art = np.concatenate([gamma_transform(y, np.where(u < 0.5, -1.0, 1.0), p)
+                              for (p, _), y, u in zip(components, gammas, uniforms)], axis=1)
+        art.sort(axis=1)
+        maes[start:start + len(keys)] = np.mean(np.abs(real - art), axis=1)
     return float(np.mean(maes))
 
 

@@ -128,6 +128,17 @@ class EstimatorSpec:
     ga_population: int = 50
     ga_generations: int = 200
 
+    def __post_init__(self):
+        # rejected here, not counted as a failure of every replication
+        if self.objective and self.ga_population < 4:
+            raise ValueError(f"objective fits need a GA population of at least 4, "
+                             f"got {self.ga_population}")
+        if self.objective and self.ga_generations < 1:
+            raise ValueError(f"objective fits need at least one GA generation, "
+                             f"got {self.ga_generations}")
+        if self.config.estimate_alpha and self.family.shapes is not None:
+            raise ValueError("shape estimation is undefined for the combined families")
+
     @property
     def n_params(self) -> int:
         if self.objective or self.config.estimate_alpha:

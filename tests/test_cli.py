@@ -187,7 +187,7 @@ class TestFitCommand:
 
     def test_overflowed_fisher_matrix_still_reports(self, tmp_path, capfd):
         # on this contaminated sample the sq objective fit lands at shape
-        # 0.574, where the location and (sigma, mu) information integrals
+        # 0.578, where the location and (sigma, mu) information integrals
         # diverge; the quadrature used to overflow there.  The fit reports
         # them as infinite, mu gets variance 0 and sigma, alpha the
         # inverse of the finite (sigma, alpha) block
@@ -209,7 +209,7 @@ class TestFitCommand:
         assert payload["volume"] == "inf"
         raw = payload["variances"]["raw"]
         assert raw[0] == 0.0
-        assert raw[1:] == pytest.approx([1.8312548146e-3, 1.361105524e-4], rel=1e-8)
+        assert raw[1:] == pytest.approx([1.9529334960e-3, 1.554661296e-4], rel=1e-8)
         assert payload["variances"]["pseudo_inverse"] is False
 
     def test_outlier_flag(self, sample_file, tmp_path):
@@ -386,13 +386,17 @@ _SIMULATE = ["simulate", "--design", "design1", "--seed", "1"]
     [*_FISHER_S, "--sigma", "-1", "--n", "10"],
     ["fit", "--score", "s", "--alpha", "2", "--mae-reps", "-3", "--seed", "1"],
     ["fit", "--score", "s", "--method", "objective", "--ga-seed", "1", "--ga-pop", "2"],
+    ["fit", "--score", "s", "--method", "objective", "--ga-seed", "1", "--ga-gens", "-3"],
+    ["fit", "--score", "combined", "--alpha", "1.8,2,2.4", "--k", "1", "--t", "1",
+     "--estimate-alpha"],
     ["fit", "--score", "sq", "--q", "1.5", "--alpha", "2"],
     ["fit", "--score", "sq", "--q", "0.8"],
     [*_SIMULATE, "--m", "1"],
     [*_SIMULATE, "--m", "4", "--threads", "0"],
     [*_SIMULATE, "--m", "4", "--threads", "-2"],
     [*_SIMULATE, "--m", "4", "--n2", "0"],
-], ids=["rng-n", "fisher-n", "fisher-sigma", "fit-mae-reps", "fit-ga-pop", "fit-q", "fit-no-alpha",
+], ids=["rng-n", "fisher-n", "fisher-sigma", "fit-mae-reps", "fit-ga-pop", "fit-ga-gens",
+        "fit-combined-shape", "fit-q", "fit-no-alpha",
         "simulate-m", "simulate-threads-0", "simulate-threads-negative", "simulate-n2"])
 def test_unusable_numbers_are_usage_errors(command, sample_file, tmp_path, capsys):
     est = tmp_path / "est.ini"
@@ -405,6 +409,26 @@ def test_unusable_numbers_are_usage_errors(command, sample_file, tmp_path, capsy
     code = dispatch([*command, "--out", str(out)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
+    assert not out.exists()
+
+
+# an estimator that cannot fit any replication is refused up front, not
+# reported as a table of failures
+@pytest.mark.parametrize("section", [
+    "score = s\nmethod = objective\nga_pop = 2\n",
+    "score = s\nmethod = objective\nga_gens = 0\n",
+    "score = s\nmethod = objective\nga_pop = 7.5\n",
+    "score = combined\nalpha = 1.8,2,2.4\nk = 1\nt = 1\nestimate_alpha = true\n",
+], ids=["ga-pop", "ga-gens", "ga-pop-fraction", "combined-shape"])
+def test_unusable_estimator_sections_are_usage_errors(section, tmp_path, capsys):
+    est = tmp_path / "est.ini"
+    est.write_text("[estimator.bad]\n" + section)
+    out = tmp_path / "t.csv"
+    code = dispatch([*_SIMULATE, "--m", "2", "--estimators", str(est), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "usage"
+    assert err["message"].startswith("estimator bad: ")
     assert not out.exists()
 
 
@@ -482,7 +506,7 @@ _PINNED_SHA256 = {
     "fit-huber-outliers.json": "dfc664f9c4bc4f1795e368cf02f09c95baa025e66a21c7fdc6544aaa9431b29b",
     "fit-combined.json": "8f9ba20148018a7cec97a34640a6b9d893a9fdee12c1dc97bedaf530d046a416",
     "fit-s-quad.json": "e0eab2c6f8245ffc08ea7b1ce2b6f2f59dd216cd55e6f5b66f09cb9ea2dc7ffd",
-    "fit-objective.json": "661f3539cb19f839f592d6c5f2759b0b3d7e5a2e89e9928910e3728bf414b6ff",
+    "fit-objective.json": "f587a5c590e91d0d7ae1abe4905a849cf2e8fcdf4afd6eac9656c41e81371fc2",
     "fisher-s.json": "340a7bdb618747c985ee7f10ec864166ca005f43aa4f7e4f93a3b228f2ba2021",
     "fisher-sq-quad.json": "abca0ac6ed069bfe0d0760f50f6171f576be8acb04b07dd6f6c62e3c9a7f805e",
     "fisher-sq-low.json": "adc678d945d80701923e2f3829968b19e2d6fa3de247c6b5a3bd0af1c9492026",
@@ -495,8 +519,8 @@ _PINNED_SHA256 = {
     "tune-huber.json": "ffd0acd7aadf5fb98be8ff96f473c19ba8a6523c80d8214c17a577b8b06c2bc0",
     "tune-combined.json": "0734ea2398777cde52869dd560ba03bb8a90bbc43cdba454f1062b653bdab545",
     "tune-combined-huber.json": "f5273b538edea0681377106e3d71e90ba9d8bac4e5fd03296c0bbf16c8c59a89",
-    "simulate-design1.csv": "3ba4c0d3956406baecf053f041b799a9653913b297c35aac4e824b186550fe7e",
-    "simulate-file.csv": "bbdf2a4d70d024a97f64378bca6174c5f5bdb7bc17d8909496311bd204c76f34",
+    "simulate-design1.csv": "616aa2bf1804eb125d1f9eb6217502e3b7881e242f8dcaf66dedcc385a40f672",
+    "simulate-file.csv": "e00c39cc55cb6c6629645a65e9e9b7d172f1f9b8488b8f2271130fe6d94dad9e",
 }
 
 

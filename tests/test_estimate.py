@@ -337,12 +337,12 @@ class TestEePinned:
 
 
 OBJECTIVE_PINS = [
-    ("contaminated", Plain(), 5, ('0x1.35fad22236a52p-3', '0x1.a40a1c469b0bbp-2', '0x1.600a3e27baf97p-1'), '-0x1.4b4a448dfe499p+7', 201, 'efddb412cb4d206ac6644ba09447002b644e6a15fd28f435b1d77117cf190db0'),
-    ("contaminated", QWeighted(0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69b047edfb8p-2', '0x1.a4ee07419e943p-1'), '-0x1.0332d4fd1a8c5p+7', 201, '36c6488160f6d80cc007d16372e077beeb8b922dfa8d038a89d8bb6330ae17d4'),
-    ("contaminated", Distorted(0.006), 9, ('-0x1.b38c89e712d68p-6', '0x1.21856a05e3414p+0', '0x1.23c671f7f1eacp+1'), '-0x1.27dbdf5087db0p+7', 201, '6a0d05ca3007968adf5240e414402c8904531d2f088e0b5db4016c6073282276'),
-    ("clean", Plain(), 5, ('0x1.7d1f826a6c696p+0', '0x1.2c25727f2a87dp-1', '0x1.5816f1b9749e2p+0'), '-0x1.8842d82640c6ap+5', 201, 'dba0aba3ccbe5daddf791bd9206967de38d0472125b81fa4a3cc94e2391ea9ac'),
-    ("clean", QWeighted(0.8), 5, ('0x1.80100efcee651p+0', '0x1.c35ebb94eba43p-2', '0x1.3138b1092ba41p+0'), '-0x1.4a264a95ac275p+5', 201, '229b1a0950275931e1441ecdc858c7384a7ae66ab4f632209e3ce977c4ad9497'),
-    ("clean", Distorted(0.006), 9, ('0x1.7db0110d40c41p+0', '0x1.29b054fd79e78p-1', '0x1.608fc11b4c8a0p+0'), '-0x1.7d212efa61159p+5', 201, 'b950f9376fcbae1cf0432c96ba02b88f4a90ecf3810bac12b4ec7fea1d09f7ca'),
+    ("contaminated", Plain(), 5, ('0x1.374c5ad7bdf80p-3', '0x1.93d52d0b45ebep-2', '0x1.5afabab3818cep-1'), '-0x1.4b4920a666556p+7', 201, '0124d254450284ee3ee9a04e51ebc3cfa384bab45a3633d2f2375846cf77ee5a'),
+    ("contaminated", QWeighted(0.8), 5, ('0x1.35fad22236a70p-3', '0x1.a692a06ce34ddp-2', '0x1.9b32d1e562b22p-1'), '-0x1.0335e5e8257b7p+7', 201, '2292cbc12d04ddc3a18bd35d229b35d564a62275c83923a1aa3f38481a4927e3'),
+    ("contaminated", Distorted(0.006), 9, ('-0x1.b38c853668836p-6', '0x1.21856a17f9362p+0', '0x1.23c671568de0ep+1'), '-0x1.27dbdf5087db2p+7', 201, 'fa7f0277305698611929344ce91fcfeaaaa230fa419bcc926bbe0735e4485aba'),
+    ("clean", Plain(), 5, ('0x1.7d1f82734e980p+0', '0x1.2c25744c6eb7bp-1', '0x1.5816f3c04cc38p+0'), '-0x1.8842d82640c6ep+5', 201, '13c306a66c5274c7ee76330f0ef322b64fed7400ce8e9f546402c5678f1479ba'),
+    ("clean", QWeighted(0.8), 5, ('0x1.80100eebfccb6p+0', '0x1.c35eb950e23ecp-2', '0x1.3138afc9f97bep+0'), '-0x1.4a264a95ac274p+5', 201, 'ecf8703eaa18ed41f312b56f83da2392e633e4c9b5a446660641977dac853964'),
+    ("clean", Distorted(0.006), 9, ('0x1.7db010fdd2e08p+0', '0x1.29b0558aa7610p-1', '0x1.608fc1a347dc1p+0'), '-0x1.7d212efa61159p+5', 201, 'b63d8bc7d3e9316d5fcfe1948fcca293ec35599f0f6fd8ca9f0694e629e25f80'),
 ]
 
 

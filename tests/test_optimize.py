@@ -7,6 +7,8 @@ m values.  Written with ``x[..., k]`` they also take a single point.
 import numpy as np
 import pytest
 
+from epfit import optimize
+from epfit.epd import make_rng
 from epfit.optimize import GaConfig, maximize, polish
 
 
@@ -68,6 +70,59 @@ class TestMaximize:
             GaConfig(bounds=((1.0, 1.0),))
         with pytest.raises(ValueError):
             GaConfig(bounds=((0.0, 1.0),), crossover_rate=1.5)
+
+
+class _CountingRng:
+    """Generator proxy that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+class TestWholeGenerationDraws:
+    GENERATIONS = 10
+
+    def _run(self, monkeypatch, population):
+        proxies = []
+
+        def counting_make_rng(seed):
+            proxies.append(_CountingRng(make_rng(seed)))
+            return proxies[-1]
+
+        monkeypatch.setattr(optimize, "make_rng", counting_make_rng)
+        batches = []
+
+        def f(x):
+            batches.append(len(x))
+            return -np.sum(x**2, axis=-1)
+
+        cfg = GaConfig(bounds=((-1.0, 1.0),) * 3, population=population,
+                       generations=self.GENERATIONS, seed=5)
+        maximize(f, cfg)
+        return proxies[0].calls, batches, cfg
+
+    def test_draws_do_not_grow_with_the_population(self, monkeypatch):
+        small, _, _ = self._run(monkeypatch, 12)
+        large, _, _ = self._run(monkeypatch, 200)
+        assert small == large
+        # one draw for the initial population, at most six per generation
+        assert small - 1 <= 6 * self.GENERATIONS
+
+    @pytest.mark.parametrize("population", [12, 200])
+    def test_one_objective_call_per_generation(self, monkeypatch, population):
+        _, batches, cfg = self._run(monkeypatch, population)
+        # the initial population, then the non-elite children of each generation
+        assert batches == [population] + [population - cfg.elitism] * self.GENERATIONS
 
 
 class TestPolish:

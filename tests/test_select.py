@@ -10,8 +10,16 @@ from hypothesis import given, strategies as st
 from epfit.epd import EpdParams, sample
 from epfit.estimate import FitConfig, fit_ee_location_scale
 from epfit.fisher import FisherMatrix, fisher_q
-from epfit.scores import Distorted, Plain, QWeighted
-from epfit.select import artificial_sample, evaluate_fit, ic_scores, mae, tune, volume
+from epfit.scores import CombinedHuber, Distorted, Plain, QWeighted, ShapeTriple
+from epfit.select import (
+    artificial_sample,
+    evaluate_fit,
+    ic_scores,
+    mae,
+    replicated_mae,
+    tune,
+    volume,
+)
 
 float_lists = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40)
 
@@ -115,6 +123,46 @@ class TestArtificialSamples:
         b = artificial_sample(params, Plain(), (7, 101, 2), np.random.SeedSequence(5))
         assert len(a) == 110
         np.testing.assert_array_equal(a, b)
+
+
+def _looped_mae(data, params, family, seed, keys, sizes):
+    """replicated_mae as one artificial sample and one mae per key."""
+    return float(np.mean([
+        mae(data, artificial_sample(params, family, sizes,
+                                    np.random.SeedSequence(seed, spawn_key=key)))
+        for key in keys
+    ]))
+
+
+class TestReplicatedMae:
+    # 160 replications of n = 110 span several blocks of the batched draws
+    KEYS = [(2, r + 1) for r in range(160)]
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.3, 2.0, 3.7])
+    @pytest.mark.parametrize("family", [Plain(), Distorted(6e-3)])
+    def test_matches_per_replication_loop(self, family, alpha):
+        data = sample(EpdParams(0.3, 1.4, 1.6), 110, 21)
+        params = EpdParams(0.2, 1.1, alpha)
+        assert (replicated_mae(data, params, family, 9, self.KEYS)
+                == _looped_mae(data, params, family, 9, self.KEYS, (7, 101, 2)))
+
+    def test_combined_branch_shapes(self):
+        data = sample(EpdParams(0.0, 1.0, 2.0), 110, 4)
+        family = CombinedHuber(ShapeTriple(1.4, 2.2, 3.1), 0.8, 1.2)
+        params = EpdParams(0.1, 0.9, 2.2)
+        assert (replicated_mae(data, params, family, 3, self.KEYS, (5, 98, 7))
+                == _looped_mae(data, params, family, 3, self.KEYS, (5, 98, 7)))
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_bulk_only_below_ten_observations(self, n):
+        data = sample(EpdParams(0.0, 1.0, 1.5), n, 8)
+        params = EpdParams(0.05, 1.2, 1.5)
+        assert (replicated_mae(data, params, Plain(), 6, self.KEYS)
+                == _looped_mae(data, params, Plain(), 6, self.KEYS, (0, n, 0)))
+
+    def test_sizes_must_sum_to_the_sample_size(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            replicated_mae(np.zeros(10), EpdParams(0, 1, 2), Plain(), 1, self.KEYS, (1, 8, 0))
 
 
 class TestTune:

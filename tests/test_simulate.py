@@ -5,7 +5,7 @@ import pytest
 
 from epfit.epd import EpdParams
 from epfit.estimate import FitConfig, FitResult
-from epfit.scores import Distorted, Plain
+from epfit.scores import CombinedPlain, Distorted, Plain, ShapeTriple
 from epfit.simulate import (
     DesignComponent,
     EstimatorSpec,
@@ -131,6 +131,13 @@ class TestRun:
             EstimatorSpec(label="bad")
         with pytest.raises(ValueError):
             run(reference_design(1), [], m=1)
+        with pytest.raises(ValueError, match="population"):
+            EstimatorSpec(label="mle", family=Plain(), objective=True, ga_population=3)
+        with pytest.raises(ValueError, match="generation"):
+            EstimatorSpec(label="mle", family=Plain(), objective=True, ga_generations=0)
+        with pytest.raises(ValueError, match="combined"):
+            EstimatorSpec(label="c", family=CombinedPlain(ShapeTriple(1.8, 2.0, 2.4), 1.0, 1.0),
+                          config=FitConfig(estimate_alpha=True))
 
     def test_objective_route_column(self):
         spec = EstimatorSpec(label="mdle", family=Distorted(6e-3), objective=True,
