@@ -282,8 +282,12 @@ def _fisher_payload(matrix: FisherMatrix) -> dict:
     return out
 
 
+def _variances_payload(var) -> dict:
+    return {"raw": list(var.raw), "abs": list(var.abs_values),
+            "pseudo_inverse": var.pseudo_inverse, "negative": list(var.negative)}
+
+
 def _fit_payload(data, result) -> dict:
-    var = result.variances
     return {
         "estimates": {
             "mu": result.params.mu,
@@ -295,12 +299,7 @@ def _fit_payload(data, result) -> dict:
         "iterations": result.iterations,
         "objective_value": result.objective_value,
         "fisher": _fisher_payload(result.fisher),
-        "variances": {
-            "raw": list(var.raw),
-            "abs": list(var.abs_values),
-            "pseudo_inverse": var.pseudo_inverse,
-            "negative": list(var.negative),
-        },
+        "variances": _variances_payload(result.variances),
         "ic": {"aic": result.ic[0], "caic": result.ic[1], "bic": result.ic[2]},
         "volume": result.volume,
         "mae": result.mae,
@@ -318,21 +317,23 @@ def _cmd_rng(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
+    if args.outlier_abs and not args.add_outliers:
+        raise UsageError("--outlier-abs needs --add-outliers")
+    if args.method == "objective" and args.ga_seed is None:
+        raise UsageError("--ga-seed is required for objective fits")
+    if args.mae_reps > 0 and args.seed is None:
+        raise UsageError("--seed is required when --mae-reps is set")
     data = ingest(args.data)
     digest = _sha256(args.data)
     if args.add_outliers:
         data = add_outliers(data, use_abs=args.outlier_abs)
     started = time.perf_counter()
-    if args.method == "objective" and args.ga_seed is None:
-        raise UsageError("--ga-seed is required for objective fits")
     spec = _estimator(args.score, vars(args))
     family_info = _family_payload(spec.family)
     if spec.objective:
         family_info["family"] = _OBJECTIVE_LABELS[args.score]
     result = evaluate_fit(data, spec.fit(data, args.ga_seed), fisher_method=args.fisher)
     if args.mae_reps > 0:
-        if args.seed is None:
-            raise UsageError("--seed is required when --mae-reps is set")
         result.mae = replicated_mae(data, result.params, result.family, args.seed,
                                     [(r,) for r in range(args.mae_reps)])
 
@@ -354,14 +355,11 @@ def _cmd_fisher(args, argv) -> int:
     if args.dim == 3 and family.likelihood is None:
         raise UsageError(f"--dim 3 needs a likelihood score (s, sq or sd), got {args.family}")
     matrix = fisher_for_family(family, p, args.n, dim=args.dim, method=args.mode)
-    var = variances(matrix)
     payload = {
         **_family_payload(family),
         "params": {"mu": p.mu, "sigma": p.sigma, "alpha": p.alpha},
         "fisher": _fisher_payload(matrix),
-        "variances": {"raw": list(var.raw), "abs": list(var.abs_values),
-                      "pseudo_inverse": var.pseudo_inverse,
-                      "negative": list(var.negative)},
+        "variances": _variances_payload(variances(matrix)),
     }
     _write_report(args.out, "fisher", argv, {"seed": None, "data_sha256": None, "n": args.n},
                   payload, None)
@@ -549,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--add-outliers", action="store_true",
                      help="append the +/- doubled sample maximum before fitting")
     fit.add_argument("--outlier-abs", action="store_true",
-                     help="use the doubled absolute maximum instead")
+                     help="with --add-outliers, use the doubled absolute maximum instead")
     fit.add_argument("--mae-reps", type=_count(0), default=0)
     fit.add_argument("--seed", type=int)
     fit.add_argument("--timings", action="store_true")

@@ -21,12 +21,12 @@ from .special_fn import log_gamma, regularized_gamma
 
 __all__ = [
     "EpdParams",
-    "log_q",
     "pdf",
     "log_pdf",
     "log_q_pdf",
     "distorted_log_pdf",
     "sample",
+    "gamma_transform",
     "make_rng",
     "cdf",
 ]
@@ -55,19 +55,6 @@ class EpdParams:
             - math.log(2.0 * self.sigma)
             - log_gamma(1.0 / self.alpha)
         )
-
-
-def log_q(u, q: float):
-    """q-deformed logarithm (u^(1-q) - 1) / (1 - q); plain log at q = 1.
-
-    Evaluated through expm1 of log so the q -> 1 limit is smooth.
-    """
-    u = np.asarray(u, dtype=float)
-    if q == 1.0:
-        out = np.log(u)
-    else:
-        out = np.expm1((1.0 - q) * np.log(u)) / (1.0 - q)
-    return out if out.ndim else float(out)
 
 
 def pdf(x, p: EpdParams):

@@ -31,31 +31,30 @@ _POLISH_XATOL = 1e-10
 _POLISH_FATOL = 1e-12
 _POLISH_ITERS = 400
 
+# the GA's breeding constants: the share of pairs that cross, the share
+# of child coordinates that mutate, the mutation step as a share of the
+# box width, and the number of best points kept unchanged each generation
+_CROSSOVER_RATE = 0.8
+_MUTATION_RATE = 0.1
+_MUTATION_SCALE = 0.1
+_ELITISM = 2
+
 
 @dataclass(frozen=True)
 class GaConfig:
     bounds: tuple[tuple[float, float], ...]
     population: int = 50
     generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_scale: float = 0.1
-    elitism: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.population < 4:
             raise ValueError("population must be at least 4")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
         if not self.bounds:
             raise ValueError("bounds must be non-empty")
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"bounds must be finite non-empty intervals, got ({lo}, {hi})")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must be smaller than the population")
 
 
 @dataclass
@@ -80,7 +79,7 @@ def maximize(
     speeds up convergence without changing reachability.
 
     Each generation ranks the population (stable sort, best first),
-    keeps the ``cfg.elitism`` best with their known values, and breeds
+    keeps the ``_ELITISM`` best with their known values, and breeds
     the rest in pairs from one array draw per kind: two binary
     tournaments per pair, a crossover flag and a cut point per pair (a
     crossing pair swaps its coordinates from the cut on), then a
@@ -102,7 +101,7 @@ def maximize(
     if not np.any(np.isfinite(fit)):
         raise RuntimeError("all initial candidates evaluated non-finite")
 
-    n_children = cfg.population - cfg.elitism
+    n_children = cfg.population - _ELITISM
     n_pairs = (n_children + 1) // 2
     history = []
     for _ in range(cfg.generations):
@@ -117,19 +116,19 @@ def maximize(
         winners = np.where(fit[first] >= fit[second], first, second)
         parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
         # with one coordinate every cut lands at 1 and nothing swaps
-        crossed = rng.random(n_pairs) < cfg.crossover_rate
+        crossed = rng.random(n_pairs) < _CROSSOVER_RATE
         cut = rng.integers(1, max(dim, 2), size=n_pairs)
         swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
         children = np.stack([np.where(swap, parent_b, parent_a),
                              np.where(swap, parent_a, parent_b)], axis=1)
         children = children.reshape(2 * n_pairs, dim)[:n_children]
-        mutate = rng.random((n_children, dim)) < cfg.mutation_rate
-        steps = rng.normal(0.0, cfg.mutation_scale, size=(n_children, dim)) * width
+        mutate = rng.random((n_children, dim)) < _MUTATION_RATE
+        steps = rng.normal(0.0, _MUTATION_SCALE, size=(n_children, dim)) * width
         children = np.where(mutate, children + steps, children).clip(lo, hi)
 
         # elites keep their known fitness; re-evaluation is redundant for a pure f
-        pop = np.concatenate([pop[: cfg.elitism], children])
-        fit = np.concatenate([fit[: cfg.elitism], f(children)])
+        pop = np.concatenate([pop[: _ELITISM], children])
+        fit = np.concatenate([fit[: _ELITISM], f(children)])
 
     fit = np.where(np.isfinite(fit), fit, -np.inf)
     best = int(np.argmax(fit))

@@ -32,8 +32,6 @@ __all__ = [
     "s_plain",
     "s_huber",
     "s_combined",
-    "weight_q",
-    "weight_distorted",
     "score",
     "ee_weight",
     "density_weight",
@@ -186,14 +184,14 @@ class _Combined(_Family):
 
     def ee_weight(self, x, p):
         y = (x - p.mu) / p.sigma
-        _, alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
+        alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
         return alpha * _abs_pow(np.abs(y), alpha - 2.0) * mult
 
     def slope(self, y):
         """dS/dy of the standardized residual, keeping the raw
         (integrable) singular power at y = 0 instead of the EE zero
         clamp."""
-        _, alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
+        alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
         ay = np.abs(y)
         safe = np.where(ay > 0.0, ay, 1.0)
         power = np.where(ay > 0.0, safe ** (alpha - 2.0), 0.0)
@@ -274,40 +272,27 @@ def s_huber(y, r: float):
 
 
 def _branches(y: np.ndarray, triple: ShapeTriple, k: float, t: float, huberized: bool):
-    """Left-tail mask, per-point shape and branch multiplier (k on the
-    left tail and t on the right when huberized, else 1)."""
+    """Per-point shape and branch multiplier (k on the left tail and t
+    on the right when huberized, else 1)."""
     a1, a2, a3 = triple.as_tuple()
     left = y < -k
     right = y > t
     alpha = np.where(left, a1, np.where(right, a3, a2))
     mult = np.where(left, k, np.where(right, t, 1.0)) if huberized else 1.0
-    return left, alpha, mult
+    return alpha, mult
 
 
-def s_combined(
-    y,
-    triple: ShapeTriple,
-    k: float,
-    t: float,
-    huberized: bool,
-    literal_tail_sign: bool = False,
-):
+def s_combined(y, triple: ShapeTriple, k: float, t: float, huberized: bool):
     """Combined piecewise score.
 
     Each branch evaluates alpha_j |y|^(alpha_j - 1); huberized scales the
-    left branch by k and the right branch by t.  By default every branch
-    carries sign(y), keeping the score odd-like so the EE weights S(y)/y
-    stay non-negative.  ``literal_tail_sign`` instead reads the piecewise
-    formulas verbatim (no sign factor; the huberized left branch keeps
-    its printed minus) for comparison.
+    left branch by k and the right branch by t.  Every branch carries
+    sign(y), keeping the score odd-like so the EE weights S(y)/y stay
+    non-negative.
     """
     y = np.asarray(y, dtype=float)
-    left, alpha, mult = _branches(y, triple, k, t, huberized)
-    mag = alpha * _abs_pow(np.abs(y), alpha - 1.0) * mult
-    if literal_tail_sign:
-        out = np.where(left & huberized, -mag, mag)
-    else:
-        out = mag * np.sign(y)
+    alpha, mult = _branches(y, triple, k, t, huberized)
+    out = alpha * _abs_pow(np.abs(y), alpha - 1.0) * mult * np.sign(y)
     return out if out.ndim else float(out)
 
 
@@ -326,25 +311,6 @@ def likelihood_weight(q: float, beta: float):
     else:
         weight = None
     return weight
-
-
-def weight_q(x, p: EpdParams, q: float):
-    """Density weight f(x)^(1-q); identically 1 at q = 1.
-
-    Accepts any q > 0 so the q > 1 unboundedness probes can be run; the
-    estimation path restricts itself to q in (0, 1].
-    """
-    if not q > 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    x = np.asarray(x, dtype=float)
-    weight = likelihood_weight(q, 0.0)
-    out = np.ones_like(x) if weight is None else weight(log_pdf(x, p))
-    return out if out.ndim else float(out)
-
-
-def weight_distorted(x, p: EpdParams, beta: float):
-    """Density weight f/(beta + f) in (0, 1]; identically 1 at beta = 0."""
-    return density_weight(Distorted(beta), x, p)
 
 
 def score(family: ScoreFamily, x, p: EpdParams):

@@ -34,17 +34,15 @@ __all__ = [
 ]
 
 
-def volume(matrix: FisherMatrix, n: int, v: int | None = None, d: int | None = None) -> float:
-    """Ellipsoid volume (2 pi v / n)^(d/2) / Gamma(d/2+1) / sqrt(det F).
-
-    v defaults to the rank of the matrix and d to its dimension; a
-    non-positive determinant or a non-finite entry reports an infinite volume.
+def volume(matrix: FisherMatrix, n: int) -> float:
+    """Ellipsoid volume (2 pi v / n)^(d/2) / Gamma(d/2+1) / sqrt(det F),
+    with v the rank of the matrix and d its dimension; a non-positive
+    determinant or a non-finite entry reports an infinite volume.
     """
     if not np.all(np.isfinite(matrix.entries)):
         return math.inf
-    d = matrix.dim if d is None else d
-    if v is None:
-        v = int(np.linalg.matrix_rank(matrix.entries))
+    d = matrix.dim
+    v = int(np.linalg.matrix_rank(matrix.entries))
     det = float(np.linalg.det(matrix.entries))
     if det <= 0.0 or not math.isfinite(det):
         return math.inf

@@ -26,7 +26,6 @@ __all__ = [
     "digamma",
     "trigamma",
     "integrate",
-    "quad",
 ]
 
 
@@ -416,15 +415,3 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
         splits += 1
     return IntegrationResult(sign * total, total_err, splits)
 
-
-def quad(
-    f: Callable,
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-8,
-    max_subdivisions: int = 200,
-) -> float:
-    """Convenience wrapper returning only the integral value."""
-    spec = QuadratureSpec(abs_tol, rel_tol, max_subdivisions, (a, b))
-    return integrate(f, spec).value

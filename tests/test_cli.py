@@ -18,6 +18,7 @@ from epfit.cli import (
     load_report_schema,
     validate_report,
 )
+from epfit.simulate import EstimatorSpec
 
 
 def run_cli(args):
@@ -221,6 +222,26 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert report["payload"]["outliers_added"] is True
         assert report["payload"]["n"] == 116
+
+    def test_outlier_abs_needs_add_outliers(self, sample_file, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = dispatch(["fit", "--data", str(sample_file), "--score", "s", "--alpha", "2.1",
+                         "--outlier-abs", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "usage"
+        assert "--add-outliers" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_mae_reps_without_seed_refused_before_fitting(self, sample_file, tmp_path,
+                                                          capsys, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(EstimatorSpec, "fit", lambda *a: fitted.append(a))
+        code = dispatch(["fit", "--data", str(sample_file), "--score", "s", "--alpha", "2.1",
+                         "--mae-reps", "5", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert fitted == []
 
     def test_non_numeric_alpha_is_usage_error(self, sample_file, tmp_path, capsys):
         code = dispatch(["fit", "--data", str(sample_file), "--score", "s",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epfit.epd import EpdParams, distorted_log_pdf, log_q_pdf
+from epfit.epd import EpdParams, distorted_log_pdf, log_pdf, log_q_pdf
 from epfit.scores import (
     CombinedHuber,
     CombinedPlain,
@@ -19,13 +19,12 @@ from epfit.scores import (
     ShapeTriple,
     density_weight,
     ee_weight,
+    likelihood_weight,
     psi_vector,
     s_combined,
     s_huber,
     s_plain,
     score,
-    weight_distorted,
-    weight_q,
 )
 
 STANDARD = EpdParams(0.0, 1.0, 2.0)
@@ -84,7 +83,8 @@ class TestCombinedScore:
         assert got < 0.0
 
     def test_literal_reading_flips_interior_sign(self):
-        plain_literal = s_combined(-0.5, self.TRIPLE, 1.0, 1.0, False, literal_tail_sign=True)
+        # the printed middle branch alpha2 |y|^(alpha2 - 1) has no sign factor
+        plain_literal = 2.1 * 0.5**1.1
         assert plain_literal > 0.0
         default = s_combined(-0.5, self.TRIPLE, 1.0, 1.0, False)
         assert default == pytest.approx(-plain_literal)
@@ -105,14 +105,14 @@ class TestCombinedScore:
 class TestWeights:
     def test_q_one_is_unity(self):
         xs = np.linspace(-5, 5, 11)
-        np.testing.assert_array_equal(weight_q(xs, STANDARD, 1.0), np.ones(11))
+        np.testing.assert_array_equal(density_weight(QWeighted(1.0), xs, STANDARD), np.ones(11))
 
     def test_beta_zero_is_unity(self):
         xs = np.linspace(-5, 5, 11)
-        np.testing.assert_array_equal(weight_distorted(xs, STANDARD, 0.0), np.ones(11))
+        np.testing.assert_array_equal(density_weight(Distorted(0.0), xs, STANDARD), np.ones(11))
 
     def test_distorted_half(self):
-        got = weight_distorted(0.0, EpdParams(0.0, 1.0, 1.0), 0.5)
+        got = density_weight(Distorted(0.5), 0.0, EpdParams(0.0, 1.0, 1.0))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_family_validation(self):
@@ -181,7 +181,7 @@ class TestPsiVector:
 
     def test_location_component_is_weighted_plain_score(self):
         for x in np.linspace(-3.0, 3.0, 13):
-            w = weight_q(x, self.POINT, 0.8)
+            w = density_weight(QWeighted(0.8), x, self.POINT)
             y = (x - self.POINT.mu) / self.POINT.sigma
             want = w * s_plain(y, self.POINT.alpha) / self.POINT.sigma
             assert psi_vector(x, self.POINT, q=0.8)[0] == pytest.approx(want, abs=1e-10)
@@ -271,9 +271,17 @@ class TestOutputsPinned:
         got = _digest(psi_vector(PINNED_X, p, **kwargs) for p in PINNED_PARAMS)
         assert got == OUTPUT_PINS[("psi_vector", name)]
 
+    # the q-deformed and distorted density weights, pinned under the names
+    # of the functions that first computed them; q = 1.7 lies outside
+    # QWeighted's domain, so it takes the likelihood weight directly
     @pytest.mark.parametrize("fn, arg, key", [
-        (weight_q, 0.8, "0.8"), (weight_q, 1.7, "1.7"), (weight_distorted, 6e-3, "6e-3"),
+        ("weight_q", 0.8, "0.8"), ("weight_q", 1.7, "1.7"), ("weight_distorted", 6e-3, "6e-3"),
     ])
     def test_density_weights(self, fn, arg, key):
-        got = _digest(fn(PINNED_X, p, arg) for p in PINNED_PARAMS)
-        assert got == OUTPUT_PINS[(fn.__name__, key)]
+        if fn == "weight_distorted":
+            weights = (density_weight(Distorted(arg), PINNED_X, p) for p in PINNED_PARAMS)
+        elif arg <= 1.0:
+            weights = (density_weight(QWeighted(arg), PINNED_X, p) for p in PINNED_PARAMS)
+        else:
+            weights = (likelihood_weight(arg, 0.0)(log_pdf(PINNED_X, p)) for p in PINNED_PARAMS)
+        assert _digest(weights) == OUTPUT_PINS[(fn, key)]

@@ -31,7 +31,8 @@ def _matrix(entries, n=1):
 
 class TestVolume:
     def test_identity_reference_value(self):
-        assert volume(_matrix(np.eye(2)), n=1, v=2, d=2) == pytest.approx(4.0 * math.pi, rel=1e-12)
+        # rank 2 and dimension 2
+        assert volume(_matrix(np.eye(2)), n=1) == pytest.approx(4.0 * math.pi, rel=1e-12)
 
     def test_determinant_homogeneity(self):
         base = volume(_matrix(np.eye(2)), n=10)
