@@ -25,7 +25,6 @@ from importlib import resources
 import numpy as np
 
 from . import epd, simulate
-from .estimate import FitConfig
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
 from .select import evaluate_fit, replicated_mae, tune
@@ -485,7 +484,7 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
         if scalar is None and family.shapes is None and not estimate_alpha:
             raise UsageError(f"estimator {label}: the {score} score needs a scalar --alpha "
                              "or --estimate-alpha")
-        route = dict(alpha=scalar, config=FitConfig(estimate_alpha=estimate_alpha))
+        route = dict(alpha=scalar, estimate_alpha=estimate_alpha)
     else:
         if family.likelihood is None:
             raise UsageError(f"estimator {label}: objective fits need a likelihood score "
@@ -506,7 +505,7 @@ def _load_estimators(path: str) -> list[simulate.EstimatorSpec]:
 def _cmd_simulate(args, argv) -> int:
     design = _load_design(args.design, args.n2)
     estimators = _load_estimators(args.estimators)
-    report = simulate.run(design, estimators, m=args.m, seed=args.seed, threads=args.threads)
+    report = simulate.run(design, estimators, m=args.m, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     return 0
@@ -580,7 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--m", type=_count(2), required=True)
     simp.add_argument("--seed", type=int, required=True)
     simp.add_argument("--n2", type=_count(1))
-    simp.add_argument("--threads", type=_count(1), default=1)
+    simp.add_argument("--threads", type=_count(1), default=1,
+                      help="accepted and ignored: replications run serially")
     simp.add_argument("--out", required=True)
 
     for name in _TUNING_NAMES:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .special_fn import digamma, log_gamma
 __all__ = [
     "DegenerateDataError",
     "AlphaRootError",
-    "FitConfig",
     "FitResult",
     "initial_values",
     "fit_ee_location_scale",
@@ -42,7 +40,6 @@ __all__ = [
     "fit_objective",
     "objective_value",
     "objective_values",
-    "default_search_bounds",
 ]
 
 _SIGMA_FLOOR = 1e-6
@@ -53,6 +50,11 @@ _ALPHA_RTOL = 1e-13
 # the shape iteration approaches from the Laplace side so it locks onto
 # the first (central) solution of the shape equation
 _ALPHA_START = 1.0
+# iteration budget of the EE solvers, and the parameter change below
+# which they stop: tight, so that the summed score vector at the
+# returned point is negligible even for large samples
+_MAX_ITER = 500
+_TOL = 1e-11
 
 
 class DegenerateDataError(ValueError):
@@ -61,26 +63,6 @@ class DegenerateDataError(ValueError):
 
 class AlphaRootError(RuntimeError):
     """The shape EE has no root in the admissible bracket."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Iteration controls for the EE solvers.
-
-    The parameter-change tolerance is tight by default so that the
-    summed score vector at the returned point is negligible even for
-    large samples.
-    """
-
-    max_iter: int = 500
-    tol: float = 1e-11
-    estimate_alpha: bool = False
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -353,29 +335,22 @@ def fit_ee_alpha(
     raise AlphaRootError(f"no shape-equation root in ({lo}, {hi})")
 
 
-def _irls(
-    data: np.ndarray,
-    score: ScoreFamily,
-    alpha: float,
-    config: FitConfig,
-    start: tuple[float, float] | None = None,
-) -> tuple[float, float, int, bool]:
+def _irls(data: np.ndarray, score: ScoreFamily, alpha: float) -> tuple[float, float, int, bool]:
     """Reweighted location/scale iteration at a fixed shape."""
-    mu0, sigma0 = initial_values(data)
-    mu, sigma = start if start is not None else (mu0, sigma0)
-    floor = 1e-10 * max(sigma0, _SIGMA_FLOOR)
+    mu, sigma = initial_values(data)
+    floor = 1e-10 * max(sigma, _SIGMA_FLOOR)
     shape_max = alpha if score.shapes is None else max(score.shapes.as_tuple())
     damp = min(1.0, 2.0 / shape_max) if shape_max > 2.5 else 1.0
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         p = EpdParams(mu, sigma, alpha)
         mu_new, sigma_new = _ee_sweep(data, score, p, damp)
         if sigma_new < floor:
             raise DegenerateDataError("scale collapsed toward a point mass")
         change = max(abs(mu_new - mu), abs(sigma_new - sigma))
         mu, sigma = mu_new, sigma_new
-        if change < config.tol:
+        if change < _TOL:
             converged = True
             break
     return mu, sigma, iterations, converged
@@ -385,7 +360,7 @@ def fit_ee_location_scale(
     data,
     score: ScoreFamily,
     alpha: float | None = None,
-    config: FitConfig | None = None,
+    estimate_alpha: bool = False,
 ) -> FitResult:
     """Iteratively reweighted solution of the location/scale EEs.
 
@@ -393,7 +368,7 @@ def fit_ee_location_scale(
     distorted families (the combined families take their shapes from
     their triple, and record the center shape).
 
-    With ``config.estimate_alpha`` each location/scale sweep alternates
+    With ``estimate_alpha`` each location/scale sweep alternates
     with one damped shape update toward the smallest root of the shape
     equation at the current iterate.  Contaminated samples can develop
     a long flat scale/shape valley in the deformed objectives; a fit
@@ -401,15 +376,13 @@ def fit_ee_location_scale(
     flagged ``converged=False`` (its parameters are the budget-limited
     solution, mirroring how bounded searches behave on these surfaces).
     """
-    config = config or FitConfig()
     data = _as_clean_array(data)
-    estimate_alpha = config.estimate_alpha
     if estimate_alpha and score.shapes is not None:
         raise ValueError("shape estimation is undefined for the combined families")
 
     if not estimate_alpha:
         alpha_val = _resolve_alpha(score, alpha)
-        mu, sigma, iterations, converged = _irls(data, score, alpha_val, config)
+        mu, sigma, iterations, converged = _irls(data, score, alpha_val)
         return FitResult(
             params=EpdParams(mu, sigma, alpha_val),
             converged=converged,
@@ -425,7 +398,7 @@ def fit_ee_location_scale(
     converged = False
     iterations = 0
     root_hint: float | None = None
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         p = EpdParams(mu, sigma, alpha_val)
         # only the extreme-shape safety relaxation here: the half-damped
         # shape update below already tempers the joint trajectory, and
@@ -440,7 +413,7 @@ def fit_ee_location_scale(
         alpha_new = 0.5 * alpha_val + 0.5 * root
         change = max(abs(mu_new - mu), abs(sigma_new - sigma), abs(alpha_new - alpha_val))
         mu, sigma, alpha_val = mu_new, sigma_new, alpha_new
-        if change < config.tol:
+        if change < _TOL:
             converged = True
             break
 
@@ -453,13 +426,11 @@ def fit_ee_location_scale(
     )
 
 
-def default_search_bounds(data) -> tuple[tuple[float, float], ...]:
-    """Data-driven search box for the objective maximizers."""
-    data = np.asarray(data, dtype=float)
+def _search_bounds(data: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Search box of the objective maximizers, from data that are not
+    all identical."""
     lo, hi = float(np.min(data)), float(np.max(data))
     spread = hi - lo
-    if spread <= 0.0:
-        raise DegenerateDataError("all observations are identical")
     return (
         (lo - spread, hi + spread),
         (1e-2, 10.0 * spread),
@@ -471,7 +442,6 @@ def fit_objective(
     data,
     family: ScoreFamily,
     seed: int = 0,
-    bounds: Sequence[tuple[float, float]] | None = None,
     population: int = 50,
     generations: int = 200,
 ) -> FitResult:
@@ -479,14 +449,12 @@ def fit_objective(
 
     ``family`` is Plain, QWeighted or Distorted (see
     ``objective_values``).  Runs the genetic optimizer over the search
-    box (data-driven by default), seeding it with robust starting
+    box spanned by the data, seeding it with robust starting
     points, then refines the best point with the simplex polish.
     """
     data = _as_clean_array(data)
     if data.size < 4:
         raise DegenerateDataError("objective fits need at least four observations")
-    if bounds is None:
-        bounds = default_search_bounds(data)
     mu0, sigma0 = initial_values(data)
     seeds = [
         np.array([mu0, sigma0, 2.0]),
@@ -496,7 +464,7 @@ def fit_objective(
 
     f = functools.partial(objective_values, family, data)
     cfg = GaConfig(
-        bounds=tuple((float(a), float(b)) for a, b in bounds),
+        bounds=_search_bounds(data),
         population=population,
         generations=generations,
         seed=seed,

@@ -38,9 +38,6 @@ __all__ = [
     "FisherMatrix",
     "PsdDiagnostics",
     "VarianceReport",
-    "fisher_combined",
-    "fisher_q",
-    "fisher_distorted",
     "fisher_for_family",
     "psd_check",
     "variances",
@@ -182,31 +179,6 @@ def _combined_closed(params: EpdParams, family):
     return np.array([[e_mm, e_ms], [e_ms, e_ss]])
 
 
-def fisher_combined(
-    params: EpdParams,
-    family,
-    n: int,
-    method: str = "closed",
-) -> FisherMatrix:
-    """2x2 information matrix of the combined piecewise score.
-
-    The closed form needs every branch shape above 3/2; ``method='auto'``
-    falls back to quadrature outside that domain, ``'closed'`` raises.
-    Branch cut points are in standardized residual units.
-    """
-    if method not in ("closed", "quad", "auto"):
-        raise ValueError(f"method must be closed/quad/auto, got {method!r}")
-    if method == "quad":
-        return _ee_2x2_quadrature(family, params, n)
-    try:
-        entries = _combined_closed(params, family)
-    except DomainError:
-        if method == "auto":
-            return _ee_2x2_quadrature(family, params, n)
-        raise
-    return FisherMatrix(n * entries, 2, n, "closed_form")
-
-
 def _q_closed(params: EpdParams, q: float) -> np.ndarray:
     alpha, sig = params.alpha, params.sigma
     if alpha <= 1.5:
@@ -324,58 +296,6 @@ def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
                         element_errors=bounds)
 
 
-def fisher_q(
-    params: EpdParams,
-    q: float,
-    n: int,
-    method: str = "closed",
-    dim: int = 3,
-) -> FisherMatrix:
-    """Information matrix of the q-weighted score family.
-
-    The closed form needs alpha > 3/2 and q in (0, 1]; q = 1 recovers
-    the plain-score information.  The matrix is asymmetric for q < 1
-    (the lower triangle keeps the deformation term after the odd parts
-    integrate out).  ``dim=2`` restricts to the (mu, sigma) block.
-    """
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"q must be in (0, 1], got {q}")
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    if method not in ("closed", "quad", "auto"):
-        raise ValueError(f"method must be closed/quad/auto, got {method!r}")
-    if method == "quad":
-        return _weighted_quadrature(params, q, 0.0, n, dim)
-    try:
-        full = _q_closed(params, q)
-    except DomainError:
-        if method == "auto":
-            return _weighted_quadrature(params, q, 0.0, n, dim)
-        raise
-    return FisherMatrix(n * full[:dim, :dim].copy(), dim, n, "closed_form")
-
-
-def fisher_distorted(
-    params: EpdParams,
-    beta: float,
-    n: int,
-    dim: int = 3,
-) -> FisherMatrix:
-    """Information matrix of the distorted score family, by quadrature.
-
-    beta = 0 coincides with the q = 1 matrix.  The location entry is
-    finite for alpha > 3/2, the (sigma, mu) entry for alpha > 1 and the
-    (sigma, alpha) block for alpha > 1/2; a divergent entry is ``inf``
-    and makes the matrix quadrature-partial, with per-entry error bounds
-    kept.
-    """
-    if beta < 0.0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    return _weighted_quadrature(params, 1.0, beta, n, dim)
-
-
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
                       method: str = "auto") -> FisherMatrix:
     """The information matrix of a fitted family, chosen from what the
@@ -384,19 +304,36 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
 
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
     of the likelihood families; the Huber and combined matrices are
-    always 2x2.  Huber and distorted (beta > 0) matrices have no closed
-    form: ``method='closed'`` raises DomainError for them.
+    always 2x2.  ``method`` is 'closed', 'quad' or 'auto'.  The closed
+    forms need the shape (every branch shape of the combined scores)
+    above 3/2; the Huber and distorted (beta > 0) matrices have none.
+    Where no closed form applies, 'auto' integrates by quadrature and
+    'closed' raises DomainError.  The q-weighted matrix is asymmetric
+    for q < 1: its lower triangle keeps the deformation term after the
+    odd parts integrate out.  Divergent quadrature entries are ``inf``
+    and make the matrix quadrature-partial, with per-entry error bounds
+    kept; q = 1 and beta = 0 give the plain-likelihood matrix.
     """
-    if family.shapes is not None:
-        return fisher_combined(params, family, n, method=method)
-    if family.likelihood is not None and family.likelihood[1] == 0.0:
-        return fisher_q(params, family.likelihood[0], n, method=method, dim=dim)
-    if method == "closed":
-        raise DomainError(f"no closed-form information matrix for {family!r}; "
-                          "use the quadrature method")
+    if method not in ("closed", "quad", "auto"):
+        raise ValueError(f"method must be closed/quad/auto, got {method!r}")
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    if method != "quad":
+        try:
+            if family.shapes is not None:
+                entries = _combined_closed(params, family)
+            elif family.likelihood is not None and family.likelihood[1] == 0.0:
+                entries = _q_closed(params, family.likelihood[0])[:dim, :dim]
+            else:
+                raise DomainError(f"no closed-form information matrix for {family!r}; "
+                                  "use the quadrature method")
+            return FisherMatrix(n * entries, len(entries), n, "closed_form")
+        except DomainError:
+            if method == "closed":
+                raise
     if family.likelihood is None:
         return _ee_2x2_quadrature(family, params, n)
-    return fisher_distorted(params, family.likelihood[1], n, dim=dim)
+    return _weighted_quadrature(params, *family.likelihood, n, dim)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

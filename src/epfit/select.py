@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epd import EpdParams, gamma_transform, make_rng, sample
-from .estimate import FitConfig, FitResult, fit_ee_location_scale
+from .estimate import FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
 from .special_fn import gamma_fn
@@ -197,7 +197,6 @@ def tune(
     alpha: float | None = None,
     replications: int = 500,
     sizes: tuple[int, int, int] | None = None,
-    config: FitConfig | None = None,
 ) -> SelectionReport:
     """Grid search over tuning-constant candidates.
 
@@ -222,7 +221,7 @@ def tune(
     for idx, cand in enumerate(candidates):
         label = _label_of(cand)
         try:
-            fit = evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha, config=config))
+            fit = evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha))
             records.append(CandidateRecord(
                 label=label, tuning=cand.tuning(), fit=fit,
                 volume=fit.volume, aic=fit.ic[0], caic=fit.ic[1], bic=fit.ic[2],

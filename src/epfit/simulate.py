@@ -4,16 +4,14 @@ variance/error tables.
 A design is three EP components (left contamination, underlying model,
 right contamination); the truth for error accounting is the underlying
 component.  Replications are independently seeded from one master seed
-by spawn keys, so runs are reproducible cell-for-cell and replications
-can be distributed across threads without changing any number.
+by spawn keys, so runs are reproducible cell-for-cell.
 """
 
 from __future__ import annotations
 
 import io
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +19,6 @@ from .epd import EpdParams, sample
 from .estimate import (
     AlphaRootError,
     DegenerateDataError,
-    FitConfig,
     FitResult,
     fit_ee_location_scale,
     fit_objective,
@@ -115,7 +112,7 @@ class EstimatorSpec:
     """One estimator column of a simulation table.
 
     A score family fitted by its estimating equations (``alpha`` fixed
-    unless ``config.estimate_alpha`` is set) or, with ``objective``, by
+    unless ``estimate_alpha`` is set) or, with ``objective``, by
     maximizing its log-likelihood with the genetic optimizer (plain,
     q-weighted and distorted families only, shape always estimated).
     """
@@ -124,7 +121,7 @@ class EstimatorSpec:
     family: ScoreFamily
     objective: bool = False
     alpha: float | None = None
-    config: FitConfig = field(default_factory=FitConfig)
+    estimate_alpha: bool = False
     ga_population: int = 50
     ga_generations: int = 200
 
@@ -136,12 +133,12 @@ class EstimatorSpec:
         if self.objective and self.ga_generations < 1:
             raise ValueError(f"objective fits need at least one GA generation, "
                              f"got {self.ga_generations}")
-        if self.config.estimate_alpha and self.family.shapes is not None:
+        if self.estimate_alpha and self.family.shapes is not None:
             raise ValueError("shape estimation is undefined for the combined families")
 
     @property
     def n_params(self) -> int:
-        if self.objective or self.config.estimate_alpha:
+        if self.objective or self.estimate_alpha:
             return 3
         return 2
 
@@ -155,7 +152,8 @@ class EstimatorSpec:
         if self.objective:
             return fit_objective(data, self.family, seed=seed, population=self.ga_population,
                                  generations=self.ga_generations)
-        return fit_ee_location_scale(data, self.family, alpha=self.alpha, config=self.config)
+        return fit_ee_location_scale(data, self.family, alpha=self.alpha,
+                                     estimate_alpha=self.estimate_alpha)
 
 
 @dataclass
@@ -173,7 +171,6 @@ class EstimatorRow:
     cells: list
     failures: int
     replications: int
-    flagged: bool
 
 
 @dataclass
@@ -202,7 +199,6 @@ def run(
     estimators,
     m: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> SimulationReport:
     """Replicated generate-and-fit cycles for each estimator.
 
@@ -210,7 +206,7 @@ def run(
     mean, the error column the squared spread about the truth (the
     underlying component's parameters); both use the
     1/m normalization so error = variance + bias^2 holds exactly.
-    Failed fits are excluded and counted; a rate above 5% flags the row.
+    Failed fits are excluded and counted.
     """
     if m < 2:
         raise ValueError("need at least two replications")
@@ -218,8 +214,8 @@ def run(
     rows = []
     for e_idx, spec in enumerate(estimators):
         truth = (under.mu, under.sigma, under.alpha)[: spec.n_params]
-
-        def one(rep: int, spec=spec, e_idx=e_idx):
+        estimates, failures = [], 0
+        for rep in range(m):
             data_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 0))
             fit_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 1))
             data = generate(design, data_seed)
@@ -228,17 +224,10 @@ def run(
             try:
                 p = spec.fit(data, fit_seed).params
             except _FAILURE_TYPES:
-                return None
-            return (p.mu, p.sigma, p.alpha)[: spec.n_params]
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(m)))
-        else:
-            outcomes = [one(rep) for rep in range(m)]
-
-        estimates = np.array([o for o in outcomes if o is not None])
-        failures = sum(1 for o in outcomes if o is None)
+                failures += 1
+                continue
+            estimates.append((p.mu, p.sigma, p.alpha)[: spec.n_params])
+        estimates = np.array(estimates)
         cells = []
         names = ("mu", "sigma", "alpha")[: spec.n_params]
         if len(estimates):
@@ -254,6 +243,5 @@ def run(
             cells=cells,
             failures=failures,
             replications=m,
-            flagged=failures > 0.05 * m,
         ))
     return SimulationReport(design=design, m=m, seed=seed, rows=rows)

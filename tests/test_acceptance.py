@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from epfit.epd import EpdParams, cdf, pdf, sample
-from epfit.estimate import FitConfig, fit_ee_location_scale, objective_value
-from epfit.fisher import fisher_combined, fisher_distorted, fisher_q, psd_check
+from epfit.estimate import fit_ee_location_scale, objective_value
+from epfit.fisher import fisher_for_family, psd_check
 from epfit.scores import (
     CombinedHuber, CombinedPlain, Distorted, Plain, QWeighted, ShapeTriple, psi_vector,
 )
@@ -77,7 +77,7 @@ class TestCriterion2:
         design = reference_design(1)
         spec = EstimatorSpec(
             label="mqle", family=QWeighted(0.625),
-            config=FitConfig(estimate_alpha=True),
+            estimate_alpha=True,
         )
         rep = run(design, [spec], m=500, seed=2)
         cells = {c.parameter: c for c in rep.rows[0].cells}
@@ -109,7 +109,7 @@ class TestCriterion3:
         design = reference_design(4)
         spec = EstimatorSpec(
             label="mdle", family=Distorted(6e-3),
-            config=FitConfig(estimate_alpha=True),
+            estimate_alpha=True,
         )
         rep = run(design, [spec], m=500, seed=3)
         cells = {c.parameter: c for c in rep.rows[0].cells}
@@ -175,8 +175,8 @@ class TestCriterion6:
             k, t = 0.3 + rng.random(2) * 2.0
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, triple.alpha2)
             family = CombinedPlain(triple, k, t)
-            closed = fisher_combined(p, family, 100, method="closed")
-            quadm = fisher_combined(p, family, 100, method="quad")
+            closed = fisher_for_family(family, p, 100, dim=2, method="closed")
+            quadm = fisher_for_family(family, p, 100, dim=2, method="quad")
             scale = float(np.max(np.abs(quadm.entries)))
             rel = np.max(np.abs(closed.entries - quadm.entries)
                          / (np.abs(quadm.entries) + 1e-8 * scale))
@@ -190,16 +190,18 @@ class TestCriterion6:
         for _ in range(20):
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, 1.6 + rng.random() * 2.0)
             q = 0.5 + rng.random() * 0.5
-            closed = fisher_q(p, q, 115, method="closed")
-            quadm = fisher_q(p, q, 115, method="quad")
+            closed = fisher_for_family(QWeighted(q), p, 115, dim=3, method="closed")
+            quadm = fisher_for_family(QWeighted(q), p, 115, dim=3, method="quad")
             scale = float(np.max(np.abs(quadm.entries)))
             rel = np.max(np.abs(closed.entries - quadm.entries)
                          / (np.abs(quadm.entries) + 1e-8 * scale))
             worst = max(worst, float(rel))
         ok_all = worst < 1e-6
 
-        unit_closed = fisher_q(EpdParams(0, 1, 2.1), 0.8, 115, method="closed")
-        unit_quad = fisher_q(EpdParams(0, 1, 2.1), 0.8, 115, method="quad")
+        unit_closed = fisher_for_family(QWeighted(0.8), EpdParams(0, 1, 2.1), 115,
+                                        dim=3, method="closed")
+        unit_quad = fisher_for_family(QWeighted(0.8), EpdParams(0, 1, 2.1), 115,
+                                      dim=3, method="quad")
         scale = float(np.max(np.abs(unit_quad.entries)))
         unit_rel = float(np.max(np.abs(unit_closed.entries - unit_quad.entries)
                                 / (np.abs(unit_quad.entries) + 1e-8 * scale)))
@@ -227,8 +229,8 @@ class TestCriterion7:
         gap_obj = abs(objective_value(QWeighted(1.0), data, point)
                       - objective_value(Plain(), data, point))
 
-        base = fisher_q(EpdParams(0, 1, 2.1), 1.0, 115, method="closed")
-        dist = fisher_distorted(EpdParams(0, 1, 2.1), 0.0, 115)
+        base = fisher_for_family(QWeighted(1.0), EpdParams(0, 1, 2.1), 115, dim=3, method="closed")
+        dist = fisher_for_family(Distorted(0.0), EpdParams(0, 1, 2.1), 115, dim=3, method="quad")
         gap_fisher = float(np.max(np.abs(dist.entries - base.entries))
                            / np.max(np.abs(base.entries)))
 
@@ -260,7 +262,7 @@ class TestCriterion8:
             worst = max(worst, float(np.max(np.abs(total[:2]))))
         three = fit_ee_location_scale(
             sample(EpdParams(0, 1, 2), 5000, 42), Plain(),
-            config=FitConfig(estimate_alpha=True),
+            estimate_alpha=True,
         )
         assert three.converged
         total3 = np.array(psi_vector(
@@ -298,7 +300,7 @@ class TestCriterion10:
             t = 0.1 + rng.random() * 2.5
             p = EpdParams(rng.normal(), 0.4 + rng.random() * 2.0, triple.alpha2)
             family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
-            F = fisher_combined(p, family, 100)
+            F = fisher_for_family(family, p, 100, dim=2, method="closed")
             d = psd_check(F)
             all_ok &= d.determinant_test and d.pivot_test
         assert report("criterion 10 (semidefiniteness)", all_ok,

@@ -11,7 +11,6 @@ from epfit.epd import EpdParams, distorted_log_pdf, log_pdf, log_q_pdf, sample
 from epfit.estimate import (
     AlphaRootError,
     DegenerateDataError,
-    FitConfig,
     fit_ee_alpha,
     fit_ee_location_scale,
     fit_objective,
@@ -111,7 +110,7 @@ class TestLocationScaleEE:
         data = sample(EpdParams(0, 1, 2), 50, 1)
         fam = CombinedPlain(ShapeTriple(1.7, 2.0, 1.8), 1.0, 1.0)
         with pytest.raises(ValueError):
-            fit_ee_location_scale(data, fam, config=FitConfig(estimate_alpha=True))
+            fit_ee_location_scale(data, fam, estimate_alpha=True)
 
     def test_stationarity_of_converged_fits(self):
         # summed gradient of the matching objective vanishes at the fit
@@ -132,7 +131,7 @@ class TestShapeEE:
     def test_root_recovers_shape_on_large_sample(self):
         for alpha, seed, band in ((2.0, 4242, (1.9, 2.1)), (1.3, 777, (1.2, 1.4))):
             data = sample(EpdParams(0, 1, alpha), 10_000, seed)
-            res = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
+            res = fit_ee_location_scale(data, Plain(), estimate_alpha=True)
             assert res.converged
             assert band[0] < res.params.alpha < band[1]
 
@@ -144,7 +143,7 @@ class TestShapeEE:
     def test_equals_likelihood_stationarity(self):
         # the fixed point solves d(objective)/d(shape) = 0 directly
         data = sample(EpdParams(0, 1, 2), 2_000, 17)
-        res = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
+        res = fit_ee_location_scale(data, Plain(), estimate_alpha=True)
         h = 1e-5
         up = objective_value(Plain(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha + h))
         dn = objective_value(Plain(), data, EpdParams(res.params.mu, res.params.sigma, res.params.alpha - h))
@@ -160,7 +159,7 @@ class TestObjectiveFits:
     def test_mle_matches_ee_route(self):
         data = sample(EpdParams(0, 1, 2), 1_000, 31)
         via_ga = fit_objective(data, Plain(), seed=11)
-        via_ee = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
+        via_ee = fit_ee_location_scale(data, Plain(), estimate_alpha=True)
         assert via_ga.params.mu == pytest.approx(via_ee.params.mu, abs=1e-4)
         assert via_ga.params.sigma == pytest.approx(via_ee.params.sigma, abs=1e-4)
         assert via_ga.params.alpha == pytest.approx(via_ee.params.alpha, abs=1e-3)
@@ -330,7 +329,7 @@ class TestEePinned:
         family = EE_FIT_FAMILIES[name]
         alpha = None if estimate_alpha or name.startswith("combined") else 2.4
         res = fit_ee_location_scale(reference_samples()["contaminated"], family, alpha=alpha,
-                                    config=FitConfig(estimate_alpha=estimate_alpha))
+                                    estimate_alpha=estimate_alpha)
         p = res.params
         assert (p.mu.hex(), p.sigma.hex(), p.alpha.hex()) == point
         assert res.iterations == iterations

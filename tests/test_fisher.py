@@ -12,10 +12,7 @@ import pytest
 from epfit.epd import EpdParams
 from epfit.fisher import (
     FisherMatrix,
-    fisher_combined,
-    fisher_distorted,
     fisher_for_family,
-    fisher_q,
     psd_check,
     variances,
 )
@@ -43,32 +40,33 @@ class TestCombined:
             k, t = 0.3 + rng.random(2) * 2.0
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, triple.alpha2)
             family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
-            closed = fisher_combined(p, family, 100, method="closed")
-            quad = fisher_combined(p, family, 100, method="quad")
+            closed = fisher_for_family(family, p, 100, dim=2, method="closed")
+            quad = fisher_for_family(family, p, 100, dim=2, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
 
     def test_cross_entry_cancels_in_symmetric_case(self):
-        F = fisher_combined(EpdParams(0, 1, 2), CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0), 50)
+        F = fisher_for_family(CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0), EpdParams(0, 1, 2), 50,
+                              dim=2, method="closed")
         assert F.entries[0, 1] == 0.0
 
     def test_shape_below_threshold_raises(self):
         with pytest.raises(DomainError):
-            fisher_combined(
-                EpdParams(0, 1, 3.18), CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
-                100, method="closed",
+            fisher_for_family(
+                CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67), EpdParams(0, 1, 3.18),
+                100, dim=2, method="closed",
             )
 
     def test_auto_falls_back_to_quadrature(self):
-        F = fisher_combined(
-            EpdParams(0, 1, 3.18), CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
-            100, method="auto",
+        F = fisher_for_family(
+            CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67), EpdParams(0, 1, 3.18),
+            100, dim=2, method="auto",
         )
         assert F.method == "quadrature"
 
     def test_scaling_linear_in_n(self):
         family = CombinedPlain(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0)
-        F1 = fisher_combined(EpdParams(0, 1.5, 2), family, 1)
-        F2 = fisher_combined(EpdParams(0, 1.5, 2), family, 77)
+        F1 = fisher_for_family(family, EpdParams(0, 1.5, 2), 1, dim=2, method="closed")
+        F2 = fisher_for_family(family, EpdParams(0, 1.5, 2), 77, dim=2, method="closed")
         np.testing.assert_allclose(F2.entries, 77.0 * F1.entries, rtol=1e-14)
 
 
@@ -78,57 +76,64 @@ class TestQWeighted:
         for _ in range(20):
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, 1.6 + rng.random() * 2.0)
             q = 0.5 + rng.random() * 0.5
-            closed = fisher_q(p, q, 115, method="closed")
-            quad = fisher_q(p, q, 115, method="quad")
+            closed = fisher_for_family(QWeighted(q), p, 115, dim=3, method="closed")
+            quad = fisher_for_family(QWeighted(q), p, 115, dim=3, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
 
     def test_unit_scale_matches_quadrature(self):
         # the scale-one case is the cleanest anchor for the closed form
-        closed = fisher_q(EpdParams(0.0, 1.0, 2.1), 0.8, 115, method="closed")
-        quad = fisher_q(EpdParams(0.0, 1.0, 2.1), 0.8, 115, method="quad")
+        closed = fisher_for_family(QWeighted(0.8), EpdParams(0.0, 1.0, 2.1), 115,
+                                   dim=3, method="closed")
+        quad = fisher_for_family(QWeighted(0.8), EpdParams(0.0, 1.0, 2.1), 115,
+                                 dim=3, method="quad")
         assert_matrices_close(closed.entries, quad.entries, rtol=1e-3)
 
     def test_location_row_zeros(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             p = EpdParams(rng.normal(), 0.5 + rng.random(), 1.6 + rng.random())
-            F = fisher_q(p, 0.6 + 0.4 * rng.random(), 10, method="closed")
+            F = fisher_for_family(QWeighted(0.6 + 0.4 * rng.random()), p, 10,
+                                  dim=3, method="closed")
             assert F.entries[0, 1] == 0.0
             assert F.entries[0, 2] == 0.0
 
     def test_asymmetry_vanishes_at_q_one(self):
-        F = fisher_q(EpdParams(0, 1, 2.1), 1.0, 10, method="closed")
+        F = fisher_for_family(QWeighted(1.0), EpdParams(0, 1, 2.1), 10, dim=3, method="closed")
         assert F.entries[1, 0] == 0.0
         np.testing.assert_allclose(F.entries, F.entries.T, atol=1e-12)
 
     def test_continuity_in_q_at_one(self):
-        near = fisher_q(EpdParams(0, 1, 2.1), 1.0 - 1e-6, 10, method="closed")
-        at = fisher_q(EpdParams(0, 1, 2.1), 1.0, 10, method="closed")
+        near = fisher_for_family(QWeighted(1.0 - 1e-6), EpdParams(0, 1, 2.1), 10,
+                                 dim=3, method="closed")
+        at = fisher_for_family(QWeighted(1.0), EpdParams(0, 1, 2.1), 10, dim=3, method="closed")
         assert float(np.max(np.abs(near.entries - at.entries))) < 1e-4 * float(np.max(np.abs(at.entries)))
 
     def test_q_domain(self):
-        with pytest.raises(DomainError):
-            fisher_q(EpdParams(0, 1, 2), 1.2, 10)
+        # the family refuses q outside (0, 1] before any matrix is built
+        with pytest.raises(ValueError, match=r"q must be in \(0, 1\]"):
+            fisher_for_family(QWeighted(1.2), EpdParams(0, 1, 2), 10, dim=3, method="closed")
 
     def test_two_dimensional_block(self):
-        full = fisher_q(EpdParams(0, 1, 2.1), 0.8, 115, method="closed")
-        block = fisher_q(EpdParams(0, 1, 2.1), 0.8, 115, method="closed", dim=2)
+        full = fisher_for_family(QWeighted(0.8), EpdParams(0, 1, 2.1), 115, dim=3, method="closed")
+        block = fisher_for_family(QWeighted(0.8), EpdParams(0, 1, 2.1), 115, dim=2, method="closed")
         np.testing.assert_allclose(block.entries, full.entries[:2, :2])
 
 
 class TestDistorted:
     def test_beta_zero_matches_plain_information(self):
-        base = fisher_q(EpdParams(0, 1, 2.1), 1.0, 115, method="closed")
-        dist = fisher_distorted(EpdParams(0, 1, 2.1), 0.0, 115)
+        base = fisher_for_family(QWeighted(1.0), EpdParams(0, 1, 2.1), 115, dim=3, method="closed")
+        dist = fisher_for_family(Distorted(0.0), EpdParams(0, 1, 2.1), 115, dim=3, method="quad")
         assert_matrices_close(dist.entries, base.entries, rtol=1e-5)
 
     def test_diagonal_positive_at_reference_point(self):
-        F = fisher_distorted(EpdParams(0, 1, 2.1), 1e-2, 115)
+        F = fisher_for_family(Distorted(1e-2), EpdParams(0, 1, 2.1), 115, dim=3, method="quad")
         assert np.all(np.diag(F.entries) > 0.0)
 
     def test_distortion_shrinks_location_information(self):
-        e0 = fisher_distorted(EpdParams(0, 1, 2.1), 0.0, 1).entries[0, 0]
-        e1 = fisher_distorted(EpdParams(0, 1, 2.1), 1e-2, 1).entries[0, 0]
+        e0 = fisher_for_family(Distorted(0.0), EpdParams(0, 1, 2.1), 1,
+                               dim=3, method="quad").entries[0, 0]
+        e1 = fisher_for_family(Distorted(1e-2), EpdParams(0, 1, 2.1), 1,
+                               dim=3, method="quad").entries[0, 0]
         assert e1 < e0
 
 
@@ -150,12 +155,12 @@ class TestPsd:
             k, t = 0.1 + rng.random(2) * 2.5
             p = EpdParams(rng.normal(), 0.4 + rng.random() * 2.0, triple.alpha2)
             family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
-            F = fisher_combined(p, family, 100)
+            F = fisher_for_family(family, p, 100, dim=2, method="closed")
             d = psd_check(F)
             assert d.determinant_test and d.pivot_test
 
     def test_asymmetry_reported(self):
-        F = fisher_q(EpdParams(0, 1, 2.1), 0.8, 115, method="closed")
+        F = fisher_for_family(QWeighted(0.8), EpdParams(0, 1, 2.1), 115, dim=3, method="closed")
         d = psd_check(F)
         assert d.asymmetry > 0.0
 
@@ -215,7 +220,8 @@ class TestVariances:
     def test_reference_magnitude(self):
         # distorted-score fit analog: the location variance lands within
         # a factor of two of the documented 0.0089 reference value
-        F = fisher_distorted(EpdParams(3.1201, 1.6752, 2.1), 1e-2, 114, dim=2)
+        F = fisher_for_family(Distorted(1e-2), EpdParams(3.1201, 1.6752, 2.1), 114,
+                              dim=2, method="quad")
         rep = variances(F)
         assert 0.5 * 0.0089 < rep.raw[0] < 2.0 * 0.0089
 
@@ -239,6 +245,18 @@ class TestDispatch:
     def test_closed_mode_without_closed_form_raises(self, family):
         with pytest.raises(DomainError, match="closed-form"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, method="closed")
+
+    @pytest.mark.parametrize("family", [
+        Plain(), QWeighted(0.8), Distorted(6e-3), Huber(1.5),
+        CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0),
+    ], ids=["plain", "q0.8", "beta6e-3", "huber", "combined"])
+    @pytest.mark.parametrize("option, message", [
+        (dict(method="bogus"), "method must be closed/quad/auto"),
+        (dict(dim=7), "dim must be 2 or 3"),
+    ], ids=["method", "dim"])
+    def test_invalid_method_or_dim_raises(self, family, option, message):
+        with pytest.raises(ValueError, match=message):
+            fisher_for_family(family, EpdParams(0, 1, 2.0), 10, **option)
 
     def test_low_shape_plain_degrades_to_partial(self):
         # below shape 3/2 the location entry integral diverges, so the
@@ -268,7 +286,7 @@ class TestPinnedQuadrature:
     def test_q_weighted(self, dim):
         for rec in PINNED["q"]:
             p = EpdParams(0.0, rec["sigma"], rec["alpha"])
-            F = fisher_q(p, rec["q"], 1, method="quad", dim=dim)
+            F = fisher_for_family(QWeighted(rec["q"]), p, 1, dim=dim, method="quad")
             zeros = [(0, 1), (0, 2)] + ([(1, 0), (2, 0)] if rec["q"] == 1.0 else [])
             assert_pinned(F.entries, np.array(rec["entries"])[:dim, :dim], zeros)
 
@@ -276,7 +294,7 @@ class TestPinnedQuadrature:
     def test_distorted(self, dim):
         for rec in PINNED["beta"]:
             p = EpdParams(0.0, rec["sigma"], rec["alpha"])
-            F = fisher_distorted(p, rec["beta"], 1, dim=dim)
+            F = fisher_for_family(Distorted(rec["beta"]), p, 1, dim=dim, method="quad")
             assert_pinned(F.entries, np.array(rec["entries"])[:dim, :dim], [(0, 1), (0, 2)])
 
     def test_huber_and_combined(self):
@@ -289,7 +307,7 @@ class TestPinnedQuadrature:
             cls = CombinedHuber if rec["huberized"] else CombinedPlain
             family = cls(ShapeTriple(*rec["triple"]), rec["k"], rec["t"])
             p = EpdParams(0.0, rec["sigma"], rec["triple"][1])
-            F = fisher_combined(p, family, 1, method="quad")
+            F = fisher_for_family(family, p, 1, dim=2, method="quad")
             assert_pinned(F.entries, rec["entries"])
 
     def test_location_entry_near_its_threshold(self):
@@ -298,8 +316,9 @@ class TestPinnedQuadrature:
         # farther from the closed form than the recorded integration did
         for rec in PINNED["near_threshold"]:
             p = EpdParams(0.0, 1.0, rec["alpha"])
-            quad = fisher_q(p, rec["q"], 1, method="quad").entries[0, 0]
-            closed = fisher_q(p, rec["q"], 1, method="closed").entries[0, 0]
+            quad = fisher_for_family(QWeighted(rec["q"]), p, 1, dim=3, method="quad").entries[0, 0]
+            closed = fisher_for_family(QWeighted(rec["q"]), p, 1,
+                                       dim=3, method="closed").entries[0, 0]
             assert abs(quad - closed) / abs(closed) <= rec["rel_err"]
 
     @pytest.mark.parametrize("alpha", [1.0045, 1.02, 1.1, 1.6, 2.1, 4.0])
@@ -309,7 +328,7 @@ class TestPinnedQuadrature:
         # integrable just above alpha = 1; its closed form e_sm holds for
         # every alpha > 1
         q = 0.8
-        F = fisher_q(EpdParams(0.0, sigma, alpha), q, 1, method="quad")
+        F = fisher_for_family(QWeighted(q), EpdParams(0.0, sigma, alpha), 1, dim=3, method="quad")
         e_sm = (2.0 ** (q - 1.0) * math.gamma(1.0 / alpha) ** (q - 2.0) * (q - 1.0)
                 * alpha ** (4.0 - q) * (alpha - 1.0) * sigma ** (q - 2.0)
                 * (2.0 - q) ** (3.0 / alpha - 3.0) * math.gamma(3.0 - 3.0 / alpha))

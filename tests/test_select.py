@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epfit.epd import EpdParams, sample
-from epfit.estimate import FitConfig, fit_ee_location_scale
-from epfit.fisher import FisherMatrix, fisher_q
+from epfit.estimate import fit_ee_location_scale
+from epfit.fisher import FisherMatrix, fisher_for_family
 from epfit.scores import CombinedHuber, Distorted, Plain, QWeighted, ShapeTriple
 from epfit.select import (
     artificial_sample,
@@ -44,13 +44,13 @@ class TestVolume:
 
     def test_doubling_n_shrinks_volume(self):
         p = EpdParams(0, 1, 2.1)
-        small = fisher_q(p, 0.8, 110)
-        big = fisher_q(p, 0.8, 220)
+        small = fisher_for_family(QWeighted(0.8), p, 110, dim=3, method="closed")
+        big = fisher_for_family(QWeighted(0.8), p, 220, dim=3, method="closed")
         assert volume(big, 220) < volume(small, 110)
 
     def test_reference_order_of_magnitude(self):
-        from epfit.fisher import fisher_distorted
-        F = fisher_distorted(EpdParams(3.1201, 1.6752, 2.1), 1e-2, 114, dim=2)
+        F = fisher_for_family(Distorted(1e-2), EpdParams(3.1201, 1.6752, 2.1), 114,
+                              dim=2, method="quad")
         vol = volume(F, 114)
         assert 1e-4 < vol < 1e-2
 
@@ -219,7 +219,7 @@ class TestEvaluateFit:
 
     def test_estimated_shape_gets_three_dims(self):
         data = sample(EpdParams(0, 1, 2), 400, 9)
-        fit = fit_ee_location_scale(data, Plain(), config=FitConfig(estimate_alpha=True))
+        fit = fit_ee_location_scale(data, Plain(), estimate_alpha=True)
         fit = evaluate_fit(data, fit)
         assert fit.fisher.dim == 3
         assert len(fit.variances.raw) == 3

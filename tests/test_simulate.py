@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epfit.epd import EpdParams
-from epfit.estimate import FitConfig, FitResult
+from epfit.estimate import FitResult
 from epfit.scores import CombinedPlain, Distorted, Plain, ShapeTriple
 from epfit.simulate import (
     DesignComponent,
@@ -95,13 +95,6 @@ class TestRun:
         b = run(d, [spec], m=20, seed=42).to_csv()
         assert a == b
 
-    def test_threads_do_not_change_numbers(self):
-        d = reference_design(1, n2=30)
-        spec = EstimatorSpec(label="sd", family=Distorted(3e-3), alpha=2.0)
-        serial = run(d, [spec], m=24, seed=9, threads=1).to_csv()
-        parallel = run(d, [spec], m=24, seed=9, threads=4).to_csv()
-        assert serial == parallel
-
     def test_means_stable_when_doubling_m(self):
         d = reference_design(1, n2=60)
         spec = EstimatorSpec(label="sd", family=Distorted(3e-3), alpha=2.0)
@@ -137,7 +130,7 @@ class TestRun:
             EstimatorSpec(label="mle", family=Plain(), objective=True, ga_generations=0)
         with pytest.raises(ValueError, match="combined"):
             EstimatorSpec(label="c", family=CombinedPlain(ShapeTriple(1.8, 2.0, 2.4), 1.0, 1.0),
-                          config=FitConfig(estimate_alpha=True))
+                          estimate_alpha=True)
 
     def test_objective_route_column(self):
         spec = EstimatorSpec(label="mdle", family=Distorted(6e-3), objective=True,
@@ -149,8 +142,7 @@ class TestRun:
 
     def test_csv_shape(self):
         d = reference_design(1, n2=20)
-        spec = EstimatorSpec(label="sd", family=Distorted(3e-3), alpha=2.0,
-                             config=FitConfig())
+        spec = EstimatorSpec(label="sd", family=Distorted(3e-3), alpha=2.0)
         text = run(d, [spec], m=5, seed=2).to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "estimator,tc,parameter,mean,var_hat,mse_hat,failures"
