@@ -12,6 +12,7 @@ Laplace-type.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,13 @@ __all__ = [
     "make_rng",
     "cdf",
 ]
+
+
+@functools.lru_cache(maxsize=128)
+def _log_gamma_inverse(alpha: float) -> float:
+    """log Gamma(1/alpha), memoised: fits and GA children revisit the
+    same few shapes many times."""
+    return log_gamma(1.0 / alpha)
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class EpdParams:
         return (
             math.log(self.alpha)
             - math.log(2.0 * self.sigma)
-            - log_gamma(1.0 / self.alpha)
+            - _log_gamma_inverse(self.alpha)
         )
 
 

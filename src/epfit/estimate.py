@@ -14,7 +14,8 @@ The EE updates are
 
 with D = n for the unweighted families and D = sum of the density
 weights for the q-weighted and distorted families, exactly as the two
-scale equations are written.
+scale equations are written.  A sweep computes those density weights
+once and uses them in both w_i and D.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epd import EpdParams
+from .epd import EpdParams, _log_gamma_inverse
 from .optimize import GaConfig, maximize, polish
 from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight
 from .special_fn import digamma, log_gamma
@@ -83,12 +84,6 @@ class FitResult:
     ga_history: list = field(default_factory=list)
 
 
-@functools.lru_cache(maxsize=128)
-def _log_gamma_inverse(alpha: float) -> float:
-    # GA children inherit most shapes unchanged, so this rarely misses
-    return log_gamma(1.0 / alpha)
-
-
 def objective_values(family: ScoreFamily, data, points) -> np.ndarray:
     """Summed log-likelihood of the family at each point.
 
@@ -137,6 +132,22 @@ def objective_value(family: ScoreFamily, data: np.ndarray, p: EpdParams) -> floa
     return float(objective_values(family, data, np.array([[p.mu, p.sigma, p.alpha]]))[0])
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty array, bit for bit, without its
+    wrapper: partition at the middle (and at the end, where a NaN
+    would sort) and average the middle pair as np.mean does, summing
+    from 0.0 (so -0.0 comes out as 0.0)."""
+    a = a.ravel()
+    half = a.size // 2
+    if a.size % 2:
+        part = np.partition(a, (half, -1))
+        mid = part[half] + 0.0
+    else:
+        part = np.partition(a, (half - 1, half, -1))
+        mid = (part[half - 1] + part[half] + 0.0) / 2
+    return float("nan") if np.isnan(part[-1]) else float(mid)
+
+
 def initial_values(data) -> tuple[float, float]:
     """Median and median absolute deviation as starting values.
 
@@ -146,8 +157,8 @@ def initial_values(data) -> tuple[float, float]:
     data = np.asarray(data, dtype=float)
     if data.size < 1:
         raise ValueError("data must be non-empty")
-    mu0 = float(np.median(data))
-    sigma0 = float(np.median(np.abs(data - mu0)))
+    mu0 = _median(data)
+    sigma0 = _median(np.abs(data - mu0))
     if sigma0 <= 0.0:
         sigma0 = _SIGMA_FLOOR
     return mu0, sigma0
@@ -177,20 +188,20 @@ def _resolve_alpha(score: ScoreFamily, alpha: float | None) -> float:
 
 
 def _ee_sweep(
-    data: np.ndarray, score: ScoreFamily, p: EpdParams, damp: bool
+    data: np.ndarray, score: ScoreFamily, p: EpdParams, damp: float
 ) -> tuple[float, float]:
-    w = np.asarray(ee_weight(score, data, p))
-    sw = float(np.sum(w))
+    # the weighted families' density weights enter both the EE weights
+    # and the scale denominator: computed once, used twice
+    dw = density_weight(score, data, p) if score.density_weighted else None
+    w = np.asarray(ee_weight(score, data, p, density=dw))
+    sw = float(w.sum())
     if not math.isfinite(sw) or sw <= 0.0:
         raise DegenerateDataError("estimating-equation weights vanished")
-    mu_new = float(np.sum(w * data) / sw)
-    if score.density_weighted:
-        denom = float(np.sum(density_weight(score, data, p)))
-    else:
-        denom = float(len(data))
+    mu_new = float((w * data).sum() / sw)
+    denom = float(len(data)) if dw is None else float(dw.sum())
     if not math.isfinite(denom) or denom <= 0.0:
         raise DegenerateDataError("scale-equation denominator vanished")
-    s2 = float(np.sum(w * (data - mu_new) ** 2) / denom)
+    s2 = float((w * (data - mu_new) ** 2).sum() / denom)
     if not math.isfinite(s2) or s2 <= 0.0:
         raise DegenerateDataError("scale update collapsed to zero")
     sigma_new = math.sqrt(s2)

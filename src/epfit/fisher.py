@@ -304,7 +304,8 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
 
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
     of the likelihood families; the Huber and combined matrices are
-    always 2x2.  ``method`` is 'closed', 'quad' or 'auto'.  The closed
+    always 2x2, and asking for them with dim 3 raises ValueError.
+    ``method`` is 'closed', 'quad' or 'auto'.  The closed
     forms need the shape (every branch shape of the combined scores)
     above 3/2; the Huber and distorted (beta > 0) matrices have none.
     Where no closed form applies, 'auto' integrates by quadrature and
@@ -318,6 +319,8 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    if dim == 3 and family.likelihood is None:
+        raise ValueError(f"dim 3 needs a likelihood family, got {family!r}")
     if method != "quad":
         try:
             if family.shapes is not None:

@@ -74,6 +74,8 @@ class _Family:
     Each family computes ``score``, ``ee_weight`` (the reweighting factor
     S(y)/y) and ``density_weight`` (None for a family without one) at x
     as arrays; the module-level functions of the same names wrap them.
+    ``ee_weight`` takes the density weight at x as ``density`` when the
+    caller has already computed it, and computes it itself otherwise.
     The Huber and combined scores also give ``slope`` (dS/dy) and its
     ``breaks``, from which their information matrix is integrated.
     """
@@ -107,9 +109,9 @@ class _LikelihoodScore(_Family):
         w = self.density_weight(x, p)
         return s if w is None else w * s
 
-    def ee_weight(self, x, p):
+    def ee_weight(self, x, p, density=None):
         pow_am2 = _abs_pow(np.abs((x - p.mu) / p.sigma), p.alpha - 2.0)
-        w = self.density_weight(x, p)
+        w = self.density_weight(x, p) if density is None else density
         return p.alpha * pow_am2 if w is None else w * p.alpha * pow_am2
 
 
@@ -137,7 +139,7 @@ class Huber(_Family):
     def score(self, x, p):
         return s_huber((x - p.mu) / p.sigma, self.r)
 
-    def ee_weight(self, x, p):
+    def ee_weight(self, x, p, density=None):
         ay = np.abs((x - p.mu) / p.sigma)
         with np.errstate(divide="ignore"):
             return np.where(ay <= self.r, 1.0, self.r / np.where(ay == 0, 1.0, ay))
@@ -182,7 +184,7 @@ class _Combined(_Family):
     def score(self, x, p):
         return s_combined((x - p.mu) / p.sigma, self.triple, self.k, self.t, self.huberized)
 
-    def ee_weight(self, x, p):
+    def ee_weight(self, x, p, density=None):
         y = (x - p.mu) / p.sigma
         alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
         return alpha * _abs_pow(np.abs(y), alpha - 2.0) * mult
@@ -249,12 +251,10 @@ ScoreFamily = Plain | Huber | CombinedPlain | CombinedHuber | QWeighted | Distor
 
 def _abs_pow(ay: np.ndarray, expo) -> np.ndarray:
     """|y|^expo with the y = 0 value forced to the limit (0 for expo > 0,
-    1 for expo == 0) instead of inf for negative exponents."""
-    expo = np.asarray(expo, dtype=float)
+    1 for expo == 0) instead of inf for negative exponents.  ``expo`` is
+    one float or an array of per-point exponents."""
     zero = ay < _ZERO_TOL
-    safe = np.where(zero, 1.0, ay)
-    out = safe**expo
-    return np.where(zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, 0.0)), out)
+    return np.where(zero, expo == 0.0, np.where(zero, 1.0, ay) ** expo)
 
 
 def s_plain(y, alpha: float):
@@ -319,9 +319,16 @@ def score(family: ScoreFamily, x, p: EpdParams):
     return out if np.ndim(out) else float(out)
 
 
-def ee_weight(family: ScoreFamily, x, p: EpdParams):
-    """The non-negative reweighting factor S(y)/y of the EE updates."""
-    out = family.ee_weight(np.asarray(x, dtype=float), p)
+def ee_weight(family: ScoreFamily, x, p: EpdParams, density=None):
+    """The non-negative reweighting factor S(y)/y of the EE updates.
+
+    ``density`` is the family's density weight at x, as
+    ``density_weight`` returns it, for a caller that needs it too: the
+    likelihood families then multiply by it instead of computing it
+    again, with the same result.  The Huber and combined families
+    ignore it.
+    """
+    out = family.ee_weight(np.asarray(x, dtype=float), p, density=density)
     return out if np.ndim(out) else float(out)
 
 

@@ -147,11 +147,17 @@ def replicated_mae(data, params: EpdParams, family, seed: int, spawn_keys,
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:
-    """Attach the information matrix, variances, criteria and volume."""
+    """Attach the information matrix, variances, criteria and volume.
+
+    The criteria count the shape when it was estimated.  The matrix
+    covers it only for the likelihood families: a Huber fit with the
+    shape estimated keeps its (mu, sigma) matrix.
+    """
     data = np.asarray(data, dtype=float)
     n = len(data)
     p = 3 if fit.estimated_alpha else 2
-    matrix = fisher_for_family(fit.family, fit.params, n, dim=p, method=fisher_method)
+    dim = p if fit.family.likelihood is not None else 2
+    matrix = fisher_for_family(fit.family, fit.params, n, dim=dim, method=fisher_method)
     psd_check(matrix)
     out = dataclasses.replace(fit)
     out.fisher = matrix

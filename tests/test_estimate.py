@@ -37,6 +37,22 @@ class TestInitialValues:
         with pytest.raises(ValueError):
             initial_values([])
 
+    def test_bit_identical_to_numpy_median(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 4, 109, 110):
+            for draw in range(40):
+                data = rng.standard_normal(n)
+                if draw % 4 == 1:
+                    data = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1.0], size=n)
+                elif draw % 4 == 2:
+                    data[rng.integers(n)] = np.nan
+                mu0 = float(np.median(data))
+                sigma0 = float(np.median(np.abs(data - mu0)))
+                got = initial_values(data)
+                if sigma0 <= 0.0:
+                    sigma0 = 1e-6
+                assert np.array([got]).tobytes() == np.array([(mu0, sigma0)]).tobytes()
+
 
 class TestLocationScaleEE:
     def test_two_point_fixed_point(self):
@@ -304,6 +320,27 @@ EE_FIT_PINS = [
     ("q", True, ("0x1.15ea11aebeba1p-3", "0x1.e97dc3442caf4p-2", "0x1.bc9d9eb2dea0cp-1"), 500),
     ("d", True, ("-0x1.b38c7e28a81c5p-6", "0x1.21856a2bec529p+0", "0x1.23c672175a9d0p+1"), 178),
 ]
+# (shape, sample, family, (mu, sigma), iterations) of fixed-shape EE fits
+# through the sweep paths the pins above miss: shape 2 (the weight
+# exponent alpha - 2 is 0), shape 1.3 on the odd-length sample, whose
+# median start puts one residual at exactly 0, and shape 3 (the damped
+# sweep); recorded before the density weights were computed once per sweep
+SWEEP_PATH_PINS = [
+    (2.0, "full", "plain", ("0x1.b90089a3e8777p-4", "0x1.08785dcefb503p+1"), 2),
+    (2.0, "full", "huber", ("0x1.540ced334e88fp-5", "0x1.f0b40af3307f4p-1"), 23),
+    (2.0, "full", "q", ("-0x1.58d084df8a46bp-9", "0x1.0561f42ce23eap+0"), 24),
+    (2.0, "full", "d", ("-0x1.074f3c3bddd5ep-6", "0x1.134e035071938p+0"), 10),
+    (1.3, "odd", "plain", ("0x1.2ec7514ebbad9p-4", "0x1.30394470924eap+0"), 57),
+    (1.3, "odd", "huber", ("0x1.7f8f33b8e0606p-6", "0x1.dd6d64118361fp-1"), 22),
+    (1.3, "odd", "q", ("0x1.0da6fa95699e9p-4", "0x1.8d0f4c6794cb6p-1"), 79),
+    (1.3, "odd", "d", ("0x1.86d64019db97ap-5", "0x1.a758ae9f02c85p-1"), 56),
+    (3.0, "full", "plain", ("0x1.f8a26069e0c2cp-4", "0x1.9753d8315d5f5p+1"), 21),
+    (3.0, "full", "huber", ("0x1.540ced3300b08p-5", "0x1.f0b40af323280p-1"), 41),
+    (3.0, "full", "q", ("-0x1.5a379a77d7836p-5", "0x1.2b7f345258966p+0"), 22),
+    (3.0, "full", "d", ("-0x1.f7720f5b4d640p-6", "0x1.43baffff98b3fp+0"), 18),
+]
+SWEEP_PATH_FAMILIES = {"plain": Plain(), "huber": Huber(1.5), "q": QWeighted(0.8),
+                       "d": Distorted(0.003)}
 EE_FIT_FAMILIES = {
     "plain": Plain(),
     "huber": Huber(1.345),
@@ -332,6 +369,16 @@ class TestEePinned:
                                     estimate_alpha=estimate_alpha)
         p = res.params
         assert (p.mu.hex(), p.sigma.hex(), p.alpha.hex()) == point
+        assert res.iterations == iterations
+
+    @pytest.mark.parametrize("alpha, sample_name, name, point, iterations", SWEEP_PATH_PINS)
+    def test_sweep_paths(self, alpha, sample_name, name, point, iterations):
+        data = reference_samples()["contaminated"]
+        if sample_name == "odd":
+            data = data[:-1]
+            assert initial_values(data)[0] in data
+        res = fit_ee_location_scale(data, SWEEP_PATH_FAMILIES[name], alpha=alpha)
+        assert (res.params.mu.hex(), res.params.sigma.hex()) == point
         assert res.iterations == iterations
 
 

@@ -258,6 +258,16 @@ class TestDispatch:
         with pytest.raises(ValueError, match=message):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, **option)
 
+    @pytest.mark.parametrize("family", [
+        Huber(1.5), CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0),
+        CombinedHuber(ShapeTriple(2, 2, 2), 1.0, 1.0),
+    ], ids=["huber", "combined", "combined_huber"])
+    @pytest.mark.parametrize("method", ["closed", "quad", "auto"])
+    def test_dim3_without_likelihood_raises(self, family, method):
+        # these families have no shape score, so no 3x3 matrix
+        with pytest.raises(ValueError, match="dim 3 needs a likelihood family"):
+            fisher_for_family(family, EpdParams(0, 1, 2.0), 10, dim=3, method=method)
+
     def test_low_shape_plain_degrades_to_partial(self):
         # below shape 3/2 the location entry integral diverges, so the
         # matrix is flagged partial with per-entry bounds kept

@@ -266,6 +266,17 @@ class TestOutputsPinned:
         got = _digest(fn(family, PINNED_X, p) for p in PINNED_PARAMS)
         assert got == OUTPUT_PINS[(fn.__name__, name)]
 
+    @pytest.mark.parametrize("name", list(PINNED_FAMILIES))
+    def test_ee_weight_given_density(self, name):
+        # the EE sweep hands ee_weight the density weights it already has
+        family = PINNED_FAMILIES[name]
+        for p in PINNED_PARAMS:
+            given = ee_weight(family, PINNED_X, p, density=density_weight(family, PINNED_X, p))
+            assert given.tobytes() == ee_weight(family, PINNED_X, p).tobytes()
+        got = _digest(ee_weight(family, PINNED_X, p, density=density_weight(family, PINNED_X, p))
+                      for p in PINNED_PARAMS)
+        assert got == OUTPUT_PINS[("ee_weight", name)]
+
     @pytest.mark.parametrize("name, kwargs", [("plain", {}), ("q", {"q": 0.8}), ("d", {"beta": 6e-3})])
     def test_psi_vector(self, name, kwargs):
         got = _digest(psi_vector(PINNED_X, p, **kwargs) for p in PINNED_PARAMS)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from epfit.epd import EpdParams, sample
 from epfit.estimate import fit_ee_location_scale
 from epfit.fisher import FisherMatrix, fisher_for_family
-from epfit.scores import CombinedHuber, Distorted, Plain, QWeighted, ShapeTriple
+from epfit.scores import CombinedHuber, Distorted, Huber, Plain, QWeighted, ShapeTriple
 from epfit.select import (
     artificial_sample,
     evaluate_fit,
@@ -223,3 +223,14 @@ class TestEvaluateFit:
         fit = evaluate_fit(data, fit)
         assert fit.fisher.dim == 3
         assert len(fit.variances.raw) == 3
+
+    def test_huber_estimated_shape_keeps_two_dims(self):
+        # the Huber score has no shape equation of its own: its matrix
+        # stays (mu, sigma), while the criteria count the fitted shape
+        data = np.concatenate([sample(EpdParams(0, 1, 2), 100, 9),
+                               sample(EpdParams(5, 6, 1.1), 10, 10)])
+        fit = fit_ee_location_scale(data, Huber(1.5), estimate_alpha=True)
+        fit = evaluate_fit(data, fit)
+        assert fit.fisher.dim == 2 and fit.fisher.method == "quadrature"
+        assert len(fit.variances.raw) == 2
+        assert fit.ic == ic_scores(data, fit.params, fit.family, 3, len(data))
