@@ -20,6 +20,7 @@ once and uses them in both w_i and D.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from .epd import EpdParams, _log_gamma_inverse
 from .optimize import GaConfig, maximize, polish
-from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight
+from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
 from .special_fn import digamma, log_gamma
 
 __all__ = [
@@ -56,6 +57,15 @@ _ALPHA_START = 1.0
 # returned point is negligible even for large samples
 _MAX_ITER = 500
 _TOL = 1e-11
+# shape-estimating fits: plain map steps before the Anderson
+# extrapolation starts, and the number of map outputs it combines
+_WARMUP = 40
+_DEPTH = 5
+# largest max |sum psi| of a shape-estimating fit reported as converged
+_STATIONARITY_TOL = 1e-6
+# steps below _TOL without that certificate that end the fit at a
+# fixed point of its map that is not stationary
+_SETTLE = 30
 
 
 class DegenerateDataError(ValueError):
@@ -367,6 +377,54 @@ def _irls(data: np.ndarray, score: ScoreFamily, alpha: float) -> tuple[float, fl
     return mu, sigma, iterations, converged
 
 
+def _shape_map(
+    data: np.ndarray, score: ScoreFamily, q: float, beta: float,
+    point: tuple[float, float, float], hint: float | None,
+) -> tuple[tuple[float, float, float], float]:
+    """One step of the shape-estimating EE map: a (mu, sigma) sweep,
+    then half a step of the shape toward the smallest root of the shape
+    equation at the swept point.  Returns the new point and the root."""
+    mu, sigma, alpha = point
+    # only the extreme-shape safety relaxation here: the half-damped
+    # shape update already tempers the joint trajectory
+    damp = min(1.0, 2.0 / alpha) if alpha > 3.8 else 1.0
+    mu_new, sigma_new = _ee_sweep(data, score, EpdParams(mu, sigma, alpha), damp)
+    root = fit_ee_alpha(data, EpdParams(mu_new, sigma_new, alpha), q=q, beta=beta, hint=hint)
+    return (mu_new, sigma_new, 0.5 * alpha + 0.5 * root), root
+
+
+def _anderson(history) -> tuple[float, float, float] | None:
+    """Type-II Anderson extrapolant of the map (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011) from (point, map output) pairs in (mu,
+    log sigma, alpha), with residuals in (dmu/sigma, dlog sigma,
+    dalpha).  None where it is not finite or its shape leaves the
+    root bracket."""
+    x, g = np.array(history).transpose(1, 0, 2)
+    f = (g - x) * np.array([math.exp(-g[-1, 1]), 1.0, 1.0])
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    mu, log_sigma, alpha = g[-1] - np.diff(g, axis=0).T @ gamma
+    lo, hi = _ALPHA_BRACKET
+    if not (lo < alpha < hi and math.isfinite(mu) and abs(log_sigma) < 700.0):
+        return None
+    return float(mu), math.exp(log_sigma), float(alpha)
+
+
+def _stationarity(data: np.ndarray, score: ScoreFamily, p: EpdParams) -> float:
+    """max |sum psi| at a shape-estimating fit.
+
+    The likelihood families sum the gradient of their objective; the
+    Huber score sums its own location and scale equations and the plain
+    shape equation it alternates with.
+    """
+    q, beta = score.likelihood or (1.0, 0.0)
+    sums = psi_vector(data, p, q=q, beta=beta).sum(axis=1)
+    if score.likelihood is None:
+        s = score.score(data, p)
+        y = (data - p.mu) / p.sigma
+        sums[:2] = s.sum() / p.sigma, (s * y - 1.0).sum() / p.sigma
+    return float(np.abs(sums).max())
+
+
 def fit_ee_location_scale(
     data,
     score: ScoreFamily,
@@ -379,13 +437,28 @@ def fit_ee_location_scale(
     distorted families (the combined families take their shapes from
     their triple, and record the center shape).
 
-    With ``estimate_alpha`` each location/scale sweep alternates
-    with one damped shape update toward the smallest root of the shape
-    equation at the current iterate.  Contaminated samples can develop
-    a long flat scale/shape valley in the deformed objectives; a fit
-    that exhausts the iteration budget crawling along it is returned
-    flagged ``converged=False`` (its parameters are the budget-limited
-    solution, mirroring how bounded searches behave on these surfaces).
+    With ``estimate_alpha`` each iteration is one step of a map: a
+    location/scale sweep, then half a step of the shape toward the
+    smallest root of the shape equation at the swept point.  After 40
+    plain steps, which settle the iteration in the central basin, the
+    next point is the Anderson extrapolant of the last five map outputs,
+    once four steps in a row have not run further the same way as the
+    step before (the map is not pushing away from a fixed point, which
+    the extrapolant would head for).  An extrapolant is dropped when
+    its shape leaves the root bracket; when its step is longer than the
+    plain step it replaced, or its sweep or root solve fails, the fit
+    goes back to that plain output and starts a new history.
+
+    A step that changes no parameter by more than 1e-11 ends the fit
+    with ``converged=True`` when the summed score vector at its output
+    (location, scale and shape; for Huber, its own location and scale
+    equations) is at most 1e-6 in every component.  Contaminated
+    samples can have a fixed point of the map with the location on an
+    observation, a cusp of the scores at shapes below 2, where the
+    summed scores do not vanish.  After 30 small steps that do not
+    certify, the fit returns its last map output flagged
+    ``converged=False``, as it does when the 500-iteration budget runs
+    out.
     """
     data = _as_clean_array(data)
     if estimate_alpha and score.shapes is not None:
@@ -405,29 +478,57 @@ def fit_ee_location_scale(
     # the Huber score alternates with the plain-likelihood shape equation
     q, beta = score.likelihood or (1.0, 0.0)
     alpha_val = _ALPHA_START if alpha is None else _resolve_alpha(score, alpha)
-    mu, sigma = initial_values(data)
+    point = (*initial_values(data), alpha_val)
     converged = False
     iterations = 0
     root_hint: float | None = None
+    # (point, map output) pairs in (mu, log sigma, alpha)
+    history: collections.deque = collections.deque(maxlen=_DEPTH)
+    # while an extrapolant is evaluated: the plain output it replaced
+    # and the length of that plain step
+    fallback: tuple | None = None
+    settled = 0
+    # the last map step in (dmu/sigma, dlog sigma, dalpha), and the
+    # number of steps since one receded (below)
+    last, calm = (0.0, 0.0, 0.0), 0
     for iterations in range(1, _MAX_ITER + 1):
-        p = EpdParams(mu, sigma, alpha_val)
-        # only the extreme-shape safety relaxation here: the half-damped
-        # shape update below already tempers the joint trajectory, and
-        # extra interference widens where budget-limited fits stop
-        damp = min(1.0, 2.0 / alpha_val) if alpha_val > 3.8 else 1.0
-        mu_new, sigma_new = _ee_sweep(data, score, p, damp)
-        root = fit_ee_alpha(
-            data, EpdParams(mu_new, sigma_new, alpha_val),
-            q=q, beta=beta, hint=root_hint,
-        )
-        root_hint = root
-        alpha_new = 0.5 * alpha_val + 0.5 * root
-        change = max(abs(mu_new - mu), abs(sigma_new - sigma), abs(alpha_new - alpha_val))
-        mu, sigma, alpha_val = mu_new, sigma_new, alpha_new
+        try:
+            out, root = _shape_map(data, score, q, beta, point, root_hint)
+        except (DegenerateDataError, AlphaRootError):
+            if fallback is None:
+                raise
+            point, fallback = fallback[0], None
+            history.clear()
+            continue
+        change = max(abs(out[0] - point[0]), abs(out[1] - point[1]), abs(out[2] - point[2]))
         if change < _TOL:
-            converged = True
-            break
+            converged = _stationarity(data, score, EpdParams(*out)) <= _STATIONARITY_TOL
+            settled += not converged
+            if converged or settled == _SETTLE:
+                point, fallback = out, None
+                break
+        d = ((out[0] - point[0]) / point[1], math.log(out[1] / point[1]), out[2] - point[2])
+        step = math.hypot(*d)
+        if fallback is not None and step > fallback[1]:
+            point, fallback = fallback[0], None
+            history.clear()
+            continue
+        root_hint = root
+        history.append(((point[0], math.log(point[1]), point[2]),
+                        (out[0], math.log(out[1]), out[2])))
+        # a longer step the same way as the last one means the map is
+        # pushing away from a fixed point, toward which an extrapolant
+        # would pull the fit: extrapolate only from a history of steps
+        # that did not
+        receding = step > math.hypot(*last) and sum(a * b for a, b in zip(d, last)) > 0.0
+        calm = 0 if receding else calm + 1
+        point, fallback, last = out, None, d
+        if iterations >= _WARMUP and len(history) > 1 and calm >= _DEPTH - 1:
+            trial = _anderson(history)
+            if trial is not None:
+                point, fallback = trial, (out, step)
 
+    mu, sigma, alpha_val = point if fallback is None else fallback[0]
     return FitResult(
         params=EpdParams(mu, sigma, alpha_val),
         converged=converged,

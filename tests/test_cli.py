@@ -523,7 +523,7 @@ _PINNED_COMMANDS = [
 _PINNED_SHA256 = {
     "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
     "fit-sd.json": "0962139688b118046b9ea885c28855f793f18d023c153514f2a06f8f35a3068b",
-    "fit-sq-shape.json": "cd6ee7ecf037d4b6cb43019ebe1e44b846797bf3cb8f78924c59764c71f85cb2",
+    "fit-sq-shape.json": "187b80ecf069e749b294781144b351ef981c6ea156cc0301c87d9a8f3d170cd7",
     "fit-huber-outliers.json": "dfc664f9c4bc4f1795e368cf02f09c95baa025e66a21c7fdc6544aaa9431b29b",
     "fit-combined.json": "8f9ba20148018a7cec97a34640a6b9d893a9fdee12c1dc97bedaf530d046a416",
     "fit-s-quad.json": "e0eab2c6f8245ffc08ea7b1ce2b6f2f59dd216cd55e6f5b66f09cb9ea2dc7ffd",
@@ -540,8 +540,8 @@ _PINNED_SHA256 = {
     "tune-huber.json": "ffd0acd7aadf5fb98be8ff96f473c19ba8a6523c80d8214c17a577b8b06c2bc0",
     "tune-combined.json": "0734ea2398777cde52869dd560ba03bb8a90bbc43cdba454f1062b653bdab545",
     "tune-combined-huber.json": "f5273b538edea0681377106e3d71e90ba9d8bac4e5fd03296c0bbf16c8c59a89",
-    "simulate-design1.csv": "616aa2bf1804eb125d1f9eb6217502e3b7881e242f8dcaf66dedcc385a40f672",
-    "simulate-file.csv": "e00c39cc55cb6c6629645a65e9e9b7d172f1f9b8488b8f2271130fe6d94dad9e",
+    "simulate-design1.csv": "4e9423d82e3f6d363f3175bc412663654552b45ec2106d7234f2856347e8c790",
+    "simulate-file.csv": "ba686e87721755cf7cf71ed9b6ec19df3ee68610af850d235a0f16b7dd1aae8a",
 }
 
 

@@ -2,6 +2,8 @@
 objective route."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from epfit.estimate import (
     objective_values,
 )
 from epfit.scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple, psi_vector
+from epfit.simulate import generate, reference_design
 
 
 class TestInitialValues:
@@ -299,7 +302,9 @@ class TestShapeRootSolver:
 # on the contaminated sample at (mu, sigma) = SHAPE_ROOT_START, and
 # (family, estimate_alpha, (mu, sigma, alpha), iterations) of EE fits of
 # that sample at shape 2.4 (the combined families use their triple),
-# recorded before the density weights moved onto the family classes
+# recorded before the density weights moved onto the family classes; the
+# shape-estimating rows past the 40-step warm-up (all but Huber) were
+# re-recorded when those fits became Anderson-accelerated
 SHAPE_ROOT_START = (0.10280336621197306, 0.6091271521826309)
 SHAPE_ROOT_PINS = [
     (1.0, 0.0, '0x1.9f4a58260f6fbp-1', '0x1.9f4a58260f6fdp-1'),
@@ -315,10 +320,10 @@ EE_FIT_PINS = [
     ("q1", False, ("0x1.18693891e8e5ep-3", "0x1.434004d1c5570p+1", "0x1.3333333333333p+1"), 26),
     ("d", False, ("-0x1.df2abd2105c4ep-6", "0x1.27b9fd594061cp+0", "0x1.3333333333333p+1"), 21),
     ("d0", False, ("0x1.18693891e8e5ep-3", "0x1.434004d1c5570p+1", "0x1.3333333333333p+1"), 26),
-    ("plain", True, ("0x1.374c5ad7bd63dp-3", "0x1.9edfb1523100dp-2", "0x1.5eca50debdd9ep-1"), 500),
+    ("plain", True, ("0x1.36efb82009bc2p-3", "0x1.9edf1495b94aap-2", "0x1.5ecd6e83d1164p-1"), 500),
     ("huber", True, ("0x1.0a00f5b22dde8p-5", "0x1.d7f5dd096425dp-1", "0x1.f8be51e4377a4p-1"), 35),
-    ("q", True, ("0x1.15ea11aebeba1p-3", "0x1.e97dc3442caf4p-2", "0x1.bc9d9eb2dea0cp-1"), 500),
-    ("d", True, ("-0x1.b38c7e28a81c5p-6", "0x1.21856a2bec529p+0", "0x1.23c672175a9d0p+1"), 178),
+    ("q", True, ("0x1.e09b666fe9b51p-4", "0x1.059e755b44cd5p-1", "0x1.cea7a7dd56e06p-1"), 70),
+    ("d", True, ("-0x1.b38c7e2932086p-6", "0x1.21856a2bff626p+0", "0x1.23c6721781d64p+1"), 48),
 ]
 # (shape, sample, family, (mu, sigma), iterations) of fixed-shape EE fits
 # through the sweep paths the pins above miss: shape 2 (the weight
@@ -380,6 +385,53 @@ class TestEePinned:
         res = fit_ee_location_scale(data, SWEEP_PATH_FAMILIES[name], alpha=alpha)
         assert (res.params.mu.hex(), res.params.sigma.hex()) == point
         assert res.iterations == iterations
+
+
+# Shape-estimating fits of the first 60 replications of acceptance
+# criteria 2 and 3, recorded with the plain alternating iteration that
+# Anderson acceleration replaced: (mu, sigma, alpha) as float hex and
+# whether that fit converged (45 and 50 of 60 did)
+SHAPE_FIT_PINNED = json.loads((Path(__file__).parent / "data" / "shape_fit_pinned.json").read_text())
+SHAPE_FIT_FAMILIES = {"c2": (QWeighted(0.625), {"q": 0.625}),
+                      "c3": (Distorted(6e-3), {"beta": 6e-3})}
+
+
+class TestShapeFitPinnedSet:
+    @pytest.mark.parametrize("name", ["c2", "c3"])
+    def test_accelerated_fit_keeps_the_plain_fixed_points(self, name):
+        pinned = SHAPE_FIT_PINNED[name]
+        family, kwargs = SHAPE_FIT_FAMILIES[name]
+        design = reference_design(pinned["design"])
+        lost, moved, unstationary = [], [], []
+        for rep, (mu, sigma, alpha, converged) in enumerate(pinned["fits"]):
+            data = generate(design, np.random.SeedSequence(pinned["seed"], spawn_key=(0, rep, 0)))
+            res = fit_ee_location_scale(data, family, estimate_alpha=True)
+            p = res.params
+            if res.converged:
+                total = np.array(psi_vector(data, p, **kwargs)).sum(axis=1)
+                if not np.max(np.abs(total)) <= 1e-6:
+                    unstationary.append(rep)
+            if converged and not res.converged:
+                lost.append(rep)
+            elif converged:
+                gap = max(abs(p.mu - float.fromhex(mu)), abs(p.sigma - float.fromhex(sigma)),
+                          abs(p.alpha - float.fromhex(alpha)))
+                if not gap <= 1e-8:
+                    moved.append((rep, gap))
+        assert (lost, moved, unstationary) == ([], [], [])
+
+    def test_cusp_fixed_point_is_not_certified(self):
+        # replication 1 of criterion 3: the map settles with mu on an
+        # observation at shape 1.04, where the location score has a cusp
+        data = generate(reference_design(4), np.random.SeedSequence(3, spawn_key=(0, 1, 0)))
+        res = fit_ee_location_scale(data, Distorted(6e-3), estimate_alpha=True)
+        p = res.params
+        assert not res.converged
+        assert res.iterations < epfit.estimate._MAX_ITER
+        assert np.min(np.abs(data - p.mu)) < 1e-9 * p.sigma
+        total = np.array(psi_vector(data, p, beta=6e-3)).sum(axis=1)
+        assert np.max(np.abs(total)) > 1e-3
+        assert p.alpha == pytest.approx(1.036, abs=1e-3)
 
 
 OBJECTIVE_PINS = [

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from epfit import estimate, scores, simulate
-from epfit.scores import Huber, QWeighted
+from epfit.epd import EpdParams, sample
+from epfit.scores import Distorted, Huber, QWeighted
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -65,3 +66,17 @@ def test_shape_estimating_fit_is_seen(tracer):
     assert _span_count(tracer, "scores.density_weight") == result.iterations
     assert tracer.counts["estimate.shape_root_solves"] == result.iterations
     assert tracer.counts["estimate.shape_residual_evals"] > 0
+
+
+def test_accelerated_shape_fit_is_seen(tracer):
+    # the `d` shape row of test_estimate's EE_FIT_PINS: past the 40 plain
+    # warm-up steps, and every extrapolant, kept or rejected, costs one
+    # sweep and one shape-root solve
+    data = np.concatenate([sample(EpdParams(0.0, 1.0, 2.0), 100, 21),
+                           sample(EpdParams(5.0, 6.0, 1.1), 10, 22)])
+    result = estimate.fit_ee_location_scale(data, Distorted(6e-3), estimate_alpha=True)
+    assert result.iterations > estimate._WARMUP
+    assert tracer.counts["estimate.fits"] == 1
+    assert tracer.counts["estimate.iterations"] == result.iterations
+    assert tracer.counts["estimate.shape_root_solves"] == result.iterations
+    assert tracer.counts["scores.ee_weight_calls"] == result.iterations
