@@ -27,7 +27,7 @@ import numpy as np
 from . import epd, simulate
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
-from .select import evaluate_fit, replicated_mae, tune
+from .select import evaluate_fit, expected_mae, tune
 
 __all__ = [
     "IngestError",
@@ -333,8 +333,7 @@ def _cmd_fit(args, argv) -> int:
         family_info["family"] = _OBJECTIVE_LABELS[args.score]
     result = evaluate_fit(data, spec.fit(data, args.ga_seed), fisher_method=args.fisher)
     if args.mae_reps > 0:
-        result.mae = replicated_mae(data, result.params, result.family, args.seed,
-                                    [(r,) for r in range(args.mae_reps)])
+        result.mae = expected_mae(data, result.params, result.family)
 
     timing = (time.perf_counter() - started) * 1000.0 if args.timings else None
     payload = {"method": args.method, "score": args.score, **family_info,
@@ -384,10 +383,7 @@ def _cmd_tune(args, argv) -> int:
     sizes = tuple(_number(v, "--sizes", int) for v in args.sizes.split(",")) if args.sizes else None
     if sizes is not None and (len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != len(data)):
         raise UsageError(f"--sizes needs three non-negative integers summing to {len(data)}")
-    report = tune(
-        data, candidates, seed=args.seed, alpha=scalar_alpha,
-        replications=args.replications, sizes=sizes,
-    )
+    report = tune(data, candidates, alpha=scalar_alpha, sizes=sizes)
     payload = {
         "family": args.family,
         "chosen": report.chosen,
@@ -547,8 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="append the +/- doubled sample maximum before fitting")
     fit.add_argument("--outlier-abs", action="store_true",
                      help="with --add-outliers, use the doubled absolute maximum instead")
-    fit.add_argument("--mae-reps", type=_count(0), default=0)
-    fit.add_argument("--seed", type=int)
+    fit.add_argument("--mae-reps", type=_count(0), default=0,
+                     help="any positive count attaches the exact expected sorted MAE")
+    fit.add_argument("--seed", type=int, help="required with --mae-reps; the MAE draws nothing")
     fit.add_argument("--timings", action="store_true")
     fit.add_argument("--out", required=True)
 
@@ -567,9 +564,11 @@ def _build_parser() -> argparse.ArgumentParser:
     tun.add_argument("--family", required=True,
                      choices=[name for name, cls in _FAMILIES.items() if cls.tuning_names])
     tun.add_argument("--alpha")
-    tun.add_argument("--replications", type=_count(1), default=500)
+    tun.add_argument("--replications", type=_count(1), default=500,
+                     help="accepted and ignored: the MAE is exact, not replicated")
     tun.add_argument("--sizes", help="component sizes n1,n2,n3 for artificial samples")
-    tun.add_argument("--seed", type=int, required=True)
+    tun.add_argument("--seed", type=int, required=True,
+                     help="recorded in the report; the exact MAE draws nothing")
     tun.add_argument("--out", required=True)
 
     simp = sub.add_parser("simulate", help="Monte Carlo table for a design")

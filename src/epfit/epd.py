@@ -154,6 +154,6 @@ def cdf(x, p: EpdParams):
     y = (x - p.mu) / p.sigma
     with np.errstate(over="ignore"):
         t = np.abs(y) ** p.alpha
-    pq = np.array([regularized_gamma(1.0 / p.alpha, v) for v in t.ravel()]).reshape(*y.shape, 2)
-    out = np.where(y < 0.0, 0.5 * pq[..., 1], 0.5 + 0.5 * pq[..., 0])
+    lower, upper = regularized_gamma(1.0 / p.alpha, t)
+    out = np.where(y < 0.0, 0.5 * upper, 0.5 + 0.5 * lower)
     return out if out.ndim else float(out)

@@ -2,24 +2,26 @@
 mean absolute error, and the tuning-constant grid search.
 
 The absolute score sum replaces the log-likelihood inside the criteria
-(the signed sum is zero at the fit), and the sorted mean absolute error
-against replicated artificial samples is the primary selection rule,
-with volume and the criteria as tie-breakers.
+(the signed sum is zero at the fit), and the expected sorted mean
+absolute error against artificial samples from the fit, computed
+exactly, is the primary selection rule, with volume and the criteria as
+tie-breakers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, gamma_transform, make_rng, sample
+from .epd import EpdParams, cdf, make_rng, sample
 from .estimate import FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
-from .special_fn import gamma_fn
+from .special_fn import gamma_fn, log_gamma, regularized_gamma
 
 __all__ = [
     "CandidateRecord",
@@ -28,7 +30,7 @@ __all__ = [
     "ic_scores",
     "mae",
     "artificial_sample",
-    "replicated_mae",
+    "expected_mae",
     "evaluate_fit",
     "tune",
 ]
@@ -100,50 +102,124 @@ def _default_sizes(n: int) -> tuple[int, int, int]:
     return (7, n - 9, 2) if n > 9 else (0, n, 0)
 
 
-# replicated_mae draws its replications in blocks of at most this many
-# values (32 KiB per buffer), or of one replication of a larger sample
-_MAE_BLOCK_VALUES = 4096
+# Gauss-Legendre 6-point rule on [-1, 1]
+_GL_NODES = np.array([
+    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
+])
+_GL_WEIGHTS = np.array([
+    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
+])
+# expected_mae also splits its panels where a component's |x - mu| /
+# sigma raised to its shape crosses one of these, so that no panel
+# holds more than one octave of a tail's exponential decay
+_TAIL_BREAKS = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+# quadrature nodes per block of count probabilities (48 x (n + 1) values)
+_NODE_BLOCK = 48
+# floor on a probability before its logarithm: exp then gives an exact 0
+_TINY = 1e-300
 
 
-def replicated_mae(data, params: EpdParams, family, seed: int, spawn_keys,
-                   sizes: tuple[int, int, int] | None = None) -> float:
-    """Mean absolute error averaged over replicated artificial samples.
+@functools.lru_cache(maxsize=32)
+def _log_binomial(m: int) -> np.ndarray:
+    """log C(m, j) for j = 0..m, read-only: every caller shares it."""
+    out = np.array([math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+                    for j in range(m + 1)])
+    out.flags.writeable = False
+    return out
 
-    One replication per spawn key, each drawn from the seed sequence of
-    ``seed`` with that key; ``sizes`` defaults to seven left and two
-    right contamination draws around the bulk (all bulk below ten
+
+def _binomial_pmf(prob: np.ndarray, m: int) -> np.ndarray:
+    """Bin(m, p) probabilities of 0..m, one row per entry of ``prob``."""
+    j = np.arange(m + 1)
+    log_p = np.log(np.maximum(prob, _TINY))[:, None]
+    log_q = np.log(np.maximum(1.0 - prob, _TINY))[:, None]
+    return np.exp(_log_binomial(m) + j * log_p + (m - j) * log_q)
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise convolution: the law of the sum of two independent counts."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for i in range(b.shape[1]):
+        out[:, i:i + a.shape[1]] += b[:, i:i + 1] * a
+    return out
+
+
+def _integrated_cdf(t: float, p: EpdParams) -> float:
+    """Integral of the EP CDF over (-inf, t]:
+
+        (t - mu) F(t) + sigma Gamma(2/alpha, |y|^alpha) / (2 Gamma(1/alpha))
+
+    with y = (t - mu) / sigma, for t on either side of mu.
+    """
+    y = (t - p.mu) / p.sigma
+    with np.errstate(over="ignore"):
+        u = float(np.abs(y) ** p.alpha)
+    upper = regularized_gamma(2.0 / p.alpha, u)[1]
+    ratio = math.exp(log_gamma(2.0 / p.alpha) - log_gamma(1.0 / p.alpha))
+    return (t - p.mu) * cdf(t, p) + 0.5 * p.sigma * upper * ratio
+
+
+def expected_mae(data, params: EpdParams, family,
+                 sizes: tuple[int, int, int] | None = None) -> float:
+    """Exact expected mean absolute error between the sorted data and a
+    sorted artificial sample drawn from the fitted parameters.
+
+    The artificial sample is the one ``artificial_sample`` draws: three
+    components of ``sizes`` draws sharing the fitted location and scale,
+    with the combined families' branch shapes, else the fitted shape
+    throughout; ``sizes`` defaults to seven left and two right
+    contamination draws around the bulk (all bulk below ten
     observations).
 
-    Equal bit for bit to the mean of ``mae(data, artificial_sample(...))``
-    over the keys, but batched: the real data are sorted once, and each
-    key's generator fills one row of a block of replications with the
-    draws ``epd.sample`` makes, in its order (per component the
-    Gamma(1/alpha, 1) variates, then the sign uniforms); the blocks are
-    transformed per component, sorted by row and averaged by row.
+    With c the sorted data, k(x) the number of them at or below x and
+    N(x) the number of artificial draws at or below x (a sum of
+    binomial counts, one per distinct shape),
+
+        E[MAE] = mu - mean(c) + (2/n) * integral of E[(N(x) - k(x))^+] dx.
+
+    The integrand vanishes right of the largest observation and is
+    E[N(x)] left of the smallest, integrated there in closed form.  In
+    between, 6-point Gauss-Legendre panels run between consecutive
+    observations, split at mu and at the tail break points.
     """
-    real = np.sort(np.asarray(data, dtype=float))
+    c = np.sort(np.asarray(data, dtype=float))
+    n = c.size
     if sizes is None:
-        sizes = _default_sizes(real.size)
-    if sum(sizes) != real.size:
-        raise ValueError(f"length mismatch: {real.size} vs {sum(sizes)}")
-    components = [(EpdParams(params.mu, params.sigma, a), n)
-                  for a, n in zip(_component_shapes(params, family), sizes) if n > 0]
-    rows = max(1, _MAE_BLOCK_VALUES // max(real.size, 1))
-    maes = np.empty(len(spawn_keys))
-    for start in range(0, len(spawn_keys), rows):
-        keys = spawn_keys[start:start + rows]
-        gammas = [np.empty((len(keys), n)) for _, n in components]
-        uniforms = [np.empty((len(keys), n)) for _, n in components]
-        for i, key in enumerate(keys):
-            rng = make_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-            for (p, _), y, u in zip(components, gammas, uniforms):
-                rng.standard_gamma(1.0 / p.alpha, out=y[i])
-                rng.random(out=u[i])
-        art = np.concatenate([gamma_transform(y, np.where(u < 0.5, -1.0, 1.0), p)
-                              for (p, _), y, u in zip(components, gammas, uniforms)], axis=1)
-        art.sort(axis=1)
-        maes[start:start + len(keys)] = np.mean(np.abs(real - art), axis=1)
-    return float(np.mean(maes))
+        sizes = _default_sizes(n)
+    if sum(sizes) != n:
+        raise ValueError(f"length mismatch: {n} vs {sum(sizes)}")
+    counts: dict[float, int] = {}
+    for a, m in zip(_component_shapes(params, family), sizes):
+        if m > 0:
+            counts[a] = counts.get(a, 0) + m
+    comps = [(EpdParams(params.mu, params.sigma, a), m) for a, m in counts.items()]
+
+    left = sum(m * _integrated_cdf(float(c[0]), p) for p, m in comps)
+    breaks = np.concatenate([[params.mu]] + [
+        params.mu + params.sigma * np.concatenate([-r, r])
+        for r in (_TAIL_BREAKS ** (1.0 / p.alpha) for p, _ in comps)])
+    edges = np.sort(np.concatenate([c, breaks[(breaks > c[0]) & (breaks < c[-1])]]))
+    keep = edges[1:] > edges[:-1]
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    half = 0.5 * (hi - lo)[:, None]
+    x = (0.5 * (hi + lo)[:, None] + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    below = np.repeat(np.searchsorted(c, lo, side="right"), _GL_NODES.size)
+    probs = [cdf(x, p) for p, _ in comps]
+
+    inner = 0.0
+    j = np.arange(n + 1)
+    for s in range(0, x.size, _NODE_BLOCK):
+        block = slice(s, s + _NODE_BLOCK)
+        pmf = functools.reduce(_convolve_rows, [
+            _binomial_pmf(prob[block], m) for prob, (_, m) in zip(probs, comps)])
+        excess = np.maximum(j - below[block, None], 0)
+        inner += float(w[block] @ np.sum(pmf * excess, axis=1))
+    return params.mu - float(np.mean(c)) + 2.0 / n * (left + inner)
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:
@@ -199,20 +275,19 @@ def _label_of(candidate) -> str:
 def tune(
     data,
     candidates,
-    seed: int,
     alpha: float | None = None,
-    replications: int = 500,
     sizes: tuple[int, int, int] | None = None,
 ) -> SelectionReport:
     """Grid search over tuning-constant candidates.
 
     Each candidate (a score family with its tuning constants baked in)
     is fitted by its estimating equations, its volume and criteria are
-    recorded, and its mean absolute error is averaged over replicated
-    artificial samples drawn from the fitted parameters.  The smallest
-    mean absolute error wins; candidates within 1% of it are re-ranked
-    by volume and then the Bayesian-penalty criterion.  Deterministic
-    for a fixed seed and candidate order.
+    recorded, and its mean absolute error is the exact expected sorted
+    mean absolute error against artificial samples drawn from the fitted
+    parameters (``expected_mae``).  The smallest mean absolute error
+    wins; candidates within 1% of it are re-ranked by volume and then
+    the Bayesian-penalty criterion.  Deterministic for a fixed candidate
+    order: no random draws are made.
     """
     data = np.asarray(data, dtype=float)
     if not candidates:
@@ -224,15 +299,14 @@ def tune(
         raise ValueError(f"component sizes {sizes} must sum to the sample size {n}")
 
     records = []
-    for idx, cand in enumerate(candidates):
+    for cand in candidates:
         label = _label_of(cand)
         try:
             fit = evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha))
             records.append(CandidateRecord(
                 label=label, tuning=cand.tuning(), fit=fit,
                 volume=fit.volume, aic=fit.ic[0], caic=fit.ic[1], bic=fit.ic[2],
-                mae=replicated_mae(data, fit.params, cand, seed,
-                                   [(idx, r + 1) for r in range(replications)], sizes),
+                mae=expected_mae(data, fit.params, cand, sizes),
             ))
         except Exception as exc:  # candidate-level failure is data, not fatal
             records.append(CandidateRecord(

@@ -120,43 +120,64 @@ def log_gamma(z: float) -> float:
     )
 
 
-def _lower_gamma_series(z: float, a: float) -> float:
-    """gamma(z, a) e^a / a^z by power series; preferred for a < z + 1."""
+def _lower_gamma_series(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """gamma(z, a) e^a / a^z by power series, elementwise over equal-shape
+    1-d arrays; preferred for a < z + 1.
+
+    Each element stops on its own convergence test, and the converged
+    ones leave the active set, so one slow element does not keep the
+    others iterating.
+    """
+    out = np.empty(a.shape)
+    idx = np.arange(a.size)
     term = 1.0 / z
-    total = term
-    denom = z
+    total = term.copy()
+    denom = np.array(z, dtype=float)
     for _ in range(500):
         denom += 1.0
         term *= a / denom
         total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return total
+        done = np.abs(term) < 1e-17 * np.abs(total)
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, a, term, total, denom = idx[keep], a[keep], term[keep], total[keep], denom[keep]
+            if not idx.size:
+                return out
+    out[idx] = total
+    return out
 
 
-def _upper_gamma_cf(z: float, a: float) -> float:
-    """Gamma(z, a) e^a / a^z by Lentz continued fraction; preferred for
-    a >= z + 1."""
+def _upper_gamma_cf(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gamma(z, a) e^a / a^z by Lentz continued fraction, elementwise over
+    equal-shape 1-d arrays with a >= z + 1 (so the first denominator is
+    at least 2); each element stops on its own convergence test."""
     tiny = 1e-300
+    out = np.empty(a.shape)
+    idx = np.arange(a.size)
     b = a + 1.0 - z
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
+    c = np.full(a.shape, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
     for i in range(1, 500):
         an = -i * (i - z)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, z, b, c, d, h = idx[keep], z[keep], b[keep], c[keep], d[keep], h[keep]
+            if not idx.size:
+                return out
+    out[idx] = h
+    return out
 
 
 def incomplete_gamma(z: float, a: float, kind: str = "lower") -> float:
@@ -175,37 +196,58 @@ def incomplete_gamma(z: float, a: float, kind: str = "lower") -> float:
         raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     whole = gamma_fn(z)
     if a < z + 1.0:
-        lower = _lower_gamma_series(z, a) * math.exp(z * math.log(a) - a) if a > 0.0 else 0.0
+        lower = 0.0
+        if a > 0.0:
+            series = _lower_gamma_series(np.array([z]), np.array([a]))[0]
+            lower = float(series) * math.exp(z * math.log(a) - a)
         return lower if kind == "lower" else whole - lower
-    upper = math.exp(z * math.log(a) - a) * _upper_gamma_cf(z, a)
+    upper = math.exp(z * math.log(a) - a) * float(_upper_gamma_cf(np.array([z]), np.array([a]))[0])
     return whole - upper if kind == "lower" else upper
 
 
-def regularized_gamma(z: float, a: float) -> tuple[float, float]:
+def regularized_gamma(z, a):
     """P(z, a) = gamma(z, a) / Gamma(z) and Q(z, a) = 1 - P(z, a), for
-    z > 0 and a in [0, inf].
+    z > 0 and a in [0, inf], elementwise over broadcast arrays.
 
-    The series gives P and the continued fraction Q, each to full
-    relative accuracy, so a small P or Q is not lost to cancellation.
-    The prefactor a^z e^(-a) / Gamma(z) is formed in log space, so the
-    pair stays finite where gamma_fn(z) overflows.
+    Scalar arguments give a (float, float) pair, arrays a pair of arrays
+    of the broadcast shape.  The series gives P and the continued
+    fraction Q, each to full relative accuracy, so a small P or Q is not
+    lost to cancellation.  The prefactor a^z e^(-a) / Gamma(z) is formed
+    in log space, so the pair stays finite where gamma_fn(z) overflows.
     """
-    z = float(z)
-    a = float(a)
-    if not z > 0.0:
-        raise DomainError(f"regularized_gamma requires z > 0, got {z}")
-    if not a >= 0.0:
-        raise DomainError(f"regularized_gamma requires a >= 0, got {a}")
-    if a == 0.0:
-        return 0.0, 1.0
-    if math.isinf(a):
-        return 1.0, 0.0
-    prefactor = math.exp(z * math.log(a) - a - log_gamma(z))
-    if a < z + 1.0:
-        lower = _lower_gamma_series(z, a) * prefactor
-        return lower, 1.0 - lower
-    upper = _upper_gamma_cf(z, a) * prefactor
-    return 1.0 - upper, upper
+    z_in = np.asarray(z, dtype=float)
+    a_in = np.asarray(a, dtype=float)
+    bad = ~(z_in > 0.0)
+    if bad.any():
+        raise DomainError(f"regularized_gamma requires z > 0, got {z_in[bad].flat[0]}")
+    bad = ~(a_in >= 0.0)
+    if bad.any():
+        raise DomainError(f"regularized_gamma requires a >= 0, got {a_in[bad].flat[0]}")
+    zb, ab = np.broadcast_arrays(z_in, a_in)
+    zf, af = zb.ravel(), ab.ravel()
+    lower = np.zeros(af.shape)
+    upper = np.ones(af.shape)
+    inf = np.isinf(af)
+    lower[inf], upper[inf] = 1.0, 0.0
+    series = (af > 0.0) & (af < zf + 1.0)
+    frac = (af >= zf + 1.0) & ~inf
+    log_gamma_z = (log_gamma(float(z_in)) if z_in.ndim == 0
+                   else np.array([log_gamma(v) for v in zf]))
+
+    def scaled(method, mask):
+        zm, am = zf[mask], af[mask]
+        lg = log_gamma_z if z_in.ndim == 0 else log_gamma_z[mask]
+        return method(zm, am) * np.exp(zm * np.log(am) - am - lg)
+
+    if series.any():
+        lower[series] = scaled(_lower_gamma_series, series)
+        upper[series] = 1.0 - lower[series]
+    if frac.any():
+        upper[frac] = scaled(_upper_gamma_cf, frac)
+        lower[frac] = 1.0 - upper[frac]
+    if zb.ndim == 0:
+        return float(lower[0]), float(upper[0])
+    return lower.reshape(zb.shape), upper.reshape(zb.shape)
 
 
 # Asymptotic Bernoulli coefficients B_2k / (2k) for the digamma tail.

@@ -243,6 +243,16 @@ class TestFitCommand:
         assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert fitted == []
 
+    def test_mae_does_not_depend_on_the_count_or_seed(self, sample_file, tmp_path):
+        maes = []
+        for reps, seed in (("1", "5"), ("7", "5"), ("500", "11")):
+            out = tmp_path / f"fit-{reps}-{seed}.json"
+            assert dispatch(["fit", "--data", str(sample_file), "--score", "huber",
+                             "--r", "1.345", "--alpha", "2.1", "--mae-reps", reps,
+                             "--seed", seed, "--out", str(out)]) == 0
+            maes.append(json.loads(out.read_text())["payload"]["mae"])
+        assert maes[0] > 0.0 and maes == [maes[0]] * 3
+
     def test_non_numeric_alpha_is_usage_error(self, sample_file, tmp_path, capsys):
         code = dispatch(["fit", "--data", str(sample_file), "--score", "s",
                          "--alpha", "abc", "--out", str(tmp_path / "x.json")])
@@ -352,6 +362,19 @@ class TestTuneCommand:
         assert len(payload["candidates"]) == 3
         assert 0 <= payload["chosen"] < 3
         assert all(c["mae"] > 0 for c in payload["candidates"])
+
+    def test_mae_and_choice_do_not_depend_on_seed_or_replications(self, sample_file,
+                                                                   tmp_path):
+        payloads = []
+        for reps, seed in (("20", "3"), ("1", "3"), ("500", "-8")):
+            out = tmp_path / f"tune-{reps}-{seed}.json"
+            assert dispatch(["tune", "--data", str(sample_file), "--family", "sd",
+                             "--grid-beta", "0:0.01:0.005", "--alpha", "2.1",
+                             "--replications", reps, "--seed", seed, "--out", str(out)]) == 0
+            payloads.append(json.loads(out.read_text())["payload"])
+        maes = [[c["mae"] for c in p["candidates"]] for p in payloads]
+        assert maes[1] == maes[0] and maes[2] == maes[0]
+        assert payloads[1]["chosen"] == payloads[0]["chosen"] == payloads[2]["chosen"]
 
     @pytest.mark.parametrize("family_args", [
         ["--family", "sq", "--grid-q", "0.8,0.9"],
@@ -524,7 +547,7 @@ _PINNED_SHA256 = {
     "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
     "fit-sd.json": "0962139688b118046b9ea885c28855f793f18d023c153514f2a06f8f35a3068b",
     "fit-sq-shape.json": "187b80ecf069e749b294781144b351ef981c6ea156cc0301c87d9a8f3d170cd7",
-    "fit-huber-outliers.json": "dfc664f9c4bc4f1795e368cf02f09c95baa025e66a21c7fdc6544aaa9431b29b",
+    "fit-huber-outliers.json": "e34f8c8cb42686e890c328632eb78ecbf24f5e8abdc8b78f3b9d84f7ced72f53",
     "fit-combined.json": "8f9ba20148018a7cec97a34640a6b9d893a9fdee12c1dc97bedaf530d046a416",
     "fit-s-quad.json": "e0eab2c6f8245ffc08ea7b1ce2b6f2f59dd216cd55e6f5b66f09cb9ea2dc7ffd",
     "fit-objective.json": "f587a5c590e91d0d7ae1abe4905a849cf2e8fcdf4afd6eac9656c41e81371fc2",
@@ -535,11 +558,11 @@ _PINNED_SHA256 = {
     "fisher-huber.json": "e53e29a4008ea53675ac0027b6e0ee30b7f666af750f2ddceda04c80da46e71e",
     "fisher-combined.json": "1a92102b407499a52b500f7c59e10f3bd820d8eb6798957c0cfff5b0ed592c68",
     "fisher-combined-huber.json": "0d26bea5172e2eacf12823d0f706da8b952dacad4918f67a1f8b0da02752885e",
-    "tune-sd.json": "0bd8c206333e69ba09b9bb26e6970c3745625cf0b14d17696eebaaf9d28495a1",
-    "tune-sq.json": "5634d92ea96001b0d4991ccf781200b997435f304ab4341b979eb868080b4afa",
-    "tune-huber.json": "ffd0acd7aadf5fb98be8ff96f473c19ba8a6523c80d8214c17a577b8b06c2bc0",
-    "tune-combined.json": "0734ea2398777cde52869dd560ba03bb8a90bbc43cdba454f1062b653bdab545",
-    "tune-combined-huber.json": "f5273b538edea0681377106e3d71e90ba9d8bac4e5fd03296c0bbf16c8c59a89",
+    "tune-sd.json": "90486b932935ae4f1eb349d275a7cf53e96182487c540126775c25deb9b2b54f",
+    "tune-sq.json": "e6d502ab3de7c0d564dc2e3435b2cc150e64a5a62ddd3092bce6e4e8248d1b7a",
+    "tune-huber.json": "c72556c2f0b8b4db14321ddb25c9211040b361f0e62131df2b087271c0d535cd",
+    "tune-combined.json": "7cb05e1285c4eadb5829f9bc1e718b13fb89c5b849933afd6f8107f006dae4d4",
+    "tune-combined-huber.json": "a251bad1c5723be7efa079c9a877ad976cf92f194d38c57204a00c0d4760892a",
     "simulate-design1.csv": "4e9423d82e3f6d363f3175bc412663654552b45ec2106d7234f2856347e8c790",
     "simulate-file.csv": "ba686e87721755cf7cf71ed9b6ec19df3ee68610af850d235a0f16b7dd1aae8a",
 }

@@ -14,9 +14,9 @@ from epfit.scores import CombinedHuber, Distorted, Huber, Plain, QWeighted, Shap
 from epfit.select import (
     artificial_sample,
     evaluate_fit,
+    expected_mae,
     ic_scores,
     mae,
-    replicated_mae,
     tune,
     volume,
 )
@@ -126,85 +126,136 @@ class TestArtificialSamples:
         np.testing.assert_array_equal(a, b)
 
 
-def _looped_mae(data, params, family, seed, keys, sizes):
-    """replicated_mae as one artificial sample and one mae per key."""
-    return float(np.mean([
-        mae(data, artificial_sample(params, family, sizes,
-                                    np.random.SeedSequence(seed, spawn_key=key)))
-        for key in keys
-    ]))
+def replicated_mae(data, params, family, sizes, replications, seed):
+    """Monte Carlo oracle for expected_mae: the mean, and its standard
+    error, of the sorted MAE over replicated artificial samples, drawn as
+    artificial_sample draws them (per component the Gamma(1/alpha, 1)
+    variates, then the signs), all replications at once."""
+    rng = np.random.default_rng(seed)
+    shapes = (family.shapes.as_tuple() if family.shapes is not None
+              else (params.alpha,) * 3)
+    parts = []
+    for a, m in zip(shapes, sizes):
+        if m == 0:
+            continue
+        y = rng.standard_gamma(1.0 / a, size=(replications, m))
+        z = np.where(rng.random((replications, m)) < 0.5, -1.0, 1.0)
+        parts.append(params.mu + params.sigma * z * y ** (1.0 / a))
+    art = np.sort(np.concatenate(parts, axis=1), axis=1)
+    per_rep = np.mean(np.abs(np.sort(data) - art), axis=1)
+    return float(per_rep.mean()), float(per_rep.std(ddof=1) / math.sqrt(replications))
+
+
+def _contaminated(n, seed):
+    """n - 2 bulk draws and two far outliers, one on each side."""
+    bulk = sample(EpdParams(0.3, 1.4, 1.6), n - 2, seed)
+    return np.concatenate([bulk, [-6.5, 9.0]])
 
 
 class TestReplicatedMae:
-    # 160 replications of n = 110 span several blocks of the batched draws
-    KEYS = [(2, r + 1) for r in range(160)]
+    """expected_mae against the replicated Monte Carlo MAE it replaces:
+    within 4 standard errors of 20 000 replications, on small samples."""
+
+    REPS = 20_000
+
+    def _check(self, data, params, family, sizes, seed=1):
+        exact = expected_mae(data, params, family, sizes)
+        mean, se = replicated_mae(data, params, family, sizes, self.REPS, seed)
+        assert abs(exact - mean) < 4.0 * se, (exact, mean, se)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.3, 2.0, 3.7])
-    @pytest.mark.parametrize("family", [Plain(), Distorted(6e-3)])
+    @pytest.mark.parametrize("family", [Plain(), Distorted(6e-3), QWeighted(0.8), Huber(1.345)])
     def test_matches_per_replication_loop(self, family, alpha):
-        data = sample(EpdParams(0.3, 1.4, 1.6), 110, 21)
-        params = EpdParams(0.2, 1.1, alpha)
-        assert (replicated_mae(data, params, family, 9, self.KEYS)
-                == _looped_mae(data, params, family, 9, self.KEYS, (7, 101, 2)))
+        # at each family's own fit, as tune evaluates it
+        data = _contaminated(14, 21)
+        fit = fit_ee_location_scale(data, family, alpha=alpha)
+        self._check(data, fit.params, family, (7, 5, 2))
 
     def test_combined_branch_shapes(self):
-        data = sample(EpdParams(0.0, 1.0, 2.0), 110, 4)
-        family = CombinedHuber(ShapeTriple(1.4, 2.2, 3.1), 0.8, 1.2)
-        params = EpdParams(0.1, 0.9, 2.2)
-        assert (replicated_mae(data, params, family, 3, self.KEYS, (5, 98, 7))
-                == _looped_mae(data, params, family, 3, self.KEYS, (5, 98, 7)))
+        # one branch shape below 1 and two above
+        family = CombinedHuber(ShapeTriple(0.7, 2.2, 3.1), 0.8, 1.2)
+        self._check(_contaminated(14, 4), EpdParams(0.1, 0.9, 2.2), family, (3, 9, 2))
+
+    def test_zero_size_component(self):
+        family = CombinedHuber(ShapeTriple(1.4, 0.9, 3.1), 0.8, 1.2)
+        self._check(_contaminated(12, 5), EpdParams(0.1, 0.9, 0.9), family, (0, 9, 3))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_bulk_only_below_ten_observations(self, n):
         data = sample(EpdParams(0.0, 1.0, 1.5), n, 8)
         params = EpdParams(0.05, 1.2, 1.5)
-        assert (replicated_mae(data, params, Plain(), 6, self.KEYS)
-                == _looped_mae(data, params, Plain(), 6, self.KEYS, (0, n, 0)))
+        assert expected_mae(data, params, Plain()) == expected_mae(data, params, Plain(),
+                                                                   (0, n, 0))
+        self._check(data, params, Plain(), (0, n, 0))
+
+    def test_single_observation_closed_form(self):
+        # Laplace draws: E|X - c| = |c - mu| + sigma exp(-|c - mu| / sigma)
+        params = EpdParams(0.4, 1.3, 1.0)
+        for c in (-2.0, 0.4, 1.1, 7.5):
+            want = abs(c - 0.4) + 1.3 * math.exp(-abs(c - 0.4) / 1.3)
+            assert expected_mae([c], params, Plain()) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("family,alpha,sizes", [
+        (Plain(), 0.6, None),
+        (Distorted(6e-3), 2.0, None),
+        (CombinedHuber(ShapeTriple(1.1, 2.0, 2.6), 1.0, 1.2), 2.0, (7, 101, 2)),
+    ], ids=["plain", "distorted", "combined"])
+    def test_six_node_panels_agree_with_twenty(self, family, alpha, sizes, monkeypatch):
+        from epfit import select
+        from epfit.simulate import generate, reference_design
+        data = generate(reference_design(1), 99)
+        params = EpdParams(0.3, 1.2, alpha)
+        six = expected_mae(data, params, family, sizes)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        monkeypatch.setattr(select, "_GL_NODES", nodes)
+        monkeypatch.setattr(select, "_GL_WEIGHTS", weights)
+        assert six == pytest.approx(expected_mae(data, params, family, sizes), rel=1e-7)
 
     def test_sizes_must_sum_to_the_sample_size(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            replicated_mae(np.zeros(10), EpdParams(0, 1, 2), Plain(), 1, self.KEYS, (1, 8, 0))
+            expected_mae(np.zeros(10), EpdParams(0, 1, 2), Plain(), (1, 8, 0))
 
 
 class TestTune:
     def test_single_candidate_chosen(self):
         data = sample(EpdParams(0, 1, 2), 60, 12)
-        report = tune(data, [Distorted(0.0)], seed=5, alpha=2.0, replications=10)
+        report = tune(data, [Distorted(0.0)], alpha=2.0)
         assert report.chosen == 0
         assert report.candidates[0].error is None
 
     def test_clean_data_prefers_no_distortion(self):
         data = sample(EpdParams(0, 1, 2), 200, 2027)
-        report = tune(
-            data, [Distorted(0.0), Distorted(0.5)],
-            seed=5, alpha=2.0, replications=100,
-        )
+        report = tune(data, [Distorted(0.0), Distorted(0.5)], alpha=2.0)
         assert report.candidates[report.chosen].tuning["beta"] == 0.0
 
     def test_contaminated_data_prefers_distortion(self):
         from epfit.simulate import generate, reference_design
         data = generate(reference_design(1), 99)
-        report = tune(
-            data, [Distorted(0.0), Distorted(3e-3)],
-            seed=7, alpha=2.0, replications=120,
-        )
+        report = tune(data, [Distorted(0.0), Distorted(3e-3)], alpha=2.0)
         assert report.candidates[report.chosen].tuning["beta"] == pytest.approx(3e-3)
 
     def test_deterministic(self):
         data = sample(EpdParams(0, 1, 2), 80, 3)
-        a = tune(data, [Distorted(0.0), Distorted(0.01)], seed=9, alpha=2.0, replications=25)
-        b = tune(data, [Distorted(0.0), Distorted(0.01)], seed=9, alpha=2.0, replications=25)
+        a = tune(data, [Distorted(0.0), Distorted(0.01)], alpha=2.0)
+        b = tune(data, [Distorted(0.0), Distorted(0.01)], alpha=2.0)
         assert [c.mae for c in a.candidates] == [c.mae for c in b.candidates]
         assert a.chosen == b.chosen
+
+    def test_mae_is_the_expected_mae_of_each_fit(self):
+        data = sample(EpdParams(0, 1, 2), 50, 3)
+        family = CombinedHuber(ShapeTriple(1.6, 2.0, 2.5), 1.0, 1.2)
+        report = tune(data, [family], sizes=(4, 44, 2))
+        fit = report.candidates[0].fit
+        assert report.candidates[0].mae == expected_mae(data, fit.params, family, (4, 44, 2))
 
     def test_bad_sizes_rejected(self):
         data = sample(EpdParams(0, 1, 2), 50, 3)
         with pytest.raises(ValueError):
-            tune(data, [Plain()], seed=1, alpha=2.0, sizes=(10, 10, 10))
+            tune(data, [Plain()], alpha=2.0, sizes=(10, 10, 10))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            tune(np.zeros(10), [], seed=1)
+            tune(np.zeros(10), [])
 
 
 class TestEvaluateFit:

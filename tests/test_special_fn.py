@@ -203,3 +203,39 @@ class TestAgainstScipy:
         lower, upper = regularized_gamma(z, a)
         assert lower == pytest.approx(scipy.special.gammainc(z, a), rel=1e-11, abs=1e-300)
         assert upper == pytest.approx(scipy.special.gammaincc(z, a), rel=1e-11, abs=1e-300)
+
+
+class TestRegularizedGammaArrays:
+    # the shapes 1/alpha of the EP CDF at alpha = 0.3, 0.7, 1, 1.4 and 3
+    Z = (1.0 / 0.3, 1.0 / 0.7, 2.0, 1.0 / 1.4, 1.0 / 3.0)
+    T = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 400), [np.inf]])
+
+    @pytest.mark.parametrize("z", Z)
+    def test_against_scipy(self, z):
+        lower, upper = regularized_gamma(z, self.T)
+        assert lower.shape == upper.shape == self.T.shape
+        np.testing.assert_allclose(lower, scipy.special.gammainc(z, self.T),
+                                   rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(upper, scipy.special.gammaincc(z, self.T),
+                                   rtol=1e-13, atol=1e-300)
+
+    def test_broadcasts_and_matches_the_scalar_call(self):
+        z = np.array(self.Z)[:, None]
+        t = np.array([[0.0, 0.3, 1.5, 2.5, 40.0, np.inf]])
+        lower, upper = regularized_gamma(z, t)
+        assert lower.shape == (5, 6)
+        for i, j in np.ndindex(lower.shape):
+            pair = regularized_gamma(float(z[i, 0]), float(t[0, j]))
+            assert pair == pytest.approx((lower[i, j], upper[i, j]), rel=1e-14, abs=1e-300)
+
+    def test_scalar_gives_a_float_pair(self):
+        pair = regularized_gamma(2.0, 1.0)
+        assert isinstance(pair, tuple) and all(isinstance(v, float) for v in pair)
+
+    @pytest.mark.parametrize("z,a", [(np.array([1.0, 0.0]), 1.0),
+                                     (1.0, np.array([0.5, -1.0])),
+                                     (1.0, np.array([0.5, np.nan]))],
+                             ids=["z-zero", "a-negative", "a-nan"])
+    def test_domain(self, z, a):
+        with pytest.raises(DomainError):
+            regularized_gamma(z, a)

@@ -2,7 +2,9 @@
 
 perfbench/tracing.py counts fits and EE sweeps by rebinding names in
 the package's modules: ``fit_ee_location_scale`` wherever it is bound,
-and ``ee_weight``, ``density_weight`` and ``digamma`` in ``estimate``.
+``ee_weight``, ``density_weight`` and ``digamma`` in ``estimate``, and
+``artificial_sample`` and ``mae`` in ``select`` (installing fails if
+either is gone).
 A traced benchmark run fails when it sees fewer fits than it attempted,
 so these tests run the tracer here, on small inputs, without editing it.
 """
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epfit import estimate, scores, simulate
+from epfit import estimate, scores, select, simulate
 from epfit.epd import EpdParams, sample
 from epfit.scores import Distorted, Huber, QWeighted
 
@@ -80,3 +82,13 @@ def test_accelerated_shape_fit_is_seen(tracer):
     assert tracer.counts["estimate.iterations"] == result.iterations
     assert tracer.counts["estimate.shape_root_solves"] == result.iterations
     assert tracer.counts["scores.ee_weight_calls"] == result.iterations
+
+
+def test_tune_candidate_fits_are_each_seen(tracer):
+    data = simulate.generate(simulate.reference_design(1), np.random.SeedSequence(6))
+    candidates = [Distorted(0.0), Distorted(3e-3), Distorted(6e-3)]
+    report = select.tune(data, candidates, alpha=2.0)
+    assert tracer.counts["estimate.fits"] == 3
+    assert [family for _, family, _ in tracer.ee_fits] == candidates
+    assert ([result.params for _, _, result in tracer.ee_fits]
+            == [c.fit.params for c in report.candidates])
