@@ -8,13 +8,17 @@ whole arrays, in five generator calls whatever the population size
 (tournament entrants, crossover flags, cut points, mutation masks and
 mutation steps), and builds its children by fancy indexing.
 
-Both maximizers take a population-wise objective: ``f`` maps an (m, dim)
-array of points to the m objective values, so a whole GA generation is
-one call.
+Both maximizers take a population-wise, deterministic objective: ``f``
+maps an (m, dim) array of points to the m objective values, and a row's
+value depends on that row alone.  So a GA child that equals the parent
+it came from keeps the parent's value instead of being evaluated again,
+and each generation makes at most one call, holding the children that
+changed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,6 +54,8 @@ class GaConfig:
     def __post_init__(self):
         if self.population < 4:
             raise ValueError("population must be at least 4")
+        if self.generations < 1:
+            raise ValueError(f"generations must be at least 1, got {self.generations}")
         if not self.bounds:
             raise ValueError("bounds must be non-empty")
         for lo, hi in self.bounds:
@@ -72,9 +78,9 @@ def maximize(
     """Maximize f over the box in cfg.bounds.
 
     ``f`` is population-wise: it takes an (m, dim) array of points and
-    returns their m objective values, and each generation is evaluated
-    with one call.  A row's value must not depend on the other rows.
-    Non-finite evaluations count as -inf fitness.  ``seed_points`` are
+    returns their m objective values.  It must be deterministic, and a
+    row's value must not depend on the other rows.  Non-finite
+    evaluations count as -inf fitness.  ``seed_points`` are
     injected into the initial population (clipped to the box), which
     speeds up convergence without changing reachability.
 
@@ -85,7 +91,10 @@ def maximize(
     crossing pair swaps its coordinates from the cut on), then a
     mutation mask and a Gaussian step for every child coordinate, the
     step applied where the mask is set.  Children are clipped to the
-    box, and an odd last child is dropped.
+    box, and an odd last child is dropped.  A child equal to its source
+    parent (the tournament winner whose coordinates it starts from)
+    takes that parent's value, so a generation makes at most one call
+    of ``f``, on the children that changed, and none if none did.
     """
     rng = make_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
@@ -114,21 +123,28 @@ def maximize(
         entrants = rng.integers(0, cfg.population, size=(n_pairs, 2, 2))
         first, second = entrants[..., 0], entrants[..., 1]
         winners = np.where(fit[first] >= fit[second], first, second)
-        parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
+        parents = pop[winners]
         # with one coordinate every cut lands at 1 and nothing swaps
         crossed = rng.random(n_pairs) < _CROSSOVER_RATE
         cut = rng.integers(1, max(dim, 2), size=n_pairs)
         swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
-        children = np.stack([np.where(swap, parent_b, parent_a),
-                             np.where(swap, parent_a, parent_b)], axis=1)
+        # child k of a pair starts from parent k and takes the other
+        # parent's coordinates where the pair swaps
+        children = np.where(swap[:, None], parents[:, ::-1], parents)
         children = children.reshape(2 * n_pairs, dim)[:n_children]
         mutate = rng.random((n_children, dim)) < _MUTATION_RATE
         steps = rng.normal(0.0, _MUTATION_SCALE, size=(n_children, dim)) * width
         children = np.where(mutate, children + steps, children).clip(lo, hi)
 
-        # elites keep their known fitness; re-evaluation is redundant for a pure f
+        # elites, and children equal to their source parent, keep the
+        # known fitness; re-evaluation is redundant for a deterministic f
+        source = winners.reshape(-1)[:n_children]
+        child_fit = fit[source]
+        changed = (children != pop[source]).any(axis=1)
+        if changed.any():
+            child_fit[changed] = f(children[changed])
         pop = np.concatenate([pop[: _ELITISM], children])
-        fit = np.concatenate([fit[: _ELITISM], f(children)])
+        fit = np.concatenate([fit[: _ELITISM], child_fit])
 
     fit = np.where(np.isfinite(fit), fit, -np.inf)
     best = int(np.argmax(fit))
@@ -143,9 +159,10 @@ def polish(
 ) -> tuple[np.ndarray, float]:
     """Bounded Nelder-Mead refinement of a maximum.
 
-    ``f`` is population-wise, as for ``maximize``.  Candidate vertices
-    are projected onto the box.  Never returns a point with a smaller
-    objective than the start.
+    ``f`` is population-wise and deterministic, as for ``maximize``;
+    each reflection, expansion and contraction is a one-point call.
+    Candidate vertices are projected onto the box.  Never returns a
+    point with a smaller objective than the start.
     """
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -156,6 +173,11 @@ def polish(
         vals = np.asarray(f(np.clip(points, lo, hi)), dtype=float)
         return np.where(np.isfinite(vals), vals, -np.inf)
 
+    def g_point(point):
+        # one vertex, already projected onto the box
+        value = float(f(point[None])[0])
+        return value if math.isfinite(value) else -math.inf
+
     # initial simplex: perturb each coordinate by 5% of box width
     simplex = [start]
     for i in range(dim):
@@ -165,20 +187,22 @@ def polish(
         simplex.append(vertex)
     simplex = np.array(simplex)
     values = g(simplex)
+    start_val = values[0]
 
     for _ in range(_POLISH_ITERS * dim):
         order = np.argsort(-values)
         simplex, values = simplex[order], values[order]
-        if (np.max(np.abs(simplex[1:] - simplex[0])) < _POLISH_XATOL
-                and np.max(np.abs(values[0] - values[1:])) < _POLISH_FATOL):
+        if (np.abs(simplex[1:] - simplex[0]).max() < _POLISH_XATOL
+                and np.abs(values[0] - values[1:]).max() < _POLISH_FATOL):
             break
-        centroid = simplex[:-1].mean(axis=0)
+        # the mean of the dim best vertices, summed and divided as np.mean does
+        centroid = simplex[:-1].sum(axis=0) / dim
         worst = simplex[-1]
-        refl = np.clip(centroid + (centroid - worst), lo, hi)
-        f_refl = g(refl[None])[0]
+        refl = (centroid + (centroid - worst)).clip(lo, hi)
+        f_refl = g_point(refl)
         if f_refl > values[0]:
-            expa = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
-            f_expa = g(expa[None])[0]
+            expa = (centroid + 2.0 * (centroid - worst)).clip(lo, hi)
+            f_expa = g_point(expa)
             if f_expa > f_refl:
                 simplex[-1], values[-1] = expa, f_expa
             else:
@@ -186,8 +210,8 @@ def polish(
         elif f_refl > values[-2]:
             simplex[-1], values[-1] = refl, f_refl
         else:
-            contr = np.clip(centroid + 0.5 * (worst - centroid), lo, hi)
-            f_contr = g(contr[None])[0]
+            contr = (centroid + 0.5 * (worst - centroid)).clip(lo, hi)
+            f_contr = g_point(contr)
             if f_contr > values[-1]:
                 simplex[-1], values[-1] = contr, f_contr
             else:
@@ -195,7 +219,6 @@ def polish(
                 values[1:] = g(simplex[1:])
 
     best = int(np.argmax(values))
-    start_val = g(start[None])[0]
     if values[best] >= start_val:
         return simplex[best].copy(), float(values[best])
     return start, float(start_val)

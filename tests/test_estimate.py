@@ -469,14 +469,24 @@ class TestObjectiveRoutePinned:
         points = np.column_stack([
             rng.normal(0.0, 1.0, 200), rng.uniform(0.05, 5.0, 200), rng.uniform(0.1, 20.0, 200),
         ])
-        # numpy computes x**2 and x**0.5 by exact shortcuts when the
-        # exponent is one scalar; a one-ulp slip shows best in short samples
-        points[::2, 2] = np.tile([2.0, 0.5], 50)
+        # numpy computes x**-1, x**0, x**0.5, x**1 and x**2 by exact
+        # shortcuts when the exponent is one scalar; plant those shapes and
+        # a few other whole and half ones among the random shapes (a
+        # one-ulp slip shows best in short samples)
+        points[::2, 2] = np.tile([0.5, 1.0, 2.0, 3.0, 1.5, 4.0, 0.25, 10.0], 13)[:100]
         points[1, 1] = -1.0
         points[3, 2] = 0.0
+        points[5, 2] = -1.0
+        invalid = (1, 3, 5)
         values = objective_values(mode, data, points)
-        assert values[1] == values[3] == -np.inf
+        assert all(values[k] == -np.inf for k in invalid)
         for k, (row, v) in enumerate(zip(points, values)):
-            if k not in (1, 3):
+            # a one-row call takes the one-point path, held to the same bits
+            assert objective_values(mode, data, row[None]).tolist() == [v]
+            if k not in invalid:
                 assert v == float(np.sum(density(data, EpdParams(*row))))
                 assert v == objective_value(mode, data, EpdParams(*row))
+        # the rows do not depend on each other: any subset gives the same values
+        subset = [0, 1, 2, 7, 8, 199]
+        assert objective_values(mode, data, points[subset]).tolist() == values[subset].tolist()
+        assert objective_values(mode, data, np.array([[0.0, np.nan, 2.0]])).tolist() == [-np.inf]

@@ -68,6 +68,121 @@ class TestMaximize:
             GaConfig(bounds=())
         with pytest.raises(ValueError):
             GaConfig(bounds=((1.0, 1.0),))
+        # the rule of simulate's estimator specs and of fit --ga-gens
+        for generations in (0, -5):
+            with pytest.raises(ValueError, match="generations"):
+                GaConfig(bounds=((0.0, 1.0),), generations=generations)
+        GaConfig(bounds=((0.0, 1.0),), generations=1)
+
+
+def every_child_maximize(f, cfg, seed_points=None):
+    """Oracle: the GA loop that evaluates every child of every
+    generation, the way ``maximize`` did before children that copy
+    their source parent kept its value.
+
+    Returns the result and, per generation, the children that differ
+    from their source parent: the rows ``maximize`` has to evaluate.
+    """
+    rng = make_rng(cfg.seed)
+    lo = np.array([b[0] for b in cfg.bounds])
+    hi = np.array([b[1] for b in cfg.bounds])
+    dim = len(cfg.bounds)
+    width = hi - lo
+    elitism = optimize._ELITISM
+
+    pop = lo + rng.random((cfg.population, dim)) * width
+    if seed_points:
+        for i, pt in enumerate(seed_points[: cfg.population]):
+            pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
+    fit = np.asarray(f(pop), dtype=float)
+
+    n_children = cfg.population - elitism
+    n_pairs = (n_children + 1) // 2
+    history, changed = [], []
+    for _ in range(cfg.generations):
+        fit = np.where(np.isfinite(fit), fit, -np.inf)
+        order = np.argsort(-fit, kind="stable")
+        pop, fit = pop[order], fit[order]
+        history.append(float(fit[0]))
+
+        entrants = rng.integers(0, cfg.population, size=(n_pairs, 2, 2))
+        first, second = entrants[..., 0], entrants[..., 1]
+        winners = np.where(fit[first] >= fit[second], first, second)
+        parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
+        crossed = rng.random(n_pairs) < optimize._CROSSOVER_RATE
+        cut = rng.integers(1, max(dim, 2), size=n_pairs)
+        swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
+        children = np.stack([np.where(swap, parent_b, parent_a),
+                             np.where(swap, parent_a, parent_b)], axis=1)
+        children = children.reshape(2 * n_pairs, dim)[:n_children]
+        mutate = rng.random((n_children, dim)) < optimize._MUTATION_RATE
+        steps = rng.normal(0.0, optimize._MUTATION_SCALE, size=(n_children, dim)) * width
+        children = np.where(mutate, children + steps, children).clip(lo, hi)
+
+        parents = pop[winners.reshape(-1)[:n_children]]
+        changed.append(children[[not np.array_equal(c, p) for c, p in zip(children, parents)]])
+        pop = np.concatenate([pop[:elitism], children])
+        fit = np.concatenate([fit[:elitism], f(children)])
+
+    fit = np.where(np.isfinite(fit), fit, -np.inf)
+    best = int(np.argmax(fit))
+    history.append(float(fit[best]))
+    return optimize.GaResult(pop[best].copy(), float(fit[best]), history), changed
+
+
+def _bowl(x):
+    return -np.sum((x - 0.3) ** 2, axis=-1)
+
+
+def _holed_bowl(x):
+    # NaN on part of the box, which ranks as -inf
+    return np.where(x[:, 0] + x[:, -1] < -0.5, np.nan, _bowl(x))
+
+
+def _terraces(x):
+    # many exact ties, so the stable sort and the tournaments decide
+    return np.floor(4.0 * np.cos(3.0 * x[:, 0]) + np.sum(x, axis=-1))
+
+
+class TestChildrenKeepTheirParentsValue:
+    """``maximize`` against the evaluate-every-child loop."""
+
+    @pytest.mark.parametrize("f", [_bowl, _holed_bowl, _terraces])
+    @pytest.mark.parametrize("population", [4, 7, 12, 50])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 5, 23])
+    def test_matches_the_every_child_loop(self, f, population, dim, seed):
+        cfg = GaConfig(bounds=((-1.0, 1.0),) * dim, population=population,
+                       generations=30, seed=seed)
+        seeds = [np.full(dim, 0.25), np.full(dim, 7.0)] if seed == 5 else None
+        expected, changed = every_child_maximize(f, cfg, seeds)
+        calls = []
+
+        def recording(x):
+            calls.append(x.copy())
+            return f(x)
+
+        res = maximize(recording, cfg, seeds)
+        assert res.best_point.tobytes() == expected.best_point.tobytes()
+        assert res.best_value == expected.best_value
+        assert res.history == expected.history
+        # the initial population, then exactly the changed children of
+        # each generation that has any, in one call
+        assert len(calls) == 1 + sum(len(c) > 0 for c in changed)
+        for got, want in zip(calls[1:], [c for c in changed if len(c)]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_most_children_are_not_evaluated(self):
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            return _bowl(x)
+
+        cfg = GaConfig(bounds=((-1.0, 1.0),) * 3, seed=1)
+        maximize(f, cfg)
+        # most children neither cross nor mutate
+        assert sum(rows[1:]) < 0.5 * cfg.generations * (cfg.population - optimize._ELITISM)
 
 
 class _CountingRng:
@@ -90,6 +205,14 @@ class _CountingRng:
 class TestWholeGenerationDraws:
     GENERATIONS = 10
 
+    @staticmethod
+    def _f(x):
+        return -np.sum(x**2, axis=-1)
+
+    def _cfg(self, population):
+        return GaConfig(bounds=((-1.0, 1.0),) * 3, population=population,
+                        generations=self.GENERATIONS, seed=5)
+
     def _run(self, monkeypatch, population):
         proxies = []
 
@@ -101,11 +224,12 @@ class TestWholeGenerationDraws:
         batches = []
 
         def f(x):
-            batches.append(len(x))
-            return -np.sum(x**2, axis=-1)
+            # the draws made before this call: one for the initial
+            # population, then the same number per generation
+            batches.append((proxies[0].calls, x.copy()))
+            return self._f(x)
 
-        maximize(f, GaConfig(bounds=((-1.0, 1.0),) * 3, population=population,
-                             generations=self.GENERATIONS, seed=5))
+        maximize(f, self._cfg(population))
         return proxies[0].calls, batches
 
     def test_draws_do_not_grow_with_the_population(self, monkeypatch):
@@ -117,9 +241,17 @@ class TestWholeGenerationDraws:
 
     @pytest.mark.parametrize("population", [12, 200])
     def test_one_objective_call_per_generation(self, monkeypatch, population):
-        _, batches = self._run(monkeypatch, population)
-        # the initial population, then the non-elite children of each generation
-        assert batches == [population] + [population - optimize._ELITISM] * self.GENERATIONS
+        draws, batches = self._run(monkeypatch, population)
+        assert draws == self._run(monkeypatch, 4)[0]
+        per_generation = (draws - 1) // self.GENERATIONS
+        # the initial population, then at most one call per generation,
+        # holding exactly the children that differ from their source parent
+        _, changed = every_child_maximize(self._f, self._cfg(population))
+        expected = [(1 + per_generation * (g + 1), c) for g, c in enumerate(changed) if len(c)]
+        assert [n for n, _ in batches[1:]] == [n for n, _ in expected]
+        assert batches[0][0] == 1 and len(batches[0][1]) == population
+        for (_, got), (_, want) in zip(batches[1:], expected):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPolish:
