@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -514,6 +515,7 @@ class _JsonArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parsing leaves the parser as it was: one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _JsonArgumentParser(
         prog="epfit",

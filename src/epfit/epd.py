@@ -151,9 +151,15 @@ def cdf(x, p: EpdParams):
     accuracy.  Exactly 0.5 at x = mu, 0 and 1 at -inf and inf.
     """
     x = np.asarray(x, dtype=float)
-    y = (x - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        t = np.abs(y) ** p.alpha
-    lower, upper = regularized_gamma(1.0 / p.alpha, t)
-    out = np.where(y < 0.0, 0.5 * upper, 0.5 + 0.5 * lower)
+    out = _standard_cdf((x - p.mu) / p.sigma, p.alpha)
     return out if out.ndim else float(out)
+
+
+def _standard_cdf(y, alpha: float) -> np.ndarray:
+    """CDF of the standardized EP law of shape alpha, elementwise over y:
+    each value depends only on its own y, so standardized points of
+    several EP laws sharing the shape can be evaluated in one call."""
+    with np.errstate(over="ignore"):
+        t = np.abs(y) ** alpha
+    lower, upper = regularized_gamma(1.0 / alpha, t)
+    return np.where(y < 0.0, 0.5 * upper, 0.5 + 0.5 * lower)

@@ -254,32 +254,35 @@ class _AlphaResidual:
     def __init__(self, data, mu, sigma, q, beta):
         y = np.abs(np.asarray(data, dtype=float) - mu) / sigma
         self.zero = y < 1e-12
+        self.any_zero = bool(self.zero.any())
         self.log_y = np.log(np.where(self.zero, 1.0, y))
         self.n_total = len(y)
-        self.sigma = sigma
+        self.log_2sigma = math.log(2.0 * sigma)
         self.weight = likelihood_weight(q, beta)
 
     def __call__(self, alpha: float) -> float:
         # near-zero residuals: |y|^alpha -> 0 and the log term vanishes,
         # but the point still carries its density weight below
         with np.errstate(over="ignore", invalid="ignore"):
-            pow_a = np.where(self.zero, 0.0, np.exp(alpha * self.log_y))
+            pow_a = np.exp(alpha * self.log_y)
+            if self.any_zero:
+                pow_a = np.where(self.zero, 0.0, pow_a)
             pow_log = pow_a * self.log_y
             if self.weight is not None:
-                log_c = (
-                    math.log(alpha) - math.log(2.0 * self.sigma)
-                    - log_gamma(1.0 / alpha)
-                )
+                log_c = math.log(alpha) - self.log_2sigma - log_gamma(1.0 / alpha)
                 w = self.weight(log_c - pow_a)
-                sw = float(np.sum(w))
+                sw = float(w.sum())
                 if sw <= 0.0:
                     raise DegenerateDataError("shape-equation weights vanished")
-                # overflowing residual powers carry vanishing weights;
-                # their weighted contribution tends to zero
                 contrib = w * pow_log
-                mean_pl = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)) / sw)
+                total = contrib.sum()
+                if not math.isfinite(total):
+                    # overflowing residual powers carry vanishing weights;
+                    # their weighted contribution tends to zero
+                    total = np.where(np.isfinite(contrib), contrib, 0.0).sum()
+                mean_pl = float(total / sw)
             else:
-                mean_pl = float(np.sum(pow_log)) / self.n_total
+                mean_pl = float(pow_log.sum()) / self.n_total
         return 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - mean_pl
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, cdf, make_rng, sample
+from .epd import EpdParams, _standard_cdf, cdf, make_rng, sample
 from .estimate import FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
@@ -184,7 +184,8 @@ def expected_mae(data, params: EpdParams, family,
     The integrand vanishes right of the largest observation and is
     E[N(x)] left of the smallest, integrated there in closed form.  In
     between, 6-point Gauss-Legendre panels run between consecutive
-    observations, split at mu and at the tail break points.
+    observations, split at mu and at the tail break points.  This is the
+    one-fit case of the pass ``tune`` makes over its whole grid.
     """
     c = np.sort(np.asarray(data, dtype=float))
     n = c.size
@@ -192,6 +193,21 @@ def expected_mae(data, params: EpdParams, family,
         sizes = _default_sizes(n)
     if sum(sizes) != n:
         raise ValueError(f"length mismatch: {n} vs {sum(sizes)}")
+    return _expected_maes(c, [(params, family)], sizes)[0]
+
+
+@dataclass
+class _MaeTerms:
+    """One fit's share of the expected MAE before the CDF pass."""
+
+    comps: list  # (EpdParams with each distinct shape, its draw count)
+    left: float  # closed-form integral left of the smallest observation
+    y: np.ndarray  # standardized panel nodes
+    w: np.ndarray  # panel weights
+    below: np.ndarray  # observations at or below each node's panel
+
+
+def _mae_terms(c: np.ndarray, params: EpdParams, family, sizes) -> _MaeTerms:
     counts: dict[float, int] = {}
     for a, m in zip(_component_shapes(params, family), sizes):
         if m > 0:
@@ -209,17 +225,43 @@ def expected_mae(data, params: EpdParams, family,
     x = (0.5 * (hi + lo)[:, None] + half * _GL_NODES).ravel()
     w = (half * _GL_WEIGHTS).ravel()
     below = np.repeat(np.searchsorted(c, lo, side="right"), _GL_NODES.size)
-    probs = [cdf(x, p) for p, _ in comps]
+    return _MaeTerms(comps, left, (x - params.mu) / params.sigma, w, below)
 
+
+def _mae_sum(c: np.ndarray, params: EpdParams, terms: _MaeTerms, probs) -> float:
+    """The expected MAE from the CDF of each component at the nodes."""
+    n = c.size
     inner = 0.0
     j = np.arange(n + 1)
-    for s in range(0, x.size, _NODE_BLOCK):
+    for s in range(0, terms.w.size, _NODE_BLOCK):
         block = slice(s, s + _NODE_BLOCK)
         pmf = functools.reduce(_convolve_rows, [
-            _binomial_pmf(prob[block], m) for prob, (_, m) in zip(probs, comps)])
-        excess = np.maximum(j - below[block, None], 0)
-        inner += float(w[block] @ np.sum(pmf * excess, axis=1))
-    return params.mu - float(np.mean(c)) + 2.0 / n * (left + inner)
+            _binomial_pmf(prob[block], m) for prob, (_, m) in zip(probs, terms.comps)])
+        excess = np.maximum(j - terms.below[block, None], 0)
+        inner += float(terms.w[block] @ np.sum(pmf * excess, axis=1))
+    return params.mu - float(np.mean(c)) + 2.0 / n * (terms.left + inner)
+
+
+def _expected_maes(c: np.ndarray, fits: list, sizes) -> list[float]:
+    """``expected_mae`` of each (params, family) pair of ``fits`` on the
+    sorted data c.
+
+    The nodes of all pairs meet the incomplete gamma function together,
+    one call per distinct component shape, so its series and continued
+    fraction loops run once per grid, not once per fit.  Each CDF value
+    depends on its own node alone, so the result of every pair is the
+    one it gets alone; the count probabilities and the sums stay per fit.
+    """
+    terms = [_mae_terms(c, params, family, sizes) for params, family in fits]
+    by_shape: dict[float, list] = {}
+    for t in terms:
+        for p, _ in t.comps:
+            by_shape.setdefault(p.alpha, []).append(t.y)
+    cdfs = {a: iter(np.split(_standard_cdf(np.concatenate(ys), a),
+                             np.cumsum([y.size for y in ys[:-1]])))
+            for a, ys in by_shape.items()}
+    return [_mae_sum(c, params, t, [next(cdfs[p.alpha]) for p, _ in t.comps])
+            for (params, _), t in zip(fits, terms)]
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:
@@ -284,10 +326,12 @@ def tune(
     is fitted by its estimating equations, its volume and criteria are
     recorded, and its mean absolute error is the exact expected sorted
     mean absolute error against artificial samples drawn from the fitted
-    parameters (``expected_mae``).  The smallest mean absolute error
-    wins; candidates within 1% of it are re-ranked by volume and then
-    the Bayesian-penalty criterion.  Deterministic for a fixed candidate
-    order: no random draws are made.
+    parameters (``expected_mae``), computed for the whole grid with one
+    incomplete-gamma pass per distinct component shape.  A candidate
+    whose fit or mean absolute error fails is recorded with its error.
+    The smallest mean absolute error wins; candidates within 1% of it
+    are re-ranked by volume and then the Bayesian-penalty criterion.
+    Deterministic for a fixed candidate order: no random draws are made.
     """
     data = np.asarray(data, dtype=float)
     if not candidates:
@@ -298,21 +342,37 @@ def tune(
     if sum(sizes) != n:
         raise ValueError(f"component sizes {sizes} must sum to the sample size {n}")
 
-    records = []
+    fits = []
     for cand in candidates:
-        label = _label_of(cand)
         try:
-            fit = evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha))
-            records.append(CandidateRecord(
-                label=label, tuning=cand.tuning(), fit=fit,
-                volume=fit.volume, aic=fit.ic[0], caic=fit.ic[1], bic=fit.ic[2],
-                mae=expected_mae(data, fit.params, cand, sizes),
-            ))
+            fits.append(evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha)))
         except Exception as exc:  # candidate-level failure is data, not fatal
+            fits.append(exc)
+    c = np.sort(data)
+    fitted = [(fit.params, cand) for fit, cand in zip(fits, candidates)
+              if not isinstance(fit, Exception)]
+    try:
+        maes = iter(_expected_maes(c, fitted, sizes))
+    except Exception:  # one candidate at a time, so a failure stays with its own
+        maes = None
+    records = []
+    for cand, fit in zip(candidates, fits):
+        if not isinstance(fit, Exception):
+            try:
+                mae = (next(maes) if maes is not None
+                       else _expected_maes(c, [(fit.params, cand)], sizes)[0])
+            except Exception as exc:
+                fit = exc
+        if isinstance(fit, Exception):
             records.append(CandidateRecord(
-                label=label, tuning=cand.tuning(), fit=None,
+                label=_label_of(cand), tuning=cand.tuning(), fit=None,
                 volume=math.inf, aic=math.nan, caic=math.nan, bic=math.nan,
-                mae=math.inf, error=f"{type(exc).__name__}: {exc}",
+                mae=math.inf, error=f"{type(fit).__name__}: {fit}",
+            ))
+        else:
+            records.append(CandidateRecord(
+                label=_label_of(cand), tuning=cand.tuning(), fit=fit,
+                volume=fit.volume, aic=fit.ic[0], caic=fit.ic[1], bic=fit.ic[2], mae=mae,
             ))
 
     usable = [r for r in records if r.error is None]

@@ -364,11 +364,15 @@ _GW = np.zeros(15)
 _GW[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _gk15(f: Callable, lo: float, hi: float):
+def _panel_nodes(lo: float, hi: float):
+    """Half the width of the panel [lo, hi] and its 15 nodes."""
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _NODES
-    fx = np.asarray(f(x), dtype=float)
+    return half, 0.5 * (hi + lo) + half * _NODES
+
+
+def _gk15(fx: np.ndarray, half: float):
+    """Kronrod estimate and error bound of one panel from its 15
+    integrand values (last axis, contiguous) and half its width."""
     # Integrable singularities evaluate non-finite at isolated nodes; the
     # offending node is dropped and refinement recovers the nearby mass.
     fx = np.where(np.isfinite(fx), fx, 0.0)
@@ -418,7 +422,9 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
     or to a (k, nodes) stack whose k components are integrated together:
     value and error are then length-k arrays, each component is judged
     against its own max(abs_tol, rel_tol |value|), and the panel with the
-    largest error relative to those tolerances is split next.  Raises
+    largest error relative to those tolerances is split next.  The two
+    halves of a split panel are evaluated together, in one 30-node call
+    of the integrand, so it must act elementwise on its abscissae.  Raises
     :class:`QuadratureError` (carrying the best estimate) when the
     tolerance cannot be met within ``spec.max_subdivisions`` splits.
     """
@@ -434,7 +440,8 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
     def excess(total, err):
         return np.max(err / np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
 
-    total, total_err = _gk15(g, lo, hi)
+    half, x = _panel_nodes(lo, hi)
+    total, total_err = _gk15(np.asarray(g(x), dtype=float), half)
     heap = [(-excess(total, total_err), lo, hi, total, total_err)]
     splits = 0
     while excess(total, total_err) > 1.0:
@@ -447,8 +454,13 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
             )
         _, ilo, ihi, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ilo + ihi)
-        lval, lerr = _gk15(g, ilo, mid)
-        rval, rerr = _gk15(g, mid, ihi)
+        # both halves in one integrand call; each reaches the reduction
+        # as its own contiguous array, as a single-panel call would
+        lhalf, lx = _panel_nodes(ilo, mid)
+        rhalf, rx = _panel_nodes(mid, ihi)
+        fx = np.asarray(g(np.concatenate([lx, rx])), dtype=float)
+        lval, lerr = _gk15(np.ascontiguousarray(fx[..., :15]), lhalf)
+        rval, rerr = _gk15(np.ascontiguousarray(fx[..., 15:]), rhalf)
         # rebinding, not +=: the heap still holds the arrays of earlier panels
         total = total + ((lval + rval) - ival)
         total_err = total_err + ((lerr + rerr) - ierr)

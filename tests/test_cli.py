@@ -3,6 +3,7 @@ schema and byte-level reproducibility."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import epfit
 from epfit.cli import (
     IngestError,
     add_outliers,
@@ -306,6 +308,35 @@ class TestFisherCommand:
         assert err["error"]["kind"] == "usage"
         assert "--dim 3" in err["error"]["message"]
         assert not out.exists()
+
+
+def test_usage_error_leaves_the_next_commands_as_in_a_fresh_process(sample_file, tmp_path,
+                                                                    monkeypatch, capsys):
+    # one parser serves every dispatch of a process
+    commands = [
+        ("fit.json", ["fit", "--data", str(sample_file), "--score", "sq", "--q", "0.8",
+                      "--estimate-alpha", "--mae-reps", "5", "--seed", "2"]),
+        ("tune.json", ["tune", "--data", str(sample_file), "--family", "sd",
+                       "--grid-beta", "0:0.01:0.005", "--alpha", "2.1", "--seed", "3"]),
+    ]
+    fresh, same = tmp_path / "fresh", tmp_path / "same"
+    fresh.mkdir()
+    same.mkdir()
+    src = str(Path(epfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for out, args in commands:
+        res = subprocess.run([sys.executable, "-m", "epfit.cli", *args, "--out", out],
+                             capture_output=True, text=True, cwd=fresh, env=env)
+        assert res.returncode == 0, res.stderr
+    monkeypatch.chdir(same)
+    for bad in (["fit", "--data", str(sample_file), "--score", "nope", "--out", "x.json"],
+                ["tune", "--data", str(sample_file), "--family", "sd", "--made-up-flag", "1",
+                 "--seed", "3", "--out", "x.json"]):
+        assert dispatch(bad) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "usage"
+    for out, args in commands:
+        assert dispatch([*args, "--out", out]) == 0
+        assert (same / out).read_bytes() == (fresh / out).read_bytes(), out
 
 
 class TestSimulateCommand:

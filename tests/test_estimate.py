@@ -3,6 +3,7 @@ objective route."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from epfit.estimate import (
     objective_value,
     objective_values,
 )
-from epfit.scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple, psi_vector
+from epfit.scores import CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple, likelihood_weight, psi_vector
+from epfit.special_fn import digamma, log_gamma
 from epfit.simulate import generate, reference_design
 
 
@@ -292,6 +294,96 @@ class TestShapeRootSolver:
                 again = fit_ee_alpha(data, current, q=q, beta=beta, hint=root * factor)
                 assert residual_evals[0] <= 15
                 assert again == pytest.approx(root, rel=1e-12)
+
+
+class _EveryCallResidual:
+    """Reference for the shape residual: its evaluation as it redid the
+    zero mask, log(2 sigma) and the finite mask on every call."""
+
+    def __init__(self, data, mu, sigma, q, beta):
+        y = np.abs(np.asarray(data, dtype=float) - mu) / sigma
+        self.zero = y < 1e-12
+        self.log_y = np.log(np.where(self.zero, 1.0, y))
+        self.n_total = len(y)
+        self.sigma = sigma
+        self.weight = likelihood_weight(q, beta)
+
+    def __call__(self, alpha):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pow_a = np.where(self.zero, 0.0, np.exp(alpha * self.log_y))
+            pow_log = pow_a * self.log_y
+            if self.weight is not None:
+                log_c = (
+                    math.log(alpha) - math.log(2.0 * self.sigma)
+                    - log_gamma(1.0 / alpha)
+                )
+                w = self.weight(log_c - pow_a)
+                sw = float(np.sum(w))
+                if sw <= 0.0:
+                    raise DegenerateDataError("shape-equation weights vanished")
+                contrib = w * pow_log
+                mean_pl = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)) / sw)
+            else:
+                mean_pl = float(np.sum(pow_log)) / self.n_total
+        return 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - mean_pl
+
+
+class TestShapeResidualSetUp:
+    """The shape residual against _EveryCallResidual, bit for bit."""
+
+    LIKELIHOODS = [(1.0, 0.0), (0.8, 0.0), (0.625, 0.0), (1.0, 6e-3), (1.0, 3e-3)]
+    ALPHAS = np.geomspace(0.05, 50.0, 61)
+
+    @staticmethod
+    def _outcome(g, alpha):
+        try:
+            return g(alpha).hex()
+        except DegenerateDataError as exc:
+            return str(exc)
+
+    def _check(self, data, mu, sigma, q, beta):
+        new = epfit.estimate._AlphaResidual(data, mu, sigma, q, beta)
+        ref = _EveryCallResidual(data, mu, sigma, q, beta)
+        got = [self._outcome(new, a) for a in self.ALPHAS]
+        assert got == [self._outcome(ref, a) for a in self.ALPHAS]
+        return got
+
+    @pytest.mark.parametrize("q, beta", LIKELIHOODS)
+    def test_reference_sample(self, q, beta):
+        data = reference_samples()["contaminated"]
+        self._check(data, *SHAPE_ROOT_START, q, beta)
+
+    @pytest.mark.parametrize("q, beta", LIKELIHOODS)
+    def test_residual_exactly_zero(self, q, beta):
+        data = reference_samples()["contaminated"]
+        self._check(data, float(data[7]), 0.6, q, beta)
+
+    @pytest.mark.parametrize("q, beta", LIKELIHOODS)
+    def test_overflowing_powers(self, q, beta):
+        # |y|^alpha overflows for the far point from alpha about 1.5: its
+        # weighted term is inf * 0, which the residual drops
+        data = np.concatenate([reference_samples()["contaminated"], [1e200]])
+        got = self._check(data, 0.1, 0.6, q, beta)
+        tail = [float.fromhex(v) for v in got[-20:]]
+        if (q, beta) == (1.0, 0.0):
+            assert tail == [-math.inf] * 20
+        else:
+            assert all(math.isfinite(v) for v in tail)
+
+    @pytest.mark.parametrize("q, beta", [(0.625, 0.0), (1.0, 6e-3)])
+    def test_vanishing_weights(self, q, beta):
+        data = np.array([1e6, -2e6, 3e6])
+        got = self._check(data, 0.0, 1e-3, q, beta)
+        assert "shape-equation weights vanished" in got
+
+    @pytest.mark.parametrize("q, beta", LIKELIHOODS)
+    def test_roots_unchanged(self, q, beta, monkeypatch):
+        data = reference_samples()["contaminated"]
+        cases = [(EpdParams(*SHAPE_ROOT_START, 2.0), None), (EpdParams(0.05, 1.1, 2.0), 1.7),
+                 (EpdParams(float(data[7]), 0.6, 2.0), 1.2)]
+        got = [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
+        monkeypatch.setattr(epfit.estimate, "_AlphaResidual", _EveryCallResidual)
+        assert got == [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
 
 
 # Objective-route fits recorded before the GA evaluated its population

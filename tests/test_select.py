@@ -1,16 +1,20 @@
 """Model-selection tools: volume, criteria, sorted mean absolute error
 and the tuning grid search."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epfit.epd import EpdParams, sample
+from epfit import select
+from epfit.epd import EpdParams, cdf, sample
 from epfit.estimate import fit_ee_location_scale
 from epfit.fisher import FisherMatrix, fisher_for_family
-from epfit.scores import CombinedHuber, Distorted, Huber, Plain, QWeighted, ShapeTriple
+from epfit.scores import (
+    CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
+)
 from epfit.select import (
     artificial_sample,
     evaluate_fit,
@@ -256,6 +260,137 @@ class TestTune:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             tune(np.zeros(10), [])
+
+
+def one_fit_mae(data, params, family, sizes):
+    """Reference for the grid MAE: expected_mae as it computed one fit
+    at a time, with one CDF call per component shape of that fit."""
+    c = np.sort(np.asarray(data, dtype=float))
+    n = c.size
+    counts = {}
+    for a, m in zip(select._component_shapes(params, family), sizes):
+        if m > 0:
+            counts[a] = counts.get(a, 0) + m
+    comps = [(EpdParams(params.mu, params.sigma, a), m) for a, m in counts.items()]
+    left = sum(m * select._integrated_cdf(float(c[0]), p) for p, m in comps)
+    breaks = np.concatenate([[params.mu]] + [
+        params.mu + params.sigma * np.concatenate([-r, r])
+        for r in (select._TAIL_BREAKS ** (1.0 / p.alpha) for p, _ in comps)])
+    edges = np.sort(np.concatenate([c, breaks[(breaks > c[0]) & (breaks < c[-1])]]))
+    keep = edges[1:] > edges[:-1]
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    half = 0.5 * (hi - lo)[:, None]
+    x = (0.5 * (hi + lo)[:, None] + half * select._GL_NODES).ravel()
+    w = (half * select._GL_WEIGHTS).ravel()
+    below = np.repeat(np.searchsorted(c, lo, side="right"), select._GL_NODES.size)
+    probs = [cdf(x, p) for p, _ in comps]
+    inner = 0.0
+    j = np.arange(n + 1)
+    for s in range(0, x.size, select._NODE_BLOCK):
+        block = slice(s, s + select._NODE_BLOCK)
+        pmf = functools.reduce(select._convolve_rows, [
+            select._binomial_pmf(prob[block], m) for prob, (_, m) in zip(probs, comps)])
+        excess = np.maximum(j - below[block, None], 0)
+        inner += float(w[block] @ np.sum(pmf * excess, axis=1))
+    return params.mu - float(np.mean(c)) + 2.0 / n * (left + inner)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestGridMae:
+    """tune's one-pass MAE over its grid against one_fit_mae, bit for bit."""
+
+    FAMILIES = [
+        Plain(), QWeighted(0.8), QWeighted(0.625), Distorted(6e-3), Distorted(0.0),
+        Huber(1.345),
+        CombinedPlain(ShapeTriple(1.6, 2.0, 2.5), 0.7, 1.1),
+        CombinedHuber(ShapeTriple(0.7, 2.0, 3.1), 0.8, 1.2),
+    ]
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        from epfit.simulate import generate, reference_design
+        return generate(reference_design(1), 99)
+
+    def _grid(self, data, fits, sizes):
+        return select._expected_maes(np.sort(data), fits, sizes)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.3])
+    def test_tune_grid_matches_one_fit_at_a_time(self, data, alpha):
+        # every family at once: shape 2 is shared by most components,
+        # and the combined triples add branch shapes of their own
+        report = tune(data, self.FAMILIES, alpha=alpha)
+        sizes = select._default_sizes(len(data))
+        assert all(r.error is None for r in report.candidates)
+        want = [one_fit_mae(data, r.fit.params, fam, sizes)
+                for r, fam in zip(report.candidates, self.FAMILIES)]
+        assert _bits([r.mae for r in report.candidates]) == _bits(want)
+        alone = [expected_mae(data, r.fit.params, fam)
+                 for r, fam in zip(report.candidates, self.FAMILIES)]
+        assert _bits(alone) == _bits(want)
+
+    def test_grid_mixing_shapes_and_sizes(self, data):
+        # fitted shapes that differ per fit, a shape shared by a plain fit
+        # and a combined branch, and a zero-size component
+        fits = [(EpdParams(0.3, 1.2, 0.9), Plain()),
+                (EpdParams(0.25, 1.1, 2.0), QWeighted(0.8)),
+                (EpdParams(0.1, 0.9, 3.7), Distorted(6e-3)),
+                (EpdParams(0.2, 1.0, 2.0), CombinedHuber(ShapeTriple(0.9, 2.0, 3.7), 0.8, 1.2)),
+                (EpdParams(0.2, 1.3, 2.5), CombinedPlain(ShapeTriple(1.4, 2.5, 0.9), 0.6, 1.0))]
+        for sizes in [(7, 101, 2), (0, 107, 3), (5, 105, 0), (0, 110, 0)]:
+            got = self._grid(data, fits, sizes)
+            want = [one_fit_mae(data, p, fam, sizes) for p, fam in fits]
+            assert _bits(got) == _bits(want)
+
+    def test_single_observation(self):
+        fits = [(EpdParams(0.4, 1.3, 1.0), Plain()), (EpdParams(0.1, 0.8, 1.0), Huber(1.5))]
+        got = self._grid([1.1], fits, (0, 1, 0))
+        assert _bits(got) == _bits([one_fit_mae([1.1], p, f, (0, 1, 0)) for p, f in fits])
+
+    @pytest.mark.parametrize("stage, error", [
+        ("terms", "ArithmeticError: planted"),
+        ("cdf", "DomainError: regularized_gamma requires a >= 0, got nan"),
+        ("sum", "ArithmeticError: planted"),
+    ])
+    def test_failure_stays_with_its_candidate(self, data, monkeypatch, stage, error):
+        # the middle candidate of three sharing shape 2 fails in one stage
+        # of its MAE; the others keep their values bit for bit
+        cands = [Distorted(0.0), Distorted(3e-3), Distorted(6e-3)]
+        clean = tune(data, cands, alpha=2.0)
+        bad = clean.candidates[1].fit.params
+
+        def planted(real, stage_of):
+            def wrapper(*args):
+                if stage_of(*args) == bad:
+                    if stage == "cdf":
+                        out = real(*args)
+                        out.y = np.where(np.arange(out.y.size) == 3, math.nan, out.y)
+                        return out
+                    raise ArithmeticError("planted")
+                return real(*args)
+            return wrapper
+
+        if stage == "terms":
+            monkeypatch.setattr(select, "_integrated_cdf", planted(
+                select._integrated_cdf, lambda t, p: p))
+        elif stage == "cdf":
+            monkeypatch.setattr(select, "_mae_terms", planted(
+                select._mae_terms, lambda c, params, family, sizes: params))
+        else:
+            monkeypatch.setattr(select, "_mae_sum", planted(
+                select._mae_sum, lambda c, params, terms, probs: params))
+        report = tune(data, cands, alpha=2.0)
+        failed = report.candidates[1]
+        assert failed.error == error
+        assert failed.fit is None and failed.mae == math.inf and failed.volume == math.inf
+        for i in (0, 2):
+            assert report.candidates[i].error is None
+            assert report.candidates[i].mae == clean.candidates[i].mae
+        assert report.chosen != 1
+        with pytest.raises((ArithmeticError, ValueError)):
+            expected_mae(data, bad, cands[1])
 
 
 class TestEvaluateFit:

@@ -1,6 +1,7 @@
 """Special-function kernel: known values, dual-route cross-checks and
 analytic identities."""
 
+import heapq
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, strategies as st
 
+from epfit import special_fn
 from epfit.special_fn import (
     DomainError,
     QuadratureError,
@@ -156,6 +158,125 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def _one_panel_gk15(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = mid + half * special_fn._NODES
+    fx = np.asarray(f(x), dtype=float)
+    fx = np.where(np.isfinite(fx), fx, 0.0)
+    kronrod = half * (fx @ special_fn._KW)
+    err = np.abs(kronrod - half * (fx @ special_fn._GW))
+    mean = 0.5 * (fx @ special_fn._KW)
+    resasc = abs(half) * (np.abs(fx - mean[..., None]) @ special_fn._KW)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, err)
+    return kronrod, err
+
+
+def one_panel_integrate(f, spec):
+    """Reference for integrate: its adaptive loop as it evaluated each
+    half of a split panel with its own 15-node integrand call.  Returns
+    (value, error, subdivisions), or the QuadratureError's (best, bound)
+    and None."""
+    a, b = spec.domain
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+    g, lo, hi = special_fn._transform(f, a, b)
+
+    def excess(total, err):
+        return np.max(err / np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
+
+    total, total_err = _one_panel_gk15(g, lo, hi)
+    heap = [(-excess(total, total_err), lo, hi, total, total_err)]
+    splits = 0
+    while excess(total, total_err) > 1.0:
+        if splits >= spec.max_subdivisions:
+            return sign * total, total_err, None
+        _, ilo, ihi, ival, ierr = heapq.heappop(heap)
+        mid = 0.5 * (ilo + ihi)
+        lval, lerr = _one_panel_gk15(g, ilo, mid)
+        rval, rerr = _one_panel_gk15(g, mid, ihi)
+        total = total + ((lval + rval) - ival)
+        total_err = total_err + ((lerr + rerr) - ierr)
+        heapq.heappush(heap, (-excess(total, lerr), ilo, mid, lval, lerr))
+        heapq.heappush(heap, (-excess(total, rerr), mid, ihi, rval, rerr))
+        splits += 1
+    return sign * total, total_err, splits
+
+
+def _pole(x):
+    with np.errstate(divide="ignore"):
+        return np.abs(x) ** -0.5
+
+
+def _root(x):
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(x) * np.exp(-x)
+
+
+def _stack(y):
+    # three components with different smoothness, integrated together
+    return np.stack([np.exp(-y * y), np.abs(y) ** 0.3 * np.exp(-np.abs(y)), np.cos(5.0 * y)])
+
+
+class TestPairedPanels:
+    """integrate against one_panel_integrate, bit for bit."""
+
+    CASES = [
+        ("smooth", lambda x: np.cos(3.0 * x) * np.exp(-0.1 * x), (0.0, 6.0)),
+        ("kink", lambda x: np.abs(x - 0.3) ** 0.5, (-1.0, 2.0)),
+        ("reversed", lambda x: x**3 + 1.0, (2.0, -0.5)),
+        ("half_line", lambda x: x**2 * np.exp(-x), (0.0, np.inf)),
+        ("left_line", lambda x: np.exp(x) / (1.0 + x * x), (-np.inf, 0.5)),
+        ("whole_line", lambda x: np.exp(-np.abs(x) ** 1.3), (-np.inf, np.inf)),
+        # the first panel's middle node sits on the pole: its value is
+        # inf and is dropped
+        ("pole_on_node", _pole, (-1.0, 1.0)),
+        ("nan_on_node", lambda x: np.where(x == 0.0, np.nan, np.cos(x)), (-1.0, 1.0)),
+        ("nan_half", _root, (-1.0, 2.0)),
+        ("stacked", _stack, (-3.0, 4.0)),
+        ("stacked_whole_line", lambda x: _stack(x) * np.exp(-x * x), (-np.inf, np.inf)),
+    ]
+
+    @pytest.mark.parametrize("f, domain", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_matches_one_panel_loop(self, f, domain, tol):
+        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, max_subdivisions=400, domain=domain)
+        value, error, splits = one_panel_integrate(f, spec)
+        try:
+            res = integrate(f, spec)
+        except QuadratureError as exc:
+            assert splits is None
+            assert np.array([exc.best, exc.bound]).tobytes() == np.array([value, error]).tobytes()
+            return
+        assert res.subdivisions == splits
+        assert np.array([res.value, res.error]).tobytes() == np.array([value, error]).tobytes()
+
+    def test_budget_exhausted(self):
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=7,
+                              domain=(0.0, 1.0))
+        f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3333))  # noqa: E731
+        with pytest.raises(QuadratureError) as err:
+            integrate(f, spec)
+        best, bound, splits = one_panel_integrate(f, spec)
+        assert splits is None
+        assert (err.value.best, err.value.bound) == (best, bound)
+
+    def test_one_integrand_call_per_split(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.abs(x - 0.3) ** 0.5
+
+        res = integrate(f, QuadratureSpec(domain=(-1.0, 2.0)))
+        assert res.subdivisions > 0
+        assert calls == [15] + [30] * res.subdivisions
 
 
 def _floats(lo, hi):
