@@ -66,6 +66,12 @@ _STATIONARITY_TOL = 1e-6
 # steps below _TOL without that certificate that end the fit at a
 # fixed point of its map that is not stationary
 _SETTLE = 30
+# fixed-shape fits: sweeps the Anderson extrapolation combines, the
+# least shape at which it runs for the likelihood families, and how
+# many plain steps from the plain output an extrapolant may lie
+_FIXED_DEPTH = 3
+_ACCELERATED_SHAPE = 1.5
+_REACH = 4.0
 
 
 class DegenerateDataError(ValueError):
@@ -345,12 +351,17 @@ def fit_ee_alpha(
 
     Root-finds the residual of the shape equation (equivalently, the
     shape derivative of the chosen objective) by Brent's bracketed
-    method, taking the smallest root in the bracket so the iteration
-    locks onto the central solution rather than a degenerate high-shape
-    one.
+    method.  Without a hint it scans 40 geometric steps of the bracket
+    and returns the root in the first step that changes sign, the
+    smallest one the scan resolves, so the iteration locks onto the
+    central solution rather than a degenerate high-shape one.  With a
+    ``hint`` inside the bracket it first tries [hint/1.6, 1.6 hint],
+    then that bracket widened by the same factor, up to seven times, and
+    returns Brent's root in the first of those brackets that changes
+    sign, which need not be the smallest root; only when none does it
+    fall back to the scan.
     q = 1, beta = 0 is the plain-likelihood equation; q < 1 and beta > 0
-    select the weighted variants.  ``hint`` narrows the initial bracket
-    around a previous root.
+    select the weighted variants.
     """
     data = _as_clean_array(data)
     if not current.sigma > 0.0:
@@ -379,25 +390,87 @@ def fit_ee_alpha(
     raise AlphaRootError(f"no shape-equation root in ({lo}, {hi})")
 
 
+def _sweep_extrapolant(history) -> tuple[float, float] | None:
+    """Type-II Anderson extrapolant of the fixed-shape sweep from its
+    last two or three (mu, sigma, swept mu, swept sigma) rows.
+
+    The residuals are the sweep steps.  With three rows their two
+    differences span the (mu, sigma) plane, and the depth-2 mixing
+    coefficients solve that 2x2 system by Cramer's rule; otherwise, or
+    where the differences are parallel, the depth-1 coefficient is the
+    least-squares fit to the last difference.  Only arithmetic, so a
+    batched fit can repeat it row by row.  None where the residual did
+    not change.
+    """
+    rows = list(history)
+    f = [(g_mu - mu, g_sigma - sigma) for mu, sigma, g_mu, g_sigma in rows]
+    df = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(f, f[1:])]
+    dg = [(b[2] - a[2], b[3] - a[3]) for a, b in zip(rows, rows[1:])]
+    (f_mu, f_sigma), (a_mu, a_sigma), (ga_mu, ga_sigma) = f[-1], df[-1], dg[-1]
+    g_mu, g_sigma = rows[-1][2:]
+    if len(df) == 2:
+        (b_mu, b_sigma), (gb_mu, gb_sigma) = df[0], dg[0]
+        det = a_mu * b_sigma - b_mu * a_sigma
+        if det != 0.0:
+            ca = (f_mu * b_sigma - b_mu * f_sigma) / det
+            cb = (a_mu * f_sigma - f_mu * a_sigma) / det
+            return g_mu - ca * ga_mu - cb * gb_mu, g_sigma - ca * ga_sigma - cb * gb_sigma
+    norm = a_mu * a_mu + a_sigma * a_sigma
+    if norm == 0.0:
+        return None
+    c = (a_mu * f_mu + a_sigma * f_sigma) / norm
+    return g_mu - c * ga_mu, g_sigma - c * ga_sigma
+
+
 def _irls(data: np.ndarray, score: ScoreFamily, alpha: float) -> tuple[float, float, int, bool]:
-    """Reweighted location/scale iteration at a fixed shape."""
+    """Reweighted location/scale iteration at a fixed shape, Anderson
+    accelerated where the sweep tolerates it (fit_ee_location_scale)."""
     mu, sigma = initial_values(data)
     floor = 1e-10 * max(sigma, _SIGMA_FLOOR)
     shape_max = alpha if score.shapes is None else max(score.shapes.as_tuple())
     damp = min(1.0, 2.0 / shape_max) if shape_max > 2.5 else 1.0
-    converged = False
-    iterations = 0
+    accelerate = damp == 1.0 and score.shapes is None and (
+        score.likelihood is None or alpha >= _ACCELERATED_SHAPE)
+    # (mu, sigma, swept mu, swept sigma) of the last sweeps
+    history: collections.deque = collections.deque(maxlen=_FIXED_DEPTH)
+    # while an extrapolant is swept: the plain output it replaced and
+    # the length of that plain step
+    fallback: tuple | None = None
     for iterations in range(1, _MAX_ITER + 1):
-        p = EpdParams(mu, sigma, alpha)
-        mu_new, sigma_new = _ee_sweep(data, score, p, damp)
-        if sigma_new < floor:
-            raise DegenerateDataError("scale collapsed toward a point mass")
-        change = max(abs(mu_new - mu), abs(sigma_new - sigma))
-        mu, sigma = mu_new, sigma_new
-        if change < _TOL:
-            converged = True
-            break
-    return mu, sigma, iterations, converged
+        try:
+            mu_new, sigma_new = _ee_sweep(data, score, EpdParams(mu, sigma, alpha), damp)
+            if sigma_new < floor:
+                raise DegenerateDataError("scale collapsed toward a point mass")
+        except DegenerateDataError:
+            if fallback is None:
+                raise
+            (mu, sigma, _), fallback = fallback, None
+            history.clear()
+            continue
+        d_mu, d_sigma = mu_new - mu, sigma_new - sigma
+        if max(abs(d_mu), abs(d_sigma)) < _TOL:
+            return mu_new, sigma_new, iterations, True
+        if not accelerate:
+            mu, sigma = mu_new, sigma_new
+            continue
+        step = math.sqrt(d_mu * d_mu + d_sigma * d_sigma)
+        if fallback is not None and step > fallback[2]:
+            (mu, sigma, _), fallback = fallback, None
+            history.clear()
+            continue
+        history.append((mu, sigma, mu_new, sigma_new))
+        mu, sigma, fallback = mu_new, sigma_new, None
+        trial = _sweep_extrapolant(history) if len(history) > 1 else None
+        if trial is not None:
+            # trust region: within a factor 2 of the output's scale and
+            # _REACH plain steps of the output
+            e_mu, e_sigma = trial[0] - mu_new, trial[1] - sigma_new
+            if (0.5 * sigma_new < trial[1] < 2.0 * sigma_new
+                    and math.sqrt(e_mu * e_mu + e_sigma * e_sigma) <= _REACH * step):
+                (mu, sigma), fallback = trial, (mu_new, sigma_new, step)
+    if fallback is not None:
+        mu, sigma, _ = fallback
+    return mu, sigma, _MAX_ITER, False
 
 
 def _shape_map(
@@ -459,6 +532,21 @@ def fit_ee_location_scale(
     ``alpha`` is the EP shape used by the plain, q-weighted and
     distorted families (the combined families take their shapes from
     their triple, and record the center shape).
+
+    At a fixed shape each iteration is one (mu, sigma) sweep, relaxed
+    toward the previous point for shapes above 2.5.  Where no sweep is
+    relaxed and the score is Huber (its weights have no shape), or
+    plain, q-weighted or distorted at a shape of at least 1.5, the
+    next point is the type-II Anderson extrapolant of the last two or
+    three sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), unless
+    its scale leaves (sigma/2, 2 sigma) of the sweep output or it lies
+    more than four sweep steps from that output.  When the sweep at an
+    extrapolant fails, collapses the scale or steps further than the
+    plain step it replaced, the fit goes back to that plain output and
+    starts a new history.  A sweep that changes neither parameter by
+    1e-11 ends the fit with ``converged=True`` and its output; otherwise
+    the fit stops after 500 sweeps (``iterations`` counts sweeps,
+    including any that were undone).
 
     With ``estimate_alpha`` each iteration is one step of a map: a
     location/scale sweep, then half a step of the shape toward the

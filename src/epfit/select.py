@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, _standard_cdf, cdf, make_rng, sample
+from .epd import EpdParams, _standard_cdf, make_rng, sample
 from .estimate import FitResult, fit_ee_location_scale
 from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
@@ -148,21 +148,6 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrated_cdf(t: float, p: EpdParams) -> float:
-    """Integral of the EP CDF over (-inf, t]:
-
-        (t - mu) F(t) + sigma Gamma(2/alpha, |y|^alpha) / (2 Gamma(1/alpha))
-
-    with y = (t - mu) / sigma, for t on either side of mu.
-    """
-    y = (t - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        u = float(np.abs(y) ** p.alpha)
-    upper = regularized_gamma(2.0 / p.alpha, u)[1]
-    ratio = math.exp(log_gamma(2.0 / p.alpha) - log_gamma(1.0 / p.alpha))
-    return (t - p.mu) * cdf(t, p) + 0.5 * p.sigma * upper * ratio
-
-
 def expected_mae(data, params: EpdParams, family,
                  sizes: tuple[int, int, int] | None = None) -> float:
     """Exact expected mean absolute error between the sorted data and a
@@ -201,7 +186,8 @@ class _MaeTerms:
     """One fit's share of the expected MAE before the CDF pass."""
 
     comps: list  # (EpdParams with each distinct shape, its draw count)
-    left: float  # closed-form integral left of the smallest observation
+    c0: float  # the smallest observation
+    y0: float  # its standardized residual
     y: np.ndarray  # standardized panel nodes
     w: np.ndarray  # panel weights
     below: np.ndarray  # observations at or below each node's panel
@@ -214,7 +200,6 @@ def _mae_terms(c: np.ndarray, params: EpdParams, family, sizes) -> _MaeTerms:
             counts[a] = counts.get(a, 0) + m
     comps = [(EpdParams(params.mu, params.sigma, a), m) for a, m in counts.items()]
 
-    left = sum(m * _integrated_cdf(float(c[0]), p) for p, m in comps)
     breaks = np.concatenate([[params.mu]] + [
         params.mu + params.sigma * np.concatenate([-r, r])
         for r in (_TAIL_BREAKS ** (1.0 / p.alpha) for p, _ in comps)])
@@ -225,11 +210,44 @@ def _mae_terms(c: np.ndarray, params: EpdParams, family, sizes) -> _MaeTerms:
     x = (0.5 * (hi + lo)[:, None] + half * _GL_NODES).ravel()
     w = (half * _GL_WEIGHTS).ravel()
     below = np.repeat(np.searchsorted(c, lo, side="right"), _GL_NODES.size)
-    return _MaeTerms(comps, left, (x - params.mu) / params.sigma, w, below)
+    c0 = float(c[0])
+    return _MaeTerms(comps, c0, (c0 - params.mu) / params.sigma,
+                     (x - params.mu) / params.sigma, w, below)
 
 
-def _mae_sum(c: np.ndarray, params: EpdParams, terms: _MaeTerms, probs) -> float:
-    """The expected MAE from the CDF of each component at the nodes."""
+def _left_integrals(terms: list) -> list[float]:
+    """Each fit's integral of E[N(x)] left of the smallest observation t:
+    the sum over its components of m times the integral of their CDF
+    over (-inf, t],
+
+        (t - mu) F(t) + sigma Gamma(2/alpha, u) / (2 Gamma(1/alpha)),
+
+    with u = |y0|^alpha.  F(t) needs P and Q(1/alpha, u), the second
+    term Q(2/alpha, u): the points of all fits meet the incomplete gamma
+    function in one call.
+    """
+    points = [(t, p) for t in terms for p, _ in t.comps]
+    # |y0|^alpha as a scalar power, as the one-point CDF computes it
+    with np.errstate(over="ignore"):
+        u = [float(np.abs(t.y0) ** p.alpha) for t, p in points]
+    # P and Q at (1/alpha, u) and (2/alpha, u) of each point in turn
+    lower, upper = regularized_gamma(
+        np.array([k / p.alpha for _, p in points for k in (1.0, 2.0)]), np.repeat(u, 2))
+    out, i = [], 0
+    for t in terms:
+        total = 0
+        for p, m in t.comps:
+            cdf_t = 0.5 * upper[i] if t.y0 < 0.0 else 0.5 + 0.5 * lower[i]
+            ratio = math.exp(log_gamma(2.0 / p.alpha) - log_gamma(1.0 / p.alpha))
+            total += m * float((t.c0 - p.mu) * cdf_t + 0.5 * p.sigma * upper[i + 1] * ratio)
+            i += 2
+        out.append(total)
+    return out
+
+
+def _mae_sum(c: np.ndarray, params: EpdParams, terms: _MaeTerms, probs, left: float) -> float:
+    """The expected MAE from the CDF of each component at the nodes and
+    the integral left of the smallest observation."""
     n = c.size
     inner = 0.0
     j = np.arange(n + 1)
@@ -239,7 +257,7 @@ def _mae_sum(c: np.ndarray, params: EpdParams, terms: _MaeTerms, probs) -> float
             _binomial_pmf(prob[block], m) for prob, (_, m) in zip(probs, terms.comps)])
         excess = np.maximum(j - terms.below[block, None], 0)
         inner += float(terms.w[block] @ np.sum(pmf * excess, axis=1))
-    return params.mu - float(np.mean(c)) + 2.0 / n * (terms.left + inner)
+    return params.mu - float(np.mean(c)) + 2.0 / n * (left + inner)
 
 
 def _expected_maes(c: np.ndarray, fits: list, sizes) -> list[float]:
@@ -247,8 +265,9 @@ def _expected_maes(c: np.ndarray, fits: list, sizes) -> list[float]:
     sorted data c.
 
     The nodes of all pairs meet the incomplete gamma function together,
-    one call per distinct component shape, so its series and continued
-    fraction loops run once per grid, not once per fit.  Each CDF value
+    one call per distinct component shape, and their points left of the
+    data in one more call, so its series and continued fraction loops
+    run once per grid, not once per fit.  Each CDF value
     depends on its own node alone, so the result of every pair is the
     one it gets alone; the count probabilities and the sums stay per fit.
     """
@@ -260,8 +279,8 @@ def _expected_maes(c: np.ndarray, fits: list, sizes) -> list[float]:
     cdfs = {a: iter(np.split(_standard_cdf(np.concatenate(ys), a),
                              np.cumsum([y.size for y in ys[:-1]])))
             for a, ys in by_shape.items()}
-    return [_mae_sum(c, params, t, [next(cdfs[p.alpha]) for p, _ in t.comps])
-            for (params, _), t in zip(fits, terms)]
+    return [_mae_sum(c, params, t, [next(cdfs[p.alpha]) for p, _ in t.comps], left)
+            for (params, _), t, left in zip(fits, terms, _left_integrals(terms))]
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:

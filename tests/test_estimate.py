@@ -450,6 +450,47 @@ EE_FIT_FAMILIES = {
 }
 
 
+# Anderson-accelerated fixed-shape fits of the rows above whose sweeps it
+# extrapolates (shape at most 2.5, not combined, likelihood families from
+# shape 1.5): (pin table, row name, (mu, sigma), sweeps).  Those rows of
+# the tables above are the plain reweighting loop, reproduced bit for bit
+# with the extrapolation switched off; every other row holds as it is.
+ACCELERATED_PINS = [
+    ("ee_fit", "plain", ("0x1.18693891f664ep-3", "0x1.434004d1c5571p+1"), 8),
+    ("ee_fit", "huber", ("0x1.0a00f5b22e0b1p-5", "0x1.d7f5dd09642ecp-1"), 8),
+    ("ee_fit", "q", ("-0x1.c24d334736bffp-6", "0x1.1677b3ce74995p+0"), 8),
+    ("ee_fit", "q1", ("0x1.18693891f664ep-3", "0x1.434004d1c5571p+1"), 8),
+    ("ee_fit", "d", ("-0x1.df2abd215549cp-6", "0x1.27b9fd59407afp+0"), 9),
+    ("ee_fit", "d0", ("0x1.18693891f664ep-3", "0x1.434004d1c5571p+1"), 8),
+    ("sweep_path", "2.0-full-huber", ("0x1.540ced335da8cp-5", "0x1.f0b40af331e3ap-1"), 9),
+    ("sweep_path", "2.0-full-q", ("-0x1.58d084de12cc7p-9", "0x1.0561f42ce59c2p+0"), 8),
+    ("sweep_path", "2.0-full-d", ("-0x1.074f3c3bd816bp-6", "0x1.134e035071de9p+0"), 8),
+    ("sweep_path", "1.3-odd-huber", ("0x1.7f8f33b8f9b47p-6", "0x1.dd6d6411852dcp-1"), 9),
+]
+ACCELERATED = {(table, name) for table, name, _, _ in ACCELERATED_PINS}
+
+
+def _plain_sweeps(monkeypatch):
+    """Switch off the fixed-shape extrapolation: the fit is the plain
+    reweighting loop, sweep for sweep."""
+    monkeypatch.setattr(epfit.estimate, "_sweep_extrapolant", lambda history: None)
+
+
+def _ee_fit_pin(name, estimate_alpha):
+    family = EE_FIT_FAMILIES[name]
+    alpha = None if estimate_alpha or name.startswith("combined") else 2.4
+    return fit_ee_location_scale(reference_samples()["contaminated"], family, alpha=alpha,
+                                 estimate_alpha=estimate_alpha)
+
+
+def _sweep_path_pin(alpha, sample_name, name):
+    data = reference_samples()["contaminated"]
+    if sample_name == "odd":
+        data = data[:-1]
+        assert initial_values(data)[0] in data
+    return fit_ee_location_scale(data, SWEEP_PATH_FAMILIES[name], alpha=alpha)
+
+
 class TestEePinned:
     @pytest.mark.parametrize("q, beta, root, hinted", SHAPE_ROOT_PINS)
     def test_shape_roots(self, q, beta, root, hinted):
@@ -459,24 +500,36 @@ class TestEePinned:
         assert fit_ee_alpha(data, current, q=q, beta=beta, hint=1.7).hex() == hinted
 
     @pytest.mark.parametrize("name, estimate_alpha, point, iterations", EE_FIT_PINS)
-    def test_fits(self, name, estimate_alpha, point, iterations):
-        family = EE_FIT_FAMILIES[name]
-        alpha = None if estimate_alpha or name.startswith("combined") else 2.4
-        res = fit_ee_location_scale(reference_samples()["contaminated"], family, alpha=alpha,
-                                    estimate_alpha=estimate_alpha)
+    def test_fits(self, name, estimate_alpha, point, iterations, monkeypatch):
+        if ("ee_fit", name) in ACCELERATED and not estimate_alpha:
+            _plain_sweeps(monkeypatch)
+        res = _ee_fit_pin(name, estimate_alpha)
         p = res.params
         assert (p.mu.hex(), p.sigma.hex(), p.alpha.hex()) == point
         assert res.iterations == iterations
 
     @pytest.mark.parametrize("alpha, sample_name, name, point, iterations", SWEEP_PATH_PINS)
-    def test_sweep_paths(self, alpha, sample_name, name, point, iterations):
-        data = reference_samples()["contaminated"]
-        if sample_name == "odd":
-            data = data[:-1]
-            assert initial_values(data)[0] in data
-        res = fit_ee_location_scale(data, SWEEP_PATH_FAMILIES[name], alpha=alpha)
+    def test_sweep_paths(self, alpha, sample_name, name, point, iterations, monkeypatch):
+        if ("sweep_path", f"{alpha}-{sample_name}-{name}") in ACCELERATED:
+            _plain_sweeps(monkeypatch)
+        res = _sweep_path_pin(alpha, sample_name, name)
         assert (res.params.mu.hex(), res.params.sigma.hex()) == point
         assert res.iterations == iterations
+
+    @pytest.mark.parametrize("table, name, point, iterations", ACCELERATED_PINS)
+    def test_accelerated_fits(self, table, name, point, iterations):
+        if table == "ee_fit":
+            row = next(r for r in EE_FIT_PINS if r[:2] == (name, False))
+            res, plain = _ee_fit_pin(name, False), row[2][:2]
+        else:
+            row = next(r for r in SWEEP_PATH_PINS if "-".join(map(str, r[:3])) == name)
+            res, plain = _sweep_path_pin(*row[:3]), row[3]
+        p = res.params
+        assert (p.mu.hex(), p.sigma.hex()) == point
+        assert res.iterations == iterations < row[-1]
+        # the plain loop's fixed point, to well inside its stopping rule
+        mu, sigma = map(float.fromhex, plain)
+        assert max(abs(p.mu - mu), abs(p.sigma - sigma)) <= 1e-10 * sigma
 
 
 # Shape-estimating fits of the first 60 replications of acceptance
@@ -524,6 +577,78 @@ class TestShapeFitPinnedSet:
         total = np.array(psi_vector(data, p, beta=6e-3)).sum(axis=1)
         assert np.max(np.abs(total)) > 1e-3
         assert p.alpha == pytest.approx(1.036, abs=1e-3)
+
+
+# Fixed-shape fits of 60 generated samples x 6 families x 3 shapes,
+# recorded with the plain reweighting loop before Anderson acceleration
+FIXED_FIT_PINNED = json.loads((Path(__file__).parent / "data" / "fixed_fit_pinned.json").read_text())
+FIXED_FIT_FAMILIES = {"plain": Plain(), "huber": Huber(1.5), "q0.8": QWeighted(0.8),
+                      "q0.625": QWeighted(0.625), "d0.003": Distorted(3e-3),
+                      "d0.01": Distorted(1e-2)}
+
+
+def _sweep_recorder(monkeypatch):
+    """The (mu, sigma) of every fixed-shape sweep, in order."""
+    points = []
+    sweep = epfit.estimate._ee_sweep
+
+    def recorded(data, score, p, damp):
+        points.append((p.mu, p.sigma))
+        return sweep(data, score, p, damp)
+
+    monkeypatch.setattr(epfit.estimate, "_ee_sweep", recorded)
+    return points
+
+
+class TestFixedFitPinnedSet:
+    def test_accelerated_fits_keep_the_plain_fixed_points(self):
+        pinned = FIXED_FIT_PINNED
+        changed, moved = [], []
+        plain_sweeps = sweeps = 0
+        for k, row in enumerate(pinned["fits"]):
+            data = generate(reference_design(k % 4 + 1), np.random.SeedSequence(7000 + k))
+            cases = [(f, a) for f in pinned["families"] for a in pinned["shapes"]]
+            for (name, alpha), (mu, sigma, converged, error, n_sweeps) in zip(cases, row):
+                try:
+                    res = fit_ee_location_scale(data, FIXED_FIT_FAMILIES[name], alpha=alpha)
+                except Exception as exc:  # compared with the recorded type below
+                    outcome = (None, type(exc).__name__)
+                else:
+                    outcome = (res.converged, None)
+                if outcome != (converged, error):
+                    changed.append((k, name, alpha, outcome))
+                if error is None and outcome[1] is None:
+                    p = res.params
+                    gap = max(abs(p.mu - float.fromhex(mu)),
+                              abs(p.sigma - float.fromhex(sigma))) / float.fromhex(sigma)
+                    if not gap <= 1e-10:
+                        moved.append((k, name, alpha, gap))
+                    plain_sweeps += n_sweeps
+                    sweeps += res.iterations
+        assert (changed, moved) == ([], [])
+        assert 2 * sweeps <= plain_sweeps
+
+    @pytest.mark.parametrize("family, alpha, design, seed, point, far", [
+        # the depth-2 extrapolant jumps to mu -6.47, and the next sweep
+        # from there collapses
+        (Distorted(0.003), 2.0, 4, np.random.SeedSequence(1125694557, spawn_key=(3, 10, 0)),
+         ("0x1.d2ad769a49bc8p-7", "0x1.3c9e2956f1159p+0"), lambda mu, sigma: mu < -1.0),
+        # an extrapolant with sigma 0.017 against 1.27 of the sweep output
+        # would step less than the plain step, then collapse
+        (Distorted(0.01), 2.5, 4, np.random.SeedSequence(7175),
+         ("0x1.4ab67db7d8561p-7", "0x1.67c0892362959p+0"), lambda mu, sigma: sigma < 0.5),
+    ], ids=["location-jump", "scale-collapse"])
+    def test_trust_region_keeps_far_extrapolants_out(self, family, alpha, design, seed, point,
+                                                     far, monkeypatch):
+        # point: the plain loop's fit, recorded before acceleration
+        data = generate(reference_design(design), seed)
+        swept = _sweep_recorder(monkeypatch)
+        res = fit_ee_location_scale(data, family, alpha=alpha)
+        assert res.converged
+        assert not any(far(*q) for q in swept)
+        mu, sigma = map(float.fromhex, point)
+        assert max(abs(res.params.mu - mu), abs(res.params.sigma - sigma)) <= 1e-10 * sigma
+        assert res.iterations == len(swept)
 
 
 OBJECTIVE_PINS = [
