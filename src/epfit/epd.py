@@ -58,11 +58,26 @@ class EpdParams:
 
     def log_norm_const(self) -> float:
         """log of the density prefactor alpha / (2 sigma Gamma(1/alpha))."""
-        return (
-            math.log(self.alpha)
-            - math.log(2.0 * self.sigma)
-            - _log_gamma_inverse(self.alpha)
-        )
+        return _log_norm_const(self.sigma, self.alpha)
+
+
+def _log_norm_const(sigma: float, alpha: float) -> float:
+    """log of the density prefactor alpha / (2 sigma Gamma(1/alpha))."""
+    return math.log(alpha) - math.log(2.0 * sigma) - _log_gamma_inverse(alpha)
+
+
+def _deformed(lf: np.ndarray, q: float, beta: float) -> np.ndarray:
+    """The (q, beta)-deformed log of the density from its log ``lf``,
+    computed in place: expm1((1 - q) lf) / (1 - q) or log(beta + exp(lf))."""
+    if q != 1.0:
+        lf *= 1.0 - q
+        np.expm1(lf, out=lf)
+        lf /= 1.0 - q
+    elif beta > 0.0:
+        np.exp(lf, out=lf)
+        lf += beta
+        np.log(lf, out=lf)
+    return lf
 
 
 def pdf(x, p: EpdParams):
@@ -83,23 +98,19 @@ def log_pdf(x, p: EpdParams):
 
 def log_q_pdf(x, p: EpdParams, q: float):
     """q-deformed log-density; continuous in q at q = 1."""
-    x = np.asarray(x, dtype=float)
-    lf = p.log_norm_const() - (np.abs(x - p.mu) / p.sigma) ** p.alpha
-    if q == 1.0:
-        out = lf
-    else:
-        out = np.expm1((1.0 - q) * lf) / (1.0 - q)
-    return out if out.ndim else float(out)
+    return _deformed_log_pdf(x, p, q, 0.0)
 
 
 def distorted_log_pdf(x, p: EpdParams, beta: float):
     """log(beta + f(x)); exactly log_pdf when beta = 0."""
     if beta < 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    if beta == 0.0:
-        return log_pdf(x, p)
-    x = np.asarray(x, dtype=float)
-    out = np.log(beta + pdf(x, p))
+    return _deformed_log_pdf(x, p, 1.0, beta)
+
+
+def _deformed_log_pdf(x, p: EpdParams, q: float, beta: float):
+    """The (q, beta)-deformed log-density, vectorized over x."""
+    out = _deformed(np.asarray(log_pdf(x, p)), q, beta)
     return out if out.ndim else float(out)
 
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epd import EpdParams, _log_gamma_inverse
+from .epd import EpdParams, _deformed, _log_norm_const
 from .optimize import GaConfig, maximize, polish
 from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
-from .special_fn import digamma, log_gamma
+from .special_fn import digamma
 
 __all__ = [
     "DegenerateDataError",
@@ -144,25 +144,6 @@ def objective_values(family: ScoreFamily, data, points) -> np.ndarray:
     return out
 
 
-def _log_norm_const(sigma: float, alpha: float) -> float:
-    """log of the density prefactor, term by term as EpdParams.log_norm_const."""
-    return math.log(alpha) - math.log(2.0 * sigma) - _log_gamma_inverse(alpha)
-
-
-def _deformed(lf: np.ndarray, q: float, beta: float) -> np.ndarray:
-    """The (q, beta)-deformed log of the density from its log ``lf``,
-    computed in place: expm1((1 - q) lf) / (1 - q) or log(beta + exp(lf))."""
-    if q != 1.0:
-        lf *= 1.0 - q
-        np.expm1(lf, out=lf)
-        lf /= 1.0 - q
-    elif beta > 0.0:
-        np.exp(lf, out=lf)
-        lf += beta
-        np.log(lf, out=lf)
-    return lf
-
-
 def objective_value(family: ScoreFamily, data: np.ndarray, p: EpdParams) -> float:
     """Summed log-likelihood of the family at one point."""
     return float(objective_values(family, data, np.array([[p.mu, p.sigma, p.alpha]]))[0])
@@ -263,7 +244,7 @@ class _AlphaResidual:
         self.any_zero = bool(self.zero.any())
         self.log_y = np.log(np.where(self.zero, 1.0, y))
         self.n_total = len(y)
-        self.log_2sigma = math.log(2.0 * sigma)
+        self.sigma = sigma
         self.weight = likelihood_weight(q, beta)
 
     def __call__(self, alpha: float) -> float:
@@ -275,8 +256,7 @@ class _AlphaResidual:
                 pow_a = np.where(self.zero, 0.0, pow_a)
             pow_log = pow_a * self.log_y
             if self.weight is not None:
-                log_c = math.log(alpha) - self.log_2sigma - log_gamma(1.0 / alpha)
-                w = self.weight(log_c - pow_a)
+                w = self.weight(_log_norm_const(self.sigma, alpha) - pow_a)
                 sw = float(w.sum())
                 if sw <= 0.0:
                     raise DegenerateDataError("shape-equation weights vanished")
@@ -370,15 +350,18 @@ def fit_ee_alpha(
     g = _AlphaResidual(data, current.mu, current.sigma, q, beta)
 
     if hint is not None and lo < hint < hi:
-        # expand geometrically around the previous root before scanning
-        a = max(lo, hint / 1.6)
-        b = min(hi, hint * 1.6)
-        fa, fb = g(a), g(b)
+        # expand geometrically around the previous root before scanning,
+        # evaluating an end only when it moved (not once clipped)
+        a = b = hint
         for _ in range(8):
+            if a > lo:
+                a = max(lo, a / 1.6)
+                fa = g(a)
+            if b < hi:
+                b = min(hi, b * 1.6)
+                fb = g(b)
             if fa * fb <= 0.0:
                 return _brent(g, a, b, fa, fb)
-            a, b = max(lo, a / 1.6), min(hi, b * 1.6)
-            fa, fb = g(a), g(b)
 
     grid = np.geomspace(lo, hi, 40)
     vals = [g(a) for a in grid]
@@ -427,7 +410,11 @@ def _irls(data: np.ndarray, score: ScoreFamily, alpha: float) -> tuple[float, fl
     accelerated where the sweep tolerates it (fit_ee_location_scale)."""
     mu, sigma = initial_values(data)
     floor = 1e-10 * max(sigma, _SIGMA_FLOOR)
-    shape_max = alpha if score.shapes is None else max(score.shapes.as_tuple())
+    # the relaxation is for weights with the shape in them: Huber's have none
+    if score.shapes is not None:
+        shape_max = max(score.shapes.as_tuple())
+    else:
+        shape_max = alpha if score.likelihood is not None else 0.0
     damp = min(1.0, 2.0 / shape_max) if shape_max > 2.5 else 1.0
     accelerate = damp == 1.0 and score.shapes is None and (
         score.likelihood is None or alpha >= _ACCELERATED_SHAPE)
@@ -534,19 +521,19 @@ def fit_ee_location_scale(
     their triple, and record the center shape).
 
     At a fixed shape each iteration is one (mu, sigma) sweep, relaxed
-    toward the previous point for shapes above 2.5.  Where no sweep is
-    relaxed and the score is Huber (its weights have no shape), or
-    plain, q-weighted or distorted at a shape of at least 1.5, the
-    next point is the type-II Anderson extrapolant of the last two or
-    three sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), unless
-    its scale leaves (sigma/2, 2 sigma) of the sweep output or it lies
-    more than four sweep steps from that output.  When the sweep at an
-    extrapolant fails, collapses the scale or steps further than the
-    plain step it replaced, the fit goes back to that plain output and
-    starts a new history.  A sweep that changes neither parameter by
-    1e-11 ends the fit with ``converged=True`` and its output; otherwise
-    the fit stops after 500 sweeps (``iterations`` counts sweeps,
-    including any that were undone).
+    toward the previous point for shapes above 2.5 unless the score is
+    Huber, whose weights have no shape.  Where no sweep is relaxed and
+    the score is Huber, or plain, q-weighted or distorted at a shape of
+    at least 1.5, the next point is the type-II Anderson extrapolant of
+    the last two or three sweeps (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011), unless its scale leaves (sigma/2, 2 sigma) of the sweep
+    output or it lies more than four sweep steps from that output.
+    When the sweep at an extrapolant fails, collapses the scale or steps
+    further than the plain step it replaced, the fit goes back to that
+    plain output and starts a new history.  A sweep that changes neither
+    parameter by 1e-11 ends the fit with ``converged=True`` and its
+    output; otherwise the fit stops after 500 sweeps (``iterations``
+    counts sweeps, including any that were undone).
 
     With ``estimate_alpha`` each iteration is one step of a map: a
     location/scale sweep, then half a step of the shape toward the

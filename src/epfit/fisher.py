@@ -29,8 +29,8 @@ from .special_fn import (
     QuadratureSpec,
     digamma,
     gamma_fn,
-    incomplete_gamma,
     integrate,
+    regularized_gamma,
     trigamma,
 )
 
@@ -61,10 +61,6 @@ class FisherMatrix:
     method: str
     element_errors: np.ndarray | None = None
     psd: PsdDiagnostics | None = None
-
-    def unit(self) -> np.ndarray:
-        """Per-observation matrix (the n-scaling removed)."""
-        return self.entries / self.n
 
 
 @dataclass
@@ -153,29 +149,17 @@ def _combined_closed(params: EpdParams, family):
     A1 = (a1**2 - a1) ** 2 * (k**2 if huberized else 1.0)
     A3 = (a3**2 - a3) ** 2 * (t**2 if huberized else 1.0)
     A2 = (a2**2 - a2) ** 2
-    ka, ta = k**a2, t**a2
-
-    def up(z, a):
-        return incomplete_gamma(z, a, "upper")
-
-    def low(z, a):
-        return incomplete_gamma(z, a, "lower")
-
-    e_mm = pref * (
-        A1 * up((2 * a1 - 3) / a2, ka)
-        + A3 * up((2 * a3 - 3) / a2, ta)
-        + A2 * (low(2 - 3 / a2, ka) + low(2 - 3 / a2, ta))
-    )
-    e_ms = pref * (
-        -A1 * up((2 * a1 - 2) / a2, ka)
-        + A3 * up((2 * a3 - 2) / a2, ta)
-        + A2 * (-low(2 - 2 / a2, ka) + low(2 - 2 / a2, ta))
-    )
-    e_ss = pref * (
-        A1 * up((2 * a1 - 1) / a2, ka)
-        + A3 * up((2 * a3 - 1) / a2, ta)
-        + A2 * (low(2 - 1 / a2, ka) + low(2 - 1 / a2, ta))
-    )
+    # the incomplete gammas of the (mu, mu), (mu, sigma) and (sigma, sigma)
+    # entries, p = 3, 2, 1: upper ones beyond the cuts k^a2 and t^a2 with
+    # the outer shapes, lower ones inside them with the center shape
+    p = np.array([[3.0], [2.0], [1.0]])
+    z = np.hstack([(2 * a1 - p) / a2, (2 * a3 - p) / a2, 2 - p / a2, 2 - p / a2])
+    lower, upper = regularized_gamma(z, [k**a2, t**a2, k**a2, t**a2])
+    whole = np.array([[gamma_fn(v) for v in row] for row in z])
+    up_k, up_t, low_k, low_t = (whole * np.hstack([upper[:, :2], lower[:, 2:]])).T
+    # the (mu, sigma) entry takes the terms at k with the opposite sign
+    sign = np.array([1.0, -1.0, 1.0])
+    e_mm, e_ms, e_ss = pref * (sign * A1 * up_k + A3 * up_t + A2 * (sign * low_k + low_t))
     return np.array([[e_mm, e_ms], [e_ms, e_ss]])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, sample
+from .epd import EpdParams, make_rng, sample
 from .estimate import (
     AlphaRootError,
     DegenerateDataError,
@@ -97,8 +97,7 @@ def reference_design(index: int, n2: int = 100, n1: int = 5, n3: int = 5) -> Sim
 
 def generate(design: SimulationDesign, seed) -> np.ndarray:
     """Concatenated draws from the three components, in component order."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)
-                                               if isinstance(seed, int) else seed))
+    rng = make_rng(seed)
     parts = [
         sample(EpdParams(c.mu, c.sigma, c.alpha), c.n, rng)
         for c in design.components

@@ -1,8 +1,8 @@
 """Self-contained special-function and quadrature kernel.
 
-Gamma, log-gamma, incomplete gammas, digamma, trigamma, and adaptive
-one-dimensional integration.  Everything here is pure and reentrant; no
-state is shared between calls.
+Gamma, log-gamma, the regularized incomplete gammas, digamma, trigamma,
+and adaptive one-dimensional integration.  Everything here is pure and
+reentrant; no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "IntegrationResult",
     "gamma_fn",
     "log_gamma",
-    "incomplete_gamma",
     "regularized_gamma",
     "digamma",
     "trigamma",
@@ -180,31 +179,6 @@ def _upper_gamma_cf(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def incomplete_gamma(z: float, a: float, kind: str = "lower") -> float:
-    """Non-regularized incomplete gamma function.
-
-    ``lower`` is the integral of t^(z-1) e^(-t) over (0, a); ``upper`` the
-    integral over (a, inf).  The two always partition gamma_fn(z).
-    """
-    z = float(z)
-    a = float(a)
-    if not z > 0.0:
-        raise DomainError(f"incomplete_gamma requires z > 0, got {z}")
-    if a < 0.0:
-        raise DomainError(f"incomplete_gamma requires a >= 0, got {a}")
-    if kind not in ("lower", "upper"):
-        raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    whole = gamma_fn(z)
-    if a < z + 1.0:
-        lower = 0.0
-        if a > 0.0:
-            series = _lower_gamma_series(np.array([z]), np.array([a]))[0]
-            lower = float(series) * math.exp(z * math.log(a) - a)
-        return lower if kind == "lower" else whole - lower
-    upper = math.exp(z * math.log(a) - a) * float(_upper_gamma_cf(np.array([z]), np.array([a]))[0])
-    return whole - upper if kind == "lower" else upper
-
-
 def regularized_gamma(z, a):
     """P(z, a) = gamma(z, a) / Gamma(z) and Q(z, a) = 1 - P(z, a), for
     z > 0 and a in [0, inf], elementwise over broadcast arrays.
@@ -337,9 +311,6 @@ class IntegrationResult:
     value: float | np.ndarray
     error: float | np.ndarray
     subdivisions: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # Gauss-Kronrod 7-15 nodes and weights (positive half, node 0 last).

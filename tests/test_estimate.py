@@ -295,6 +295,29 @@ class TestShapeRootSolver:
                 assert residual_evals[0] <= 15
                 assert again == pytest.approx(root, rel=1e-12)
 
+    @pytest.mark.parametrize("hint", [1.0, 2.0])
+    def test_hinted_brackets_evaluate_each_shape_once(self, hint, monkeypatch):
+        # no root: every widening runs, and the lower end is clipped to
+        # 0.05 (and, from hint 2, the upper one to 50) before the last
+        shapes = []
+        residual = epfit.estimate._AlphaResidual
+
+        def recorded(*args):
+            g = residual(*args)
+
+            def call(alpha):
+                shapes.append(alpha)
+                return g(alpha)
+            return call
+
+        monkeypatch.setattr(epfit.estimate, "_AlphaResidual", recorded)
+        with pytest.raises(AlphaRootError):
+            fit_ee_alpha(np.linspace(-1.0, 1.0, 200), EpdParams(0.0, 1.0, 2.0), hint=hint)
+        before_scan, scan = shapes[:-40], shapes[-40:]
+        assert scan == np.geomspace(0.05, 50.0, 40).tolist()
+        assert len(before_scan) == len(set(before_scan)) == 15
+        assert 0.05 in before_scan and (50.0 in before_scan) == (hint == 2.0)
+
 
 class _EveryCallResidual:
     """Reference for the shape residual: its evaluation as it redid the
@@ -421,7 +444,8 @@ EE_FIT_PINS = [
 # through the sweep paths the pins above miss: shape 2 (the weight
 # exponent alpha - 2 is 0), shape 1.3 on the odd-length sample, whose
 # median start puts one residual at exactly 0, and shape 3 (the damped
-# sweep); recorded before the density weights were computed once per sweep
+# sweep); recorded before the density weights were computed once per sweep.
+# Huber's sweep is not damped, so its shape-3 row is its shape-2 row.
 SWEEP_PATH_PINS = [
     (2.0, "full", "plain", ("0x1.b90089a3e8777p-4", "0x1.08785dcefb503p+1"), 2),
     (2.0, "full", "huber", ("0x1.540ced334e88fp-5", "0x1.f0b40af3307f4p-1"), 23),
@@ -432,7 +456,7 @@ SWEEP_PATH_PINS = [
     (1.3, "odd", "q", ("0x1.0da6fa95699e9p-4", "0x1.8d0f4c6794cb6p-1"), 79),
     (1.3, "odd", "d", ("0x1.86d64019db97ap-5", "0x1.a758ae9f02c85p-1"), 56),
     (3.0, "full", "plain", ("0x1.f8a26069e0c2cp-4", "0x1.9753d8315d5f5p+1"), 21),
-    (3.0, "full", "huber", ("0x1.540ced3300b08p-5", "0x1.f0b40af323280p-1"), 41),
+    (3.0, "full", "huber", ("0x1.540ced334e88fp-5", "0x1.f0b40af3307f4p-1"), 23),
     (3.0, "full", "q", ("-0x1.5a379a77d7836p-5", "0x1.2b7f345258966p+0"), 22),
     (3.0, "full", "d", ("-0x1.f7720f5b4d640p-6", "0x1.43baffff98b3fp+0"), 18),
 ]
@@ -451,8 +475,8 @@ EE_FIT_FAMILIES = {
 
 
 # Anderson-accelerated fixed-shape fits of the rows above whose sweeps it
-# extrapolates (shape at most 2.5, not combined, likelihood families from
-# shape 1.5): (pin table, row name, (mu, sigma), sweeps).  Those rows of
+# extrapolates (undamped, not combined, likelihood families from shape
+# 1.5): (pin table, row name, (mu, sigma), sweeps).  Those rows of
 # the tables above are the plain reweighting loop, reproduced bit for bit
 # with the extrapolation switched off; every other row holds as it is.
 ACCELERATED_PINS = [
@@ -466,6 +490,7 @@ ACCELERATED_PINS = [
     ("sweep_path", "2.0-full-q", ("-0x1.58d084de12cc7p-9", "0x1.0561f42ce59c2p+0"), 8),
     ("sweep_path", "2.0-full-d", ("-0x1.074f3c3bd816bp-6", "0x1.134e035071de9p+0"), 8),
     ("sweep_path", "1.3-odd-huber", ("0x1.7f8f33b8f9b47p-6", "0x1.dd6d6411852dcp-1"), 9),
+    ("sweep_path", "3.0-full-huber", ("0x1.540ced335da8cp-5", "0x1.f0b40af331e3ap-1"), 9),
 ]
 ACCELERATED = {(table, name) for table, name, _, _ in ACCELERATED_PINS}
 
@@ -530,6 +555,15 @@ class TestEePinned:
         # the plain loop's fixed point, to well inside its stopping rule
         mu, sigma = map(float.fromhex, plain)
         assert max(abs(p.mu - mu), abs(p.sigma - sigma)) <= 1e-10 * sigma
+
+    def test_huber_fit_does_not_depend_on_the_shape(self):
+        # Huber's weights have no shape in them, so no shape relaxes or
+        # keeps the extrapolation off its sweep
+        data = reference_samples()["contaminated"]
+        fits = [fit_ee_location_scale(data, Huber(1.5), alpha=a) for a in (1.3, 2.0, 3.0, 6.0)]
+        points = {(r.params.mu.hex(), r.params.sigma.hex(), r.iterations) for r in fits}
+        pin = next(r for r in ACCELERATED_PINS if r[1] == "2.0-full-huber")
+        assert points == {(*pin[2], pin[3])}
 
 
 # Shape-estimating fits of the first 60 replications of acceptance

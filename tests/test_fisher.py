@@ -23,7 +23,9 @@ from epfit.select import volume
 from epfit.special_fn import DomainError
 
 # quadrature entries recorded with the per-entry integration that the
-# one-pass vector quadrature replaced
+# one-pass vector quadrature replaced, and ("combined_closed") the closed
+# forms of TestCombined's random grid at n = 100, recorded when each
+# incomplete gamma was its own series or continued fraction
 PINNED = json.loads((Path(__file__).parent / "data" / "fisher_pinned.json").read_text())
 
 
@@ -43,6 +45,16 @@ class TestCombined:
             closed = fisher_for_family(family, p, 100, dim=2, method="closed")
             quad = fisher_for_family(family, p, 100, dim=2, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
+
+    def test_closed_form_matches_the_recorded_matrices(self):
+        for rec in PINNED["combined_closed"]:
+            cls = CombinedHuber if rec["huberized"] else CombinedPlain
+            family = cls(ShapeTriple(*rec["triple"]), rec["k"], rec["t"])
+            p = EpdParams(rec["mu"], rec["sigma"], rec["triple"][1])
+            closed = fisher_for_family(family, p, 100, dim=2, method="closed")
+            recorded = np.array(rec["entries"])
+            gap = np.max(np.abs(closed.entries - recorded))
+            assert gap <= 1e-13 * np.max(np.abs(recorded))
 
     def test_cross_entry_cancels_in_symmetric_case(self):
         F = fisher_for_family(CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0), EpdParams(0, 1, 2), 50,

@@ -1,8 +1,11 @@
-"""Each module's ``__all__`` lists exactly what it defines in public."""
+"""Each module's ``__all__`` lists exactly what it defines in public, and
+the names README retires are gone."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,36 @@ def test_all_matches_the_public_definitions(name):
                if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
                and v.__module__ == module.__name__}
     assert sorted(defined - set(module.__all__)) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def retired_names() -> list[str]:
+    """The ``module.name`` paths README's "Retired names" lists as gone
+    whole: each bullet's names before its replacement, leaving out a
+    retired parameter of a kept name (arguments with ``...``)."""
+    section = README.read_text().split("\n## Retired names\n", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for bullet in section.split("\n- ")[1:]:
+        head = bullet.split("`:", 1)[0] + "`"
+        for span in re.findall(r"`([^`]*)`", head):
+            m = re.fullmatch(r"(\w+(?:\.\w+)+)(?:\((.*)\))?", span, re.S)
+            if m and m[1].split(".")[0] in MODULES and "..." not in (m[2] or ""):
+                names.append(m[1])
+    return names
+
+
+def test_retired_names_are_gone():
+    names = retired_names()
+    assert {"special_fn.incomplete_gamma", "fisher.FisherMatrix.unit",
+            "special_fn.IntegrationResult.__float__"} <= set(names)
+    present = []
+    for name in names:
+        *path, last = name.split(".")
+        owner = importlib.import_module(f"epfit.{path[0]}")
+        for attr in path[1:]:
+            owner = getattr(owner, attr)
+        if hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", {}):
+            present.append(name)
+    assert present == []

@@ -17,7 +17,6 @@ from epfit.special_fn import (
     QuadratureSpec,
     digamma,
     gamma_fn,
-    incomplete_gamma,
     integrate,
     log_gamma,
     regularized_gamma,
@@ -25,6 +24,14 @@ from epfit.special_fn import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def incomplete_gamma(z, a):
+    """The lower and upper (non-regularized) incomplete gammas, formed
+    as the closed-form information matrices form them."""
+    whole = gamma_fn(z)
+    lower, upper = regularized_gamma(z, a)
+    return whole * lower, whole * upper
 
 
 class TestGamma:
@@ -57,28 +64,25 @@ class TestGamma:
 
 class TestIncompleteGamma:
     def test_trivial_values(self):
-        assert incomplete_gamma(1.0, 0.0, "lower") == 0.0
-        assert incomplete_gamma(1.0, 1.0, "upper") == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert incomplete_gamma(1.0, 0.0)[0] == 0.0
+        assert incomplete_gamma(1.0, 1.0)[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_partition_grid(self):
         for z in (0.6, 1.0, 2.5, 7.0):
             for a in (0.0, 0.5, 1.0, 5.0):
-                lower = incomplete_gamma(z, a, "lower")
-                upper = incomplete_gamma(z, a, "upper")
+                lower, upper = incomplete_gamma(z, a)
                 assert lower + upper == pytest.approx(gamma_fn(z), rel=1e-10)
 
     def test_lower_against_quadrature(self):
         oracle, _ = scipy.integrate.quad(lambda t: t**1.5 * np.exp(-t), 0.0, 1.3,
                                          epsabs=1e-13, epsrel=1e-12)
-        assert incomplete_gamma(2.5, 1.3, "lower") == pytest.approx(oracle, rel=1e-10)
+        assert incomplete_gamma(2.5, 1.3)[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             incomplete_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             incomplete_gamma(1.0, -0.5)
-        with pytest.raises(ValueError):
-            incomplete_gamma(1.0, 1.0, kind="sideways")
 
 
 class TestPolygamma:
@@ -312,12 +316,11 @@ class TestAgainstScipy:
 
     @given(_floats(1e-3, 50.0), _floats(0.0, 200.0))
     def test_incomplete_gamma(self, z, a):
-        # compared regularized, so both kinds are judged on one scale
-        whole = gamma_fn(z)
-        lower = incomplete_gamma(z, a, "lower") / whole
-        upper = incomplete_gamma(z, a, "upper") / whole
-        assert lower == pytest.approx(scipy.special.gammainc(z, a), abs=1e-12)
-        assert upper == pytest.approx(scipy.special.gammaincc(z, a), abs=1e-12)
+        # not regularized, as the closed-form information matrices use them
+        lower, upper = incomplete_gamma(z, a)
+        whole = scipy.special.gamma(z)
+        assert lower == pytest.approx(whole * scipy.special.gammainc(z, a), rel=1e-11, abs=1e-300)
+        assert upper == pytest.approx(whole * scipy.special.gammaincc(z, a), rel=1e-11, abs=1e-300)
 
     @given(_floats(1e-3, 1e3), _floats(0.0, 2e3))
     def test_regularized_gamma(self, z, a):
