@@ -4,12 +4,13 @@ For the location/scale families the matrix collects expectations of
 outer products of dS/d(mu, sigma) under the underlying density; for the
 weighted families the integrand carries the deformation term and the
 tilted density, giving generally asymmetric 3x3 matrices.  Closed forms
-(in terms of complete/incomplete gammas, digamma and trigamma) are
-provided where the shape constraints allow; adaptive quadrature is the
-authoritative fallback and the cross-check for every closed form.  A
-quadrature matrix is one vector-valued pass over its entries: parity
-decides which vanish or coincide, and the power of the residual at the
-center which diverge, reported as ``inf`` without being integrated.
+(in terms of complete/incomplete gammas, digamma and trigamma) give the
+plain and q-weighted matrices at every shape and the combined ones with
+every branch shape above 3/2; adaptive quadrature gives the others and
+is the cross-check for every closed form.  A quadrature matrix is one
+vector-valued pass over its entries.  On both routes parity decides
+which entries vanish or coincide, and the power of the residual at the
+center which diverge, reported as ``inf`` without being evaluated.
 
 All matrices are scaled by the sample size n; scaling is exactly linear.
 """
@@ -17,7 +18,7 @@ All matrices are scaled by the sample size n; scaling is exactly linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .scores import likelihood_weight
 from .special_fn import (
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     digamma,
     gamma_fn,
     integrate,
@@ -78,10 +78,6 @@ class VarianceReport:
     negative: tuple
 
 
-# per-entry tolerances and the split budget of one integration pass
-_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
-
-
 def _truncation_halfwidth(alpha: float) -> float:
     # exp(-y^alpha) tail mass beyond the window is far below quadrature
     # tolerance; the width grows as the shape drops below 1
@@ -98,7 +94,7 @@ def _integrate_finite(finite, integrand, grid, closed=0.0):
     # nothing is integrated when every entry diverges
     for lo, hi in zip(grid[:-1], grid[1:]) if finite.any() else ():
         try:
-            res = integrate(integrand, replace(_QUAD, domain=(lo, hi)))
+            res = integrate(integrand, lo, hi)
             v, e = res.value, res.error
         except QuadratureError as exc:  # keep the best estimate and its bound
             v, e = exc.best, exc.bound
@@ -163,50 +159,6 @@ def _combined_closed(params: EpdParams, family):
     return np.array([[e_mm, e_ms], [e_ms, e_ss]])
 
 
-def _q_closed(params: EpdParams, q: float) -> np.ndarray:
-    alpha, sig = params.alpha, params.sigma
-    if alpha <= 1.5:
-        raise DomainError(
-            f"closed form requires alpha > 3/2 (got {alpha}); use the quadrature method"
-        )
-    cq = 2.0 ** (q - 1.0) * gamma_fn(1.0 / alpha) ** (q - 2.0)
-    two_q = 2.0 - q
-    log_2q = math.log(two_q)
-    psi0 = digamma(2.0 - 1.0 / alpha)
-    psi1 = trigamma(2.0 - 1.0 / alpha)
-    g23 = gamma_fn(2.0 - 3.0 / alpha)
-    g33 = gamma_fn(3.0 - 3.0 / alpha)
-    g21 = gamma_fn(2.0 - 1.0 / alpha)
-    bracket = 1.0 + psi0 - log_2q
-
-    e_mm = (
-        cq * alpha ** (3.0 - q) * (alpha - 1.0) * sig ** (q - 3.0)
-        * two_q ** (3.0 / alpha - 3.0) * g23
-        * ((q - 1.0) * sig * (2.0 * alpha - 3.0) + (alpha - 1.0) * two_q)
-    )
-    e_sm = (
-        cq * (q - 1.0) * alpha ** (4.0 - q) * (alpha - 1.0)
-        * sig ** (q - 2.0) * two_q ** (3.0 / alpha - 3.0) * g33
-    )
-    e_ss = (
-        cq * alpha ** (3.0 - q) * (alpha - 1.0) ** 2 * sig ** (q - 3.0)
-        * two_q ** (1.0 / alpha - 2.0) * g21
-    )
-    e_sa = (
-        -cq * alpha ** (2.0 - q) * (alpha - 1.0) * sig ** (q - 2.0)
-        * two_q ** (1.0 / alpha - 2.0) * g21 * bracket
-    )
-    e_aa = (
-        cq * alpha ** (1.0 - q) * sig ** (q - 1.0)
-        * two_q ** (1.0 / alpha - 2.0) * g21 * (bracket**2 + psi1)
-    )
-    return np.array([
-        [e_mm, 0.0, 0.0],
-        [e_sm, e_ss, e_sa],
-        [e_sm, e_sa, e_aa],
-    ])
-
-
 # The weighted-family entries E[(deform d_j + d_i) d_j] under the tilted
 # density: d_mu, the deformation and the tilt are even in y, d_sigma and
 # d_alpha odd, so (mu, sigma) and (mu, alpha) vanish, (alpha, mu) equals
@@ -215,6 +167,52 @@ def _q_closed(params: EpdParams, q: float) -> np.ndarray:
 # y = 0 they behave like y^(2 alpha - 4), y^(3 alpha - 4) and y^(2 alpha - 2)
 # (times powers of log y for the shape entries).
 _WEIGHTED_THRESHOLDS = {(0, 0): 1.5, (1, 0): 1.0, (1, 1): 0.5, (1, 2): 0.5, (2, 2): 0.5}
+
+
+def _q_closed(params: EpdParams, q: float) -> np.ndarray:
+    """The plain and q-weighted 3x3 matrix at any shape: each entry that
+    _WEIGHTED_THRESHOLDS calls finite from its gamma closed form, the
+    others inf, and the parity zeros exact."""
+    alpha, sig = params.alpha, params.sigma
+    entries = np.full((3, 3), math.inf)
+    entries[0, 1:] = 0.0
+    if q == 1.0:  # no deformation: (sigma, mu) and (alpha, mu) vanish
+        entries[1:, 0] = 0.0
+    # every finite entry has the factor Gamma(2 - 1/alpha)
+    if not alpha > _WEIGHTED_THRESHOLDS[(1, 1)]:
+        return entries
+    cq = 2.0 ** (q - 1.0) * gamma_fn(1.0 / alpha) ** (q - 2.0)
+    two_q = 2.0 - q
+    log_2q = math.log(two_q)
+    psi0 = digamma(2.0 - 1.0 / alpha)
+    psi1 = trigamma(2.0 - 1.0 / alpha)
+    g21 = gamma_fn(2.0 - 1.0 / alpha)
+    bracket = 1.0 + psi0 - log_2q
+
+    if alpha > _WEIGHTED_THRESHOLDS[(0, 0)]:
+        entries[0, 0] = (
+            cq * alpha ** (3.0 - q) * (alpha - 1.0) * sig ** (q - 3.0)
+            * two_q ** (3.0 / alpha - 3.0) * gamma_fn(2.0 - 3.0 / alpha)
+            * ((q - 1.0) * sig * (2.0 * alpha - 3.0) + (alpha - 1.0) * two_q)
+        )
+    if alpha > _WEIGHTED_THRESHOLDS[(1, 0)] and q != 1.0:
+        entries[1:, 0] = (
+            cq * (q - 1.0) * alpha ** (4.0 - q) * (alpha - 1.0)
+            * sig ** (q - 2.0) * two_q ** (3.0 / alpha - 3.0) * gamma_fn(3.0 - 3.0 / alpha)
+        )
+    entries[1, 1] = (
+        cq * alpha ** (3.0 - q) * (alpha - 1.0) ** 2 * sig ** (q - 3.0)
+        * two_q ** (1.0 / alpha - 2.0) * g21
+    )
+    entries[1, 2] = entries[2, 1] = (
+        -cq * alpha ** (2.0 - q) * (alpha - 1.0) * sig ** (q - 2.0)
+        * two_q ** (1.0 / alpha - 2.0) * g21 * bracket
+    )
+    entries[2, 2] = (
+        cq * alpha ** (1.0 - q) * sig ** (q - 1.0)
+        * two_q ** (1.0 / alpha - 2.0) * g21 * (bracket**2 + psi1)
+    )
+    return entries
 
 
 def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
@@ -289,15 +287,17 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
     of the likelihood families; the Huber and combined matrices are
     always 2x2, and asking for them with dim 3 raises ValueError.
-    ``method`` is 'closed', 'quad' or 'auto'.  The closed
-    forms need the shape (every branch shape of the combined scores)
-    above 3/2; the Huber and distorted (beta > 0) matrices have none.
-    Where no closed form applies, 'auto' integrates by quadrature and
-    'closed' raises DomainError.  The q-weighted matrix is asymmetric
-    for q < 1: its lower triangle keeps the deformation term after the
-    odd parts integrate out.  Divergent quadrature entries are ``inf``
-    and make the matrix quadrature-partial, with per-entry error bounds
-    kept; q = 1 and beta = 0 give the plain-likelihood matrix.
+    ``method`` is 'closed', 'quad' or 'auto'.  The plain and q-weighted
+    matrices (and the distorted one at beta = 0) have a closed form at
+    every shape, the combined ones when every branch shape is above 3/2;
+    the Huber and distorted (beta > 0) matrices have none.  Where no
+    closed form applies, 'auto' integrates by quadrature and 'closed'
+    raises DomainError.  The q-weighted matrix is asymmetric for q < 1:
+    its lower triangle keeps the deformation term after the odd parts
+    integrate out.  Divergent entries are ``inf`` on both routes, by the
+    same rule; they make a quadrature matrix quadrature-partial, with
+    per-entry error bounds kept.  q = 1 and beta = 0 give the
+    plain-likelihood matrix.
     """
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")

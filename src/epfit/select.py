@@ -51,16 +51,15 @@ def volume(matrix: FisherMatrix, n: int) -> float:
     return (2.0 * math.pi * v / n) ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0) / math.sqrt(det)
 
 
-def ic_scores(data, params: EpdParams, family, p: int, n: int) -> tuple[float, float, float]:
+def ic_scores(data, params: EpdParams, family, p: int,
+              n: int) -> tuple[float, float | None, float]:
     """Information criteria 2 sum|S| + penalty for penalties 2p,
-    2pn/(n-p-1) and p log n."""
+    2pn/(n-p-1) and p log n; the corrected one is None unless n > p + 1."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    if n <= p + 1:
-        raise ValueError(f"corrected criterion needs n > p + 1 (n={n}, p={p})")
     base = 2.0 * float(np.sum(np.abs(score(family, np.asarray(data, dtype=float), params))))
     aic = base + 2.0 * p
-    caic = base + 2.0 * p * n / (n - p - 1.0)
+    caic = base + 2.0 * p * n / (n - p - 1.0) if n > p + 1 else None
     bic = base + p * math.log(n)
     return (aic, caic, bic)
 
@@ -311,7 +310,7 @@ class CandidateRecord:
     fit: FitResult | None
     volume: float
     aic: float
-    caic: float
+    caic: float | None
     bic: float
     mae: float
     error: str | None = None

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "QuadratureError",
-    "QuadratureSpec",
     "IntegrationResult",
     "gamma_fn",
     "log_gamma",
@@ -286,32 +285,16 @@ def trigamma(z: float) -> float:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and domain description for :func:`integrate`.
-
-    Infinite endpoints are mapped to a finite interval by the rational
-    substitutions x = a + u/(1-u), x = b - u/(1-u) and x = u/(1-u^2);
-    a reversed domain (a > b) flips the sign of the result.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
 class IntegrationResult:
     value: float | np.ndarray
     error: float | np.ndarray
     subdivisions: int
 
+
+# per-component tolerance of integrate, absolute and relative, and its
+# split budget
+_TOL = 1e-12
+_MAX_SPLITS = 400
 
 # Gauss-Kronrod 7-15 nodes and weights (positive half, node 0 last).
 _XGK = np.array([
@@ -360,67 +343,36 @@ def _gk15(fx: np.ndarray, half: float):
     return kronrod, err
 
 
-def _transform(f: Callable, a: float, b: float):
-    """Map an infinite domain onto a finite one, returning (g, lo, hi)."""
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if not a_inf and not b_inf:
-        return f, a, b
-    if a_inf and b_inf:
-        def g(u):
-            u = np.asarray(u, dtype=float)
-            w = 1.0 - u * u
-            return f(u / w) * (1.0 + u * u) / (w * w)
-        return g, -1.0, 1.0
-    if not a_inf and b_inf:
-        def g(u):
-            u = np.asarray(u, dtype=float)
-            w = 1.0 - u
-            return f(a + u / w) / (w * w)
-        return g, 0.0, 1.0
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        w = 1.0 - u
-        return f(b - u / w) / (w * w)
-    return g, 0.0, 1.0
-
-
-def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
-    """Adaptive Gauss-Kronrod integration of f over spec.domain.
+def integrate(f: Callable, lo: float, hi: float) -> IntegrationResult:
+    """Adaptive Gauss-Kronrod integration of f over the finite panel
+    [lo, hi], lo <= hi; a zero-width panel integrates to 0.
 
     The integrand maps a numpy array of abscissae to the array of values,
     or to a (k, nodes) stack whose k components are integrated together:
     value and error are then length-k arrays, each component is judged
-    against its own max(abs_tol, rel_tol |value|), and the panel with the
+    against its own max(1e-12, 1e-12 |value|), and the panel with the
     largest error relative to those tolerances is split next.  The two
     halves of a split panel are evaluated together, in one 30-node call
     of the integrand, so it must act elementwise on its abscissae.  Raises
     :class:`QuadratureError` (carrying the best estimate) when the
-    tolerance cannot be met within ``spec.max_subdivisions`` splits.
+    tolerance cannot be met within 400 splits.
     """
-    a, b = spec.domain
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-    if a == b:
+    if lo == hi:
         return IntegrationResult(0.0, 0.0, 0)
-    g, lo, hi = _transform(f, a, b)
 
     def excess(total, err):
-        return np.max(err / np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))
+        return np.max(err / np.maximum(_TOL, _TOL * np.abs(total)))
 
     half, x = _panel_nodes(lo, hi)
-    total, total_err = _gk15(np.asarray(g(x), dtype=float), half)
+    total, total_err = _gk15(np.asarray(f(x), dtype=float), half)
     heap = [(-excess(total, total_err), lo, hi, total, total_err)]
     splits = 0
     while excess(total, total_err) > 1.0:
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SPLITS:
             raise QuadratureError(
                 f"integration did not converge after {splits} subdivisions "
-                f"(estimate {sign * total}, bound {total_err})",
-                best=sign * total,
+                f"(estimate {total}, bound {total_err})",
+                best=total,
                 bound=total_err,
             )
         _, ilo, ihi, ival, ierr = heapq.heappop(heap)
@@ -429,7 +381,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
         # as its own contiguous array, as a single-panel call would
         lhalf, lx = _panel_nodes(ilo, mid)
         rhalf, rx = _panel_nodes(mid, ihi)
-        fx = np.asarray(g(np.concatenate([lx, rx])), dtype=float)
+        fx = np.asarray(f(np.concatenate([lx, rx])), dtype=float)
         lval, lerr = _gk15(np.ascontiguousarray(fx[..., :15]), lhalf)
         rval, rerr = _gk15(np.ascontiguousarray(fx[..., 15:]), rhalf)
         # rebinding, not +=: the heap still holds the arrays of earlier panels
@@ -438,5 +390,5 @@ def integrate(f: Callable, spec: QuadratureSpec) -> IntegrationResult:
         heapq.heappush(heap, (-excess(total, lerr), ilo, mid, lval, lerr))
         heapq.heappush(heap, (-excess(total, rerr), mid, ihi, rval, rerr))
         splits += 1
-    return IntegrationResult(sign * total, total_err, splits)
+    return IntegrationResult(total, total_err, splits)
 

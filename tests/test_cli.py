@@ -151,6 +151,18 @@ class TestFitCommand:
         assert abs(est["sigma"] - 1.68) < 0.5
         assert report["payload"]["ic"]["bic"] > report["payload"]["ic"]["aic"]
         assert report["payload"]["volume"] > 0
+        # three points leave no corrected criterion (it needs n > p + 1):
+        # it is null, and the fit reports the others
+        three = tmp_path / "three.csv"
+        three.write_text("0.1\n0.9\n0.5\n")
+        code = dispatch(["fit", "--data", str(three), "--score", "sd", "--beta", "6e-3",
+                         "--alpha", "2", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        validate_report(report)
+        ic = report["payload"]["ic"]
+        assert ic["caic"] is None
+        assert ic["aic"] > ic["bic"] > 0
 
     def test_report_bytes_reproducible(self, sample_file, tmp_path):
         out = tmp_path / "a.json"
@@ -191,8 +203,8 @@ class TestFitCommand:
     def test_overflowed_fisher_matrix_still_reports(self, tmp_path, capfd):
         # on this contaminated sample the sq objective fit lands at shape
         # 0.578, where the location and (sigma, mu) information integrals
-        # diverge; the quadrature used to overflow there.  The fit reports
-        # them as infinite, mu gets variance 0 and sigma, alpha the
+        # diverge; the quadrature used to overflow there.  The closed form
+        # reports them as infinite, mu gets variance 0 and sigma, alpha the
         # inverse of the finite (sigma, alpha) block
         data = Path(__file__).parent / "data" / "overflowed_fisher.csv"
         out = tmp_path / "obj.json"
@@ -205,7 +217,7 @@ class TestFitCommand:
         validate_report(report)
         payload = report["payload"]
         fisher = payload["fisher"]
-        assert fisher["method"] == "quadrature-partial"
+        assert fisher["method"] == "closed_form"
         assert [row[0] for row in fisher["entries"]] == ["inf", "inf", "inf"]
         assert fisher["entries"][0][1:] == [0.0, 0.0]
         assert fisher["psd"]["min_eigenvalue"] == "nan"
@@ -393,6 +405,16 @@ class TestTuneCommand:
         assert len(payload["candidates"]) == 3
         assert 0 <= payload["chosen"] < 3
         assert all(c["mae"] > 0 for c in payload["candidates"])
+        # on three points every candidate keeps its record, without a
+        # corrected criterion
+        three = tmp_path / "three.csv"
+        three.write_text("0.1\n0.9\n0.5\n")
+        code = dispatch(["tune", "--data", str(three), "--family", "sd",
+                         "--grid-beta", "0,0.006", "--alpha", "2", "--seed", "3",
+                         "--out", str(out)])
+        assert code == 0
+        candidates = json.loads(out.read_text())["payload"]["candidates"]
+        assert [(c["error"], c["caic"]) for c in candidates] == [(None, None)] * 2
 
     def test_mae_and_choice_do_not_depend_on_seed_or_replications(self, sample_file,
                                                                    tmp_path):
@@ -579,7 +601,10 @@ _PINNED_COMMANDS = [
 # fits became Anderson-accelerated (values move in the last digits); those
 # of fit-combined, fisher-combined and tune-combined-huber when the closed
 # combined matrices took their incomplete gammas from regularized_gamma
-# (entries and what is computed from them move in the last digits)
+# (entries and what is computed from them move in the last digits), and
+# that of fisher-sq-low when the q-weighted closed form took shapes at or
+# below 3/2 (its method, no element_errors, entries within the quadrature's
+# error bounds)
 _PINNED_SHA256 = {
     "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
     "fit-sd.json": "e2b0d323d6752e75ed13104e25ee2baea3eb054009f6d57bda68bad10055ca08",
@@ -590,7 +615,7 @@ _PINNED_SHA256 = {
     "fit-objective.json": "f587a5c590e91d0d7ae1abe4905a849cf2e8fcdf4afd6eac9656c41e81371fc2",
     "fisher-s.json": "340a7bdb618747c985ee7f10ec864166ca005f43aa4f7e4f93a3b228f2ba2021",
     "fisher-sq-quad.json": "abca0ac6ed069bfe0d0760f50f6171f576be8acb04b07dd6f6c62e3c9a7f805e",
-    "fisher-sq-low.json": "adc678d945d80701923e2f3829968b19e2d6fa3de247c6b5a3bd0af1c9492026",
+    "fisher-sq-low.json": "ac6936e0a06d0f52ae31c55b966c5ec8ce268ace653b5da7df19aa28d479d2a5",
     "fisher-sd.json": "d7fe52ab65373bf06d913f24e29230ac05c86387f0e52834d50bb34afb61d407",
     "fisher-huber.json": "e53e29a4008ea53675ac0027b6e0ee30b7f666af750f2ddceda04c80da46e71e",
     "fisher-combined.json": "c147e73e9e8692e1a8742c360e8aff1e244a2a27c80b1dd441f73a093d3ec8a2",

@@ -1,6 +1,7 @@
 """Information matrices: closed form vs quadrature, structure,
 semidefiniteness diagnostics and variance extraction."""
 
+import itertools
 import json
 import math
 import warnings
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epfit import fisher
 from epfit.epd import EpdParams
 from epfit.fisher import (
     FisherMatrix,
@@ -23,15 +25,21 @@ from epfit.select import volume
 from epfit.special_fn import DomainError
 
 # quadrature entries recorded with the per-entry integration that the
-# one-pass vector quadrature replaced, and ("combined_closed") the closed
+# one-pass vector quadrature replaced, ("combined_closed") the closed
 # forms of TestCombined's random grid at n = 100, recorded when each
-# incomplete gamma was its own series or continued fraction
+# incomplete gamma was its own series or continued fraction, and
+# ("q_closed") the q-weighted closed forms of TestQWeighted's random grid
+# and of q = 1 at n = 115, recorded when they refused every shape <= 3/2
 PINNED = json.loads((Path(__file__).parent / "data" / "fisher_pinned.json").read_text())
 
 
 def assert_matrices_close(a, b, rtol, atol_scale=1e-8):
     scale = float(np.max(np.abs(b)))
     np.testing.assert_allclose(a, b, rtol=rtol, atol=atol_scale * scale)
+
+
+def no_integration(*args):
+    raise AssertionError("a closed-form matrix called integrate")
 
 
 class TestCombined:
@@ -45,6 +53,14 @@ class TestCombined:
             closed = fisher_for_family(family, p, 100, dim=2, method="closed")
             quad = fisher_for_family(family, p, 100, dim=2, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
+        # a cut at 0 leaves a zero-width panel in the quadrature grid
+        for k, t in [(0.0, 1.1), (0.8, 0.0), (0.0, 0.0)]:
+            for cls in (CombinedPlain, CombinedHuber):
+                family = cls(ShapeTriple(2.0, 2.5, 3.0), k, t)
+                p = EpdParams(0.3, 1.2, 2.5)
+                closed = fisher_for_family(family, p, 100, dim=2, method="closed")
+                quad = fisher_for_family(family, p, 100, dim=2, method="quad")
+                assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
 
     def test_closed_form_matches_the_recorded_matrices(self):
         for rec in PINNED["combined_closed"]:
@@ -91,6 +107,24 @@ class TestQWeighted:
             closed = fisher_for_family(QWeighted(q), p, 115, dim=3, method="closed")
             quad = fisher_for_family(QWeighted(q), p, 115, dim=3, method="quad")
             assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
+        # above 3/2 the closed form is the one recorded before it took
+        # lower shapes, bit for bit
+        for rec in PINNED["q_closed"]:
+            p = EpdParams(rec["mu"], rec["sigma"], rec["alpha"])
+            closed = fisher_for_family(QWeighted(rec["q"]), p, 115, dim=3, method="closed")
+            assert closed.entries.tobytes() == np.array(rec["entries"]).tobytes()
+        # at or below 3/2 some entries diverge: the same ones on both
+        # routes, and the finite ones agree to 1e-13 of the largest
+        for _ in range(40):
+            p = EpdParams(rng.normal(), math.exp(rng.uniform(-2.0, 2.0)),
+                          0.55 + rng.random() * 0.95)
+            q = 1.0 if rng.random() < 0.3 else 0.5 + rng.random() * 0.5
+            closed = fisher_for_family(QWeighted(q), p, 115, dim=3, method="closed").entries
+            quad = fisher_for_family(QWeighted(q), p, 115, dim=3, method="quad").entries
+            finite = np.isfinite(closed)
+            np.testing.assert_array_equal(np.isfinite(quad), finite)
+            scale = np.max(np.abs(closed[finite]))
+            assert np.max(np.abs(closed[finite] - quad[finite])) <= 1e-13 * scale
 
     def test_unit_scale_matches_quadrature(self):
         # the scale-one case is the cleanest anchor for the closed form
@@ -239,7 +273,7 @@ class TestVariances:
 
 
 class TestDispatch:
-    def test_family_routing(self):
+    def test_family_routing(self, monkeypatch):
         p = EpdParams(0, 1, 2.0)
         assert fisher_for_family(Plain(), p, 10).method == "closed_form"
         assert fisher_for_family(Huber(1.3), p, 10).method == "quadrature"
@@ -252,6 +286,19 @@ class TestDispatch:
         assert fisher_for_family(hub, p, 10).method == "closed_form"
         # no distortion is the plain likelihood, with its closed form
         assert fisher_for_family(Distorted(0.0), p, 10).method == "closed_form"
+        # which is closed at every shape; TestLowShapeRegime takes the
+        # shapes below 3/2 but 1, where the (sigma, alpha) block is
+        # singular and its variance checks do not apply
+        monkeypatch.setattr(fisher, "integrate", no_integration)
+        cases = itertools.product((1.0, 2.0, 8.0), (Plain(), QWeighted(0.8), Distorted(0.0)),
+                                  ("auto", "closed"), (2, 3))
+        for alpha, family, method, dim in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), 110, dim=dim,
+                                      method=method)
+            assert F.method == "closed_form"
+            np.testing.assert_array_equal(np.isinf(F.entries), divergent(family, alpha, dim))
 
     @pytest.mark.parametrize("family", [Huber(1.3), Distorted(0.01)], ids=["huber", "sd"])
     def test_closed_mode_without_closed_form_raises(self, family):
@@ -281,9 +328,13 @@ class TestDispatch:
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, dim=3, method=method)
 
     def test_low_shape_plain_degrades_to_partial(self):
-        # below shape 3/2 the location entry integral diverges, so the
-        # matrix is flagged partial with per-entry bounds kept
+        # below shape 3/2 the location entry diverges: the plain matrix
+        # stays closed form with that entry inf, and only a quadrature
+        # matrix is flagged partial, with per-entry bounds kept
         F = fisher_for_family(Plain(), EpdParams(0, 1, 1.2), 10)
+        assert F.method == "closed_form"
+        assert F.entries[0, 0] == np.inf and F.element_errors is None
+        F = fisher_for_family(Distorted(6e-3), EpdParams(0, 1, 1.2), 10)
         assert F.method == "quadrature-partial"
         assert F.element_errors is not None
 
@@ -366,28 +417,41 @@ DIVERGENCE_RULE = {(0, 0): 1.5, (1, 0): 1.0, (2, 0): 1.0,
                    (1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.5}
 
 
+def divergent(family, alpha, dim):
+    """The entries DIVERGENCE_RULE makes infinite."""
+    deformed = family.likelihood != (1.0, 0.0)
+    expected = np.zeros((dim, dim), dtype=bool)
+    for (i, j), threshold in DIVERGENCE_RULE.items():
+        if max(i, j) < dim and alpha <= threshold and (j > 0 or i == 0 or deformed):
+            expected[i, j] = True
+    return expected
+
+
 class TestLowShapeRegime:
-    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(6e-3)],
-                             ids=["plain", "q0.8", "beta6e-3"])
-    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.7, 0.9, 1.2, 1.45])
+    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(0.0), Distorted(6e-3)],
+                             ids=["plain", "q0.8", "beta0", "beta6e-3"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.5, 0.55, 0.7, 0.9, 1.2, 1.45, 1.5])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd):
+    def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd, monkeypatch):
         n = 110
+        closed = family.likelihood[1] == 0.0
+        if closed:
+            monkeypatch.setattr(fisher, "integrate", no_integration)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), n, dim=dim)
+            if closed:
+                forced = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), n, dim=dim,
+                                           method="closed")
+                assert forced.entries.tobytes() == F.entries.tobytes()
             diag = psd_check(F)
             rep = variances(F)
             vol = volume(F, n)
         assert capfd.readouterr() == ("", "")
-        deformed = family.likelihood != (1.0, 0.0)
-        expected = np.zeros((dim, dim), dtype=bool)
-        for (i, j), threshold in DIVERGENCE_RULE.items():
-            if max(i, j) < dim and alpha <= threshold and (j > 0 or i == 0 or deformed):
-                expected[i, j] = True
+        expected = divergent(family, alpha, dim)
         np.testing.assert_array_equal(np.isinf(F.entries), expected)
         assert np.all(F.entries[~expected] > -np.inf)
-        assert F.method == "quadrature-partial"
+        assert F.method == ("closed_form" if closed else "quadrature-partial")
         assert not diag.determinant_test and not diag.pivot_test
         assert math.isnan(diag.min_eigenvalue) and math.isnan(diag.asymmetry)
         assert math.isinf(vol)

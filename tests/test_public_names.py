@@ -46,7 +46,7 @@ def retired_names() -> list[str]:
 def test_retired_names_are_gone():
     names = retired_names()
     assert {"special_fn.incomplete_gamma", "fisher.FisherMatrix.unit",
-            "special_fn.IntegrationResult.__float__"} <= set(names)
+            "special_fn.IntegrationResult.__float__", "special_fn.QuadratureSpec"} <= set(names)
     present = []
     for name in names:
         *path, last = name.split(".")

@@ -92,8 +92,13 @@ class TestIcScores:
             assert bic > aic
 
     def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            ic_scores(np.zeros(3), EpdParams(0, 1, 2), Plain(), p=2, n=3)
+        # the corrected criterion needs n > p + 1; the others are kept
+        data = np.array([0.5, -0.5, 2.0])
+        aic, caic, bic = ic_scores(data, EpdParams(0, 1, 2), Plain(), p=2, n=3)
+        assert caic is None
+        assert bic - aic == pytest.approx(2.0 * math.log(3.0) - 4.0)
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            ic_scores(data, EpdParams(0, 1, 2), Plain(), p=0, n=3)
 
 
 class TestMae:

@@ -1,10 +1,11 @@
 """The benchmark's layer tracer still sees every fit.
 
-perfbench/tracing.py counts fits and EE sweeps by rebinding names in
-the package's modules: ``fit_ee_location_scale`` wherever it is bound,
-``ee_weight``, ``density_weight`` and ``digamma`` in ``estimate``, and
-``artificial_sample`` and ``mae`` in ``select`` (installing fails if
-either is gone).
+perfbench/tracing.py counts fits, EE sweeps and information matrices by
+rebinding names in the package's modules: ``fit_ee_location_scale`` and
+``fisher_for_family`` wherever they are bound, ``integrate`` wherever it
+is imported, ``ee_weight``, ``density_weight`` and ``digamma`` in
+``estimate``, and ``artificial_sample`` and ``mae`` in ``select``
+(installing fails if either is gone).
 A traced benchmark run fails when it sees fewer fits than it attempted,
 so these tests run the tracer here, on small inputs, without editing it.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epfit import estimate, scores, select, simulate
+from epfit import estimate, fisher, scores, select, simulate
 from epfit.epd import EpdParams, sample
-from epfit.scores import Distorted, Huber, QWeighted
+from epfit.scores import Distorted, Huber, Plain, QWeighted
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -92,3 +93,19 @@ def test_tune_candidate_fits_are_each_seen(tracer):
     assert [family for _, family, _ in tracer.ee_fits] == candidates
     assert ([result.params for _, _, result in tracer.ee_fits]
             == [c.fit.params for c in report.candidates])
+
+
+def test_quadrature_matrix_is_seen(tracer):
+    fisher.fisher_for_family(Distorted(6e-3), EpdParams(0.0, 1.0, 2.0), 110, dim=3)
+    assert tracer.counts["fisher.matrices"] == 1
+    assert tracer.counts["fisher.closed_form"] == 0
+    assert tracer.counts["special_fn.integrate_calls"] >= 1
+    assert tracer.counts["special_fn.quad_splits"] >= 1
+
+
+def test_closed_form_matrix_is_seen(tracer):
+    matrix = fisher.fisher_for_family(Plain(), EpdParams(0.0, 1.0, 1.2), 110, dim=3)
+    assert matrix.method == "closed_form"
+    assert tracer.counts["fisher.matrices"] == 1
+    assert tracer.counts["fisher.closed_form"] == 1
+    assert tracer.counts["special_fn.integrate_calls"] == 0
