@@ -92,7 +92,7 @@ def log_pdf(x, p: EpdParams):
     """log of the EP density, vectorized over x."""
     x = np.asarray(x, dtype=float)
     y = np.abs(x - p.mu) / p.sigma
-    out = p.log_norm_const() - y**p.alpha
+    out = _log_norm_const(p.sigma, p.alpha) - y**p.alpha
     return out if out.ndim else float(out)
 
 
@@ -129,8 +129,10 @@ def make_rng(seed) -> np.random.Generator:
 
 def gamma_transform(y_gamma, z_sign, p: EpdParams):
     """Map gamma variates and signs to EP draws: x = mu + sigma * z * y^(1/alpha)."""
-    y_gamma = np.asarray(y_gamma, dtype=float)
-    out = p.mu + p.sigma * np.asarray(z_sign) * y_gamma ** (1.0 / p.alpha)
+    out = np.asarray(y_gamma, dtype=float) ** (1.0 / p.alpha)
+    # in place, the same products as mu + (sigma z) y^(1/alpha)
+    out *= p.sigma * np.asarray(z_sign)
+    out += p.mu
     return out if out.ndim else float(out)
 
 

@@ -187,9 +187,9 @@ def _as_clean_array(data) -> np.ndarray:
         arr = arr.ravel()
     if arr.size < 2:
         raise DegenerateDataError("need at least two observations")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DegenerateDataError("data contain non-finite values")
-    if np.min(arr) == np.max(arr):
+    if arr.min() == arr.max():
         raise DegenerateDataError("all observations are identical")
     return arr
 
@@ -204,22 +204,36 @@ def _resolve_alpha(score: ScoreFamily, alpha: float | None) -> float:
     raise ValueError("a scalar shape value is required for this score family")
 
 
+# ndarray.sum without its Python wrapper: the same pairwise sum
+_sum = np.add.reduce
+
+
 def _ee_sweep(
     data: np.ndarray, score: ScoreFamily, p: EpdParams, damp: float
 ) -> tuple[float, float]:
     # the weighted families' density weights enter both the EE weights
     # and the scale denominator: computed once, used twice
     dw = density_weight(score, data, p) if score.density_weighted else None
-    w = np.asarray(ee_weight(score, data, p, density=dw))
-    sw = float(w.sum())
+    w = ee_weight(score, data, p, density=dw)
+    sw = float(_sum(w))
     if not math.isfinite(sw) or sw <= 0.0:
         raise DegenerateDataError("estimating-equation weights vanished")
-    mu_new = float((w * data).sum() / sw)
-    denom = float(len(data)) if dw is None else float(dw.sum())
+    mu_new = float(_sum(w * data) / sw)
+    denom = float(len(data)) if dw is None else float(_sum(dw))
     if not math.isfinite(denom) or denom <= 0.0:
         raise DegenerateDataError("scale-equation denominator vanished")
-    s2 = float((w * (data - mu_new) ** 2).sum() / denom)
-    if not math.isfinite(s2) or s2 <= 0.0:
+    r = data - mu_new
+    r *= r
+    r *= w
+    s2 = float(_sum(r) / denom)
+    if not math.isfinite(s2):
+        # a far outlier's squared residual overflows: weighting the
+        # residual before squaring it keeps a zero weight's term at zero
+        d = data - mu_new
+        s2 = float(_sum(w * d * d) / denom)
+        if not math.isfinite(s2):
+            raise DegenerateDataError("scale update overflowed")
+    if s2 <= 0.0:
         raise DegenerateDataError("scale update collapsed to zero")
     sigma_new = math.sqrt(s2)
     if damp < 1.0:
@@ -385,19 +399,23 @@ def _sweep_extrapolant(history) -> tuple[float, float] | None:
     batched fit can repeat it row by row.  None where the residual did
     not change.
     """
-    rows = list(history)
-    f = [(g_mu - mu, g_sigma - sigma) for mu, sigma, g_mu, g_sigma in rows]
-    df = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(f, f[1:])]
-    dg = [(b[2] - a[2], b[3] - a[3]) for a, b in zip(rows, rows[1:])]
-    (f_mu, f_sigma), (a_mu, a_sigma), (ga_mu, ga_sigma) = f[-1], df[-1], dg[-1]
-    g_mu, g_sigma = rows[-1][2:]
-    if len(df) == 2:
-        (b_mu, b_sigma), (gb_mu, gb_sigma) = df[0], dg[0]
+    row0 = history[0] if len(history) == 3 else None
+    mu1, sigma1, g_mu1, g_sigma1 = history[-2]
+    mu2, sigma2, g_mu, g_sigma = history[-1]
+    # the last two residuals, their difference and the outputs' difference
+    f1_mu, f1_sigma = g_mu1 - mu1, g_sigma1 - sigma1
+    f_mu, f_sigma = g_mu - mu2, g_sigma - sigma2
+    a_mu, a_sigma = f_mu - f1_mu, f_sigma - f1_sigma
+    ga_mu, ga_sigma = g_mu - g_mu1, g_sigma - g_sigma1
+    if row0 is not None:
+        mu0, sigma0, g_mu0, g_sigma0 = row0
+        b_mu, b_sigma = f1_mu - (g_mu0 - mu0), f1_sigma - (g_sigma0 - sigma0)
         det = a_mu * b_sigma - b_mu * a_sigma
         if det != 0.0:
             ca = (f_mu * b_sigma - b_mu * f_sigma) / det
             cb = (a_mu * f_sigma - f_mu * a_sigma) / det
-            return g_mu - ca * ga_mu - cb * gb_mu, g_sigma - ca * ga_sigma - cb * gb_sigma
+            return (g_mu - ca * ga_mu - cb * (g_mu1 - g_mu0),
+                    g_sigma - ca * ga_sigma - cb * (g_sigma1 - g_sigma0))
     norm = a_mu * a_mu + a_sigma * a_sigma
     if norm == 0.0:
         return None
@@ -564,7 +582,11 @@ def fit_ee_location_scale(
 
     if not estimate_alpha:
         alpha_val = _resolve_alpha(score, alpha)
-        mu, sigma, iterations, converged = _irls(data, score, alpha_val)
+        # a far outlier overflows its squared residual, and its density
+        # power for the weighted families; _ee_sweep then recomputes the
+        # scale sum so that a zero weight's term is zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, sigma, iterations, converged = _irls(data, score, alpha_val)
         return FitResult(
             params=EpdParams(mu, sigma, alpha_val),
             converged=converged,

@@ -13,6 +13,7 @@ and drops the point where it is singular (alpha < 2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,11 @@ class _LikelihoodScore(_Family):
         return s if w is None else w * s
 
     def ee_weight(self, x, p, density=None):
-        pow_am2 = _abs_pow(np.abs((x - p.mu) / p.sigma), p.alpha - 2.0)
         w = self.density_weight(x, p) if density is None else density
+        if p.alpha == 2.0:
+            # |y|^0 is exactly 1, the zero clamp included
+            return np.full(x.shape, 2.0) if w is None else w * 2.0
+        pow_am2 = _abs_pow(np.abs((x - p.mu) / p.sigma), p.alpha - 2.0)
         return p.alpha * pow_am2 if w is None else w * p.alpha * pow_am2
 
 
@@ -141,8 +145,7 @@ class Huber(_Family):
 
     def ee_weight(self, x, p, density=None):
         ay = np.abs((x - p.mu) / p.sigma)
-        with np.errstate(divide="ignore"):
-            return np.where(ay <= self.r, 1.0, self.r / np.where(ay == 0, 1.0, ay))
+        return np.where(ay <= self.r, 1.0, self.r / np.where(ay == 0, 1.0, ay))
 
     def slope(self, y):
         """dS/dy of the standardized residual."""
@@ -254,6 +257,9 @@ def _abs_pow(ay: np.ndarray, expo) -> np.ndarray:
     1 for expo == 0) instead of inf for negative exponents.  ``expo`` is
     one float or an array of per-point exponents."""
     zero = ay < _ZERO_TOL
+    if not zero.any():
+        # both np.where passes below would select ay ** expo throughout
+        return ay ** expo
     return np.where(zero, expo == 0.0, np.where(zero, 1.0, ay) ** expo)
 
 
@@ -296,6 +302,8 @@ def s_combined(y, triple: ShapeTriple, k: float, t: float, huberized: bool):
     return out if out.ndim else float(out)
 
 
+# memoised: every EE sweep asks for its family's map again
+@functools.lru_cache(maxsize=64)
 def likelihood_weight(q: float, beta: float):
     """The density weight of the (q, beta)-deformed likelihood as a map
     of the log-density: exp((1-q) lf) = f^(1-q) for q != 1, f/(beta + f)
@@ -329,7 +337,7 @@ def ee_weight(family: ScoreFamily, x, p: EpdParams, density=None):
     ignore it.
     """
     out = family.ee_weight(np.asarray(x, dtype=float), p, density=density)
-    return out if np.ndim(out) else float(out)
+    return out if out.ndim else float(out)
 
 
 def density_weight(family: ScoreFamily, x, p: EpdParams):
@@ -338,7 +346,7 @@ def density_weight(family: ScoreFamily, x, p: EpdParams):
     out = family.density_weight(x, p)
     if out is None:
         out = np.ones_like(x)
-    return out if np.ndim(out) else float(out)
+    return out if out.ndim else float(out)
 
 
 def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class DesignComponent:
             raise ValueError("component size must be non-negative")
         if not (self.alpha > 0.0 and self.sigma > 0.0):
             raise ValueError("component shape and scale must be positive")
+
+    # the component's EP law, built once for all its replications
+    @functools.cached_property
+    def params(self) -> EpdParams:
+        return EpdParams(self.mu, self.sigma, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,13 @@ def reference_design(index: int, n2: int = 100, n1: int = 5, n3: int = 5) -> Sim
 def generate(design: SimulationDesign, seed) -> np.ndarray:
     """Concatenated draws from the three components, in component order."""
     rng = make_rng(seed)
-    parts = [
-        sample(EpdParams(c.mu, c.sigma, c.alpha), c.n, rng)
-        for c in design.components
-        if c.n > 0
-    ]
-    return np.concatenate(parts)
+    out = np.empty(design.total_n)
+    start = 0
+    for c in design.components:
+        if c.n > 0:
+            out[start:start + c.n] = sample(c.params, c.n, rng)
+            start += c.n
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,9 @@ def run(
         estimates, failures = [], 0
         for rep in range(m):
             data_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 0))
-            fit_seed = np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 1))
+            # only the objective route's optimizer draws from its seed
+            fit_seed = (np.random.SeedSequence(entropy=seed, spawn_key=(e_idx, rep, 1))
+                        if spec.objective else None)
             data = generate(design, data_seed)
             # budget-limited fits come back flagged but carry usable
             # parameters; only exceptions count as failures

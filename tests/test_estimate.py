@@ -1,15 +1,18 @@
 """Estimators: reweighted EE fixed points, the shape equation and the
 objective route."""
 
+import collections
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epfit.estimate
+import epfit.scores
 from epfit.epd import EpdParams, distorted_log_pdf, log_pdf, log_q_pdf, sample
 from epfit.estimate import (
     AlphaRootError,
@@ -741,3 +744,220 @@ class TestObjectiveRoutePinned:
         subset = [0, 1, 2, 7, 8, 199]
         assert objective_values(mode, data, points[subset]).tolist() == values[subset].tolist()
         assert objective_values(mode, data, np.array([[0.0, np.nan, 2.0]])).tolist() == [-np.inf]
+
+
+class TestFarOutlier:
+    """One far point among 110 normal draws at shape 2: the weighted
+    families give it an exactly zero weight, so it must drop out, and
+    no fixed-shape fit may warn on its overflowing powers."""
+
+    CLEAN = np.random.default_rng(0).normal(size=110)
+
+    @staticmethod
+    def _fit(data, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fit_ee_location_scale(data, family, alpha=2.0)
+
+    @pytest.mark.parametrize("far", [1e100, 1e160, 1e300])
+    @pytest.mark.parametrize("family", [Distorted(6e-3), QWeighted(0.8)], ids=["d", "q"])
+    def test_zero_weight_point_drops_out(self, family, far):
+        clean = self._fit(self.CLEAN, family).params
+        res = self._fit(np.append(self.CLEAN, far), family)
+        assert res.converged
+        assert res.params.mu == pytest.approx(clean.mu, rel=1e-13, abs=1e-14)
+        assert res.params.sigma == pytest.approx(clean.sigma, rel=1e-13)
+
+    def test_huber_breaks_down_finitely_or_names_the_overflow(self):
+        res = self._fit(np.append(self.CLEAN, 1e100), Huber(1.5))
+        assert res.converged and 1e97 < res.params.sigma < 1e99
+        # there the scale sum itself exceeds the float range
+        for far in (1e160, 1e300):
+            with pytest.raises(DegenerateDataError, match="scale update overflowed"):
+                self._fit(np.append(self.CLEAN, far), Huber(1.5))
+
+    def test_plain_names_the_overflow(self):
+        with pytest.raises(DegenerateDataError, match="scale update overflowed"):
+            self._fit(np.append(self.CLEAN, 1e160), Plain())
+
+
+# The fixed-shape sweep and the sampler as they were before their set-up
+# was taken out of the per-sweep and per-replication paths: the
+# references the current code must match bit for bit.
+
+def _reference_abs_pow(ay, expo):
+    zero = ay < 1e-12
+    return np.where(zero, expo == 0.0, np.where(zero, 1.0, ay) ** expo)
+
+
+def _reference_density_weight(family, x, p):
+    q, beta = family.likelihood
+    y = np.abs(x - p.mu) / p.sigma
+    lf = p.log_norm_const() - y**p.alpha
+    if q != 1.0:
+        with np.errstate(over="ignore"):
+            return np.exp((1.0 - q) * lf)
+    if beta > 0.0:
+        f = np.exp(lf)
+        return f / (beta + f)
+    return None
+
+
+def _reference_ee_weight(family, x, p, density=None):
+    if isinstance(family, Huber):
+        ay = np.abs((x - p.mu) / p.sigma)
+        with np.errstate(divide="ignore"):
+            return np.where(ay <= family.r, 1.0, family.r / np.where(ay == 0, 1.0, ay))
+    if family.shapes is not None:
+        y = (x - p.mu) / p.sigma
+        alpha, mult = epfit.scores._branches(y, family.triple, family.k, family.t,
+                                             family.huberized)
+        return alpha * _reference_abs_pow(np.abs(y), alpha - 2.0) * mult
+    pow_am2 = _reference_abs_pow(np.abs((x - p.mu) / p.sigma), p.alpha - 2.0)
+    w = _reference_density_weight(family, x, p) if density is None else density
+    return p.alpha * pow_am2 if w is None else w * p.alpha * pow_am2
+
+
+def _reference_ee_sweep(data, score, p, damp):
+    dw = None
+    if score.density_weighted:
+        dw = _reference_density_weight(score, data, p)
+    w = np.asarray(_reference_ee_weight(score, data, p, density=dw))
+    sw = float(w.sum())
+    if not math.isfinite(sw) or sw <= 0.0:
+        raise DegenerateDataError("estimating-equation weights vanished")
+    mu_new = float((w * data).sum() / sw)
+    denom = float(len(data)) if dw is None else float(dw.sum())
+    if not math.isfinite(denom) or denom <= 0.0:
+        raise DegenerateDataError("scale-equation denominator vanished")
+    s2 = float((w * (data - mu_new) ** 2).sum() / denom)
+    if not math.isfinite(s2) or s2 <= 0.0:
+        raise DegenerateDataError("scale update collapsed to zero")
+    sigma_new = math.sqrt(s2)
+    if damp < 1.0:
+        mu_new = (1.0 - damp) * p.mu + damp * mu_new
+        sigma_new = math.exp((1.0 - damp) * math.log(p.sigma) + damp * math.log(sigma_new))
+    return mu_new, sigma_new
+
+
+def _reference_sweep_extrapolant(history):
+    rows = list(history)
+    f = [(g_mu - mu, g_sigma - sigma) for mu, sigma, g_mu, g_sigma in rows]
+    df = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(f, f[1:])]
+    dg = [(b[2] - a[2], b[3] - a[3]) for a, b in zip(rows, rows[1:])]
+    (f_mu, f_sigma), (a_mu, a_sigma), (ga_mu, ga_sigma) = f[-1], df[-1], dg[-1]
+    g_mu, g_sigma = rows[-1][2:]
+    if len(df) == 2:
+        (b_mu, b_sigma), (gb_mu, gb_sigma) = df[0], dg[0]
+        det = a_mu * b_sigma - b_mu * a_sigma
+        if det != 0.0:
+            ca = (f_mu * b_sigma - b_mu * f_sigma) / det
+            cb = (a_mu * f_sigma - f_mu * a_sigma) / det
+            return g_mu - ca * ga_mu - cb * gb_mu, g_sigma - ca * ga_sigma - cb * gb_sigma
+    norm = a_mu * a_mu + a_sigma * a_sigma
+    if norm == 0.0:
+        return None
+    c = (a_mu * f_mu + a_sigma * f_sigma) / norm
+    return g_mu - c * ga_mu, g_sigma - c * ga_sigma
+
+
+def _bits(value):
+    """Exact, comparable form of a sweep outcome: hex floats, or the
+    message of the error it raised."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return tuple(float(v).hex() for v in value)
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except DegenerateDataError as exc:
+        return str(exc)
+
+
+SWEEP_SHAPES = (0.8, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 5.0)
+
+
+def _sweep_families(alpha):
+    # the combined families get per-point exponents around the shape
+    triple = ShapeTriple(0.9 * alpha, alpha, 1.2 * alpha)
+    return [Plain(), Huber(1.5), CombinedPlain(triple, 1.0, 1.2),
+            CombinedHuber(triple, 1.0, 1.2), QWeighted(0.8), Distorted(3e-3)]
+
+
+def _sweep_samples(count):
+    return [generate(reference_design(k % 4 + 1), np.random.SeedSequence(9100 + k))
+            for k in range(count)]
+
+
+class TestSweepSetUp:
+    """The fixed-shape sweep, its weights and its extrapolant against
+    the references above, bit for bit."""
+
+    @pytest.mark.parametrize("expo", [-1.2, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 3.0, "per-point"])
+    def test_abs_pow(self, expo):
+        ay = np.abs(np.random.default_rng(3).normal(size=200))
+        if expo == "per-point":
+            expo = np.random.default_rng(4).uniform(-1.5, 3.0, size=200)
+            expo[::7] = 0.0
+        with_zeros = ay.copy()
+        with_zeros[::9] = 0.0
+        with_zeros[1] = 1e-13
+        for values in (ay, with_zeros, ay[:1], with_zeros[:1]):
+            e = expo if np.ndim(expo) == 0 else expo[: len(values)]
+            assert _bits(epfit.scores._abs_pow(values, e)) == _bits(_reference_abs_pow(values, e))
+
+    @pytest.mark.parametrize("alpha", SWEEP_SHAPES)
+    def test_sweeps_and_weights(self, alpha):
+        # 200 samples x 6 families, each at its start and at a wider
+        # scale with mu exactly on an observation (a residual of exactly 0)
+        damp = min(1.0, 2.0 / (1.2 * alpha)) if 1.2 * alpha > 2.5 else 1.0
+        for data in _sweep_samples(200):
+            mu0, sigma0 = initial_values(data)
+            points = [(mu0, sigma0), (float(data[7]), 1.7 * sigma0)]
+            for family in _sweep_families(alpha):
+                for mu, sigma in points:
+                    p = EpdParams(mu, sigma, alpha)
+                    got = _outcome(epfit.estimate._ee_sweep, data, family, p, damp)
+                    assert got == _outcome(_reference_ee_sweep, data, family, p, damp)
+                    assert (_bits(epfit.scores.ee_weight(family, data, p))
+                            == _bits(_reference_ee_weight(family, data, p)))
+
+    @pytest.mark.parametrize("alpha", SWEEP_SHAPES)
+    def test_fits(self, alpha, monkeypatch):
+        samples = _sweep_samples(8)
+
+        def fits():
+            out = []
+            for data in samples:
+                for family in _sweep_families(alpha):
+                    try:
+                        res = fit_ee_location_scale(data, family, alpha=alpha)
+                    except DegenerateDataError as exc:
+                        out.append(str(exc))
+                    else:
+                        out.append((_bits((res.params.mu, res.params.sigma)),
+                                    res.iterations, res.converged))
+            return out
+
+        got = fits()
+        monkeypatch.setattr(epfit.estimate, "_ee_sweep", _reference_ee_sweep)
+        monkeypatch.setattr(epfit.estimate, "_sweep_extrapolant", _reference_sweep_extrapolant)
+        assert got == fits()
+
+    def test_extrapolant(self):
+        rng = np.random.default_rng(11)
+        histories = [[tuple(rng.normal(size=4)) for _ in range(depth)]
+                     for depth in (2, 3) for _ in range(500)]
+        # parallel residual differences (depth 2 falls back to depth 1)
+        # and an unchanged residual (no extrapolant)
+        histories += [[(0.0, 1.0, 1.0, 2.0), (1.0, 2.0, 3.0, 5.0), (2.0, 3.0, 5.0, 8.0)],
+                      [(0.0, 1.0, 1.0, 2.0), (1.0, 2.0, 2.0, 3.0)]]
+        for rows in histories:
+            history = collections.deque(rows, maxlen=3)
+            got = _bits(epfit.estimate._sweep_extrapolant(history))
+            assert got == _bits(_reference_sweep_extrapolant(history))
+        assert epfit.estimate._sweep_extrapolant(collections.deque(histories[-1])) is None

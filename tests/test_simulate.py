@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epfit.epd import EpdParams
+from epfit.epd import EpdParams, make_rng
 from epfit.estimate import FitResult
 from epfit.scores import CombinedPlain, Distorted, Plain, ShapeTriple
 from epfit.simulate import (
@@ -64,6 +64,29 @@ class TestGenerate:
         draws = generate(d, 11)
         se = float(np.std(draws)) / np.sqrt(len(draws))
         assert abs(np.mean(draws) - 1.5) < 3.0 * se
+
+    @pytest.mark.parametrize("design", [
+        reference_design(1), reference_design(2), reference_design(3), reference_design(4),
+        reference_design(2, n1=0), reference_design(4, n1=7, n3=0),
+    ], ids=["1", "2", "3", "4", "2-no-left", "4-no-right"])
+    def test_matches_reference_bit_for_bit(self, design):
+        # the sampler and generator as they were before the component
+        # laws were built once per design and the draws filled in place
+        def reference_sample(p, n, rng):
+            y = rng.gamma(shape=1.0 / p.alpha, scale=1.0, size=n)
+            z = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            return p.mu + p.sigma * z * y ** (1.0 / p.alpha)
+
+        def reference_generate(seed):
+            rng = make_rng(seed)
+            return np.concatenate([reference_sample(EpdParams(c.mu, c.sigma, c.alpha), c.n, rng)
+                                   for c in design.components if c.n > 0])
+
+        for rep in range(50):
+            seed = np.random.SeedSequence(entropy=17, spawn_key=(0, rep, 0))
+            got = generate(design, seed)
+            assert got.dtype == np.float64 and got.shape == (design.total_n,)
+            assert got.tobytes() == reference_generate(seed).tobytes()
 
 
 class TestRun:

@@ -59,6 +59,24 @@ def test_simulate_fits_are_each_seen(tracer):
     assert tracer.counts["scores.ee_weight_calls"] == tracer.counts["estimate.iterations"]
 
 
+def test_shape_two_sweeps_and_draws_are_seen(tracer):
+    # at shape 2 the likelihood families' EE weights skip |y|^0, and
+    # generate fills one array: each sweep still makes one ee_weight
+    # call (and one density pass for the distorted column), and each
+    # replication draws its three components through epd.sample
+    m = 4
+    specs = [simulate.EstimatorSpec("s", Plain(), alpha=2.0),
+             simulate.EstimatorSpec("sd", Distorted(3e-3), alpha=2.0)]
+    simulate.run(simulate.reference_design(1), specs, m=m, seed=1)
+    assert tracer.counts["estimate.fits"] == 2 * m
+    assert tracer.counts["scores.ee_weight_calls"] == tracer.counts["estimate.iterations"]
+    distorted_sweeps = sum(result.iterations for _, family, result in tracer.ee_fits
+                           if family == Distorted(3e-3))
+    assert distorted_sweeps >= m
+    assert _span_count(tracer, "scores.density_weight") == distorted_sweeps
+    assert tracer.counts["epd.sample_calls"] == 3 * 2 * m
+
+
 def test_shape_estimating_fit_is_seen(tracer):
     data = simulate.generate(simulate.reference_design(1), np.random.SeedSequence(5))
     result = estimate.fit_ee_location_scale(data, QWeighted(0.8), estimate_alpha=True)
