@@ -12,7 +12,6 @@ Laplace-type.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,13 +30,6 @@ __all__ = [
     "make_rng",
     "cdf",
 ]
-
-
-@functools.lru_cache(maxsize=128)
-def _log_gamma_inverse(alpha: float) -> float:
-    """log Gamma(1/alpha), memoised: fits and GA children revisit the
-    same few shapes many times."""
-    return log_gamma(1.0 / alpha)
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ class EpdParams:
 
 def _log_norm_const(sigma: float, alpha: float) -> float:
     """log of the density prefactor alpha / (2 sigma Gamma(1/alpha))."""
-    return math.log(alpha) - math.log(2.0 * sigma) - _log_gamma_inverse(alpha)
+    return math.log(alpha) - math.log(2.0 * sigma) - log_gamma(1.0 / alpha)
 
 
 def _deformed(lf: np.ndarray, q: float, beta: float) -> np.ndarray:

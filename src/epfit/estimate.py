@@ -526,6 +526,66 @@ def _stationarity(data: np.ndarray, score: ScoreFamily, p: EpdParams) -> float:
     return float(np.abs(sums).max())
 
 
+def _shape_iteration(data: np.ndarray, score: ScoreFamily,
+                     alpha: float | None) -> tuple[float, float, float, int, bool]:
+    """The shape-estimating map iteration (fit_ee_location_scale) from
+    the start shape ``alpha``: (mu, sigma, alpha, iterations, converged)."""
+    # the Huber score alternates with the plain-likelihood shape equation
+    q, beta = score.likelihood or (1.0, 0.0)
+    point = (*initial_values(data), _ALPHA_START if alpha is None else _resolve_alpha(score, alpha))
+    converged = False
+    iterations = 0
+    root_hint: float | None = None
+    # (point, map output) pairs in (mu, log sigma, alpha)
+    history: collections.deque = collections.deque(maxlen=_DEPTH)
+    # while an extrapolant is evaluated: the plain output it replaced
+    # and the length of that plain step
+    fallback: tuple | None = None
+    settled = 0
+    # the last map step in (dmu/sigma, dlog sigma, dalpha), and the
+    # number of steps since one receded (below)
+    last, calm = (0.0, 0.0, 0.0), 0
+    for iterations in range(1, _MAX_ITER + 1):
+        try:
+            out, root = _shape_map(data, score, q, beta, point, root_hint)
+        except (DegenerateDataError, AlphaRootError):
+            if fallback is None:
+                raise
+            point, fallback = fallback[0], None
+            history.clear()
+            continue
+        change = max(abs(out[0] - point[0]), abs(out[1] - point[1]), abs(out[2] - point[2]))
+        if change < _TOL:
+            converged = _stationarity(data, score, EpdParams(*out)) <= _STATIONARITY_TOL
+            settled += not converged
+            if converged or settled == _SETTLE:
+                point, fallback = out, None
+                break
+        d = ((out[0] - point[0]) / point[1], math.log(out[1] / point[1]), out[2] - point[2])
+        step = math.hypot(*d)
+        if fallback is not None and step > fallback[1]:
+            point, fallback = fallback[0], None
+            history.clear()
+            continue
+        root_hint = root
+        history.append(((point[0], math.log(point[1]), point[2]),
+                        (out[0], math.log(out[1]), out[2])))
+        # a longer step the same way as the last one means the map is
+        # pushing away from a fixed point, toward which an extrapolant
+        # would pull the fit: extrapolate only from a history of steps
+        # that did not
+        receding = step > math.hypot(*last) and sum(a * b for a, b in zip(d, last)) > 0.0
+        calm = 0 if receding else calm + 1
+        point, fallback, last = out, None, d
+        if iterations >= _WARMUP and len(history) > 1 and calm >= _DEPTH - 1:
+            trial = _anderson(history)
+            if trial is not None:
+                point, fallback = trial, (out, step)
+
+    mu, sigma, alpha = point if fallback is None else fallback[0]
+    return mu, sigma, alpha, iterations, converged
+
+
 def fit_ee_location_scale(
     data,
     score: ScoreFamily,
@@ -580,80 +640,21 @@ def fit_ee_location_scale(
     if estimate_alpha and score.shapes is not None:
         raise ValueError("shape estimation is undefined for the combined families")
 
-    if not estimate_alpha:
-        alpha_val = _resolve_alpha(score, alpha)
-        # a far outlier overflows its squared residual, and its density
-        # power for the weighted families; _ee_sweep then recomputes the
-        # scale sum so that a zero weight's term is zero
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a far outlier overflows its squared residual, and its density
+    # power for the weighted families; _ee_sweep then recomputes the
+    # scale sum so that a zero weight's term is zero, and psi_vector
+    # scores a zero-weight point zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        if estimate_alpha:
+            mu, sigma, alpha_val, iterations, converged = _shape_iteration(data, score, alpha)
+        else:
+            alpha_val = _resolve_alpha(score, alpha)
             mu, sigma, iterations, converged = _irls(data, score, alpha_val)
-        return FitResult(
-            params=EpdParams(mu, sigma, alpha_val),
-            converged=converged,
-            iterations=iterations,
-            estimated_alpha=False,
-            family=score,
-        )
-
-    # the Huber score alternates with the plain-likelihood shape equation
-    q, beta = score.likelihood or (1.0, 0.0)
-    alpha_val = _ALPHA_START if alpha is None else _resolve_alpha(score, alpha)
-    point = (*initial_values(data), alpha_val)
-    converged = False
-    iterations = 0
-    root_hint: float | None = None
-    # (point, map output) pairs in (mu, log sigma, alpha)
-    history: collections.deque = collections.deque(maxlen=_DEPTH)
-    # while an extrapolant is evaluated: the plain output it replaced
-    # and the length of that plain step
-    fallback: tuple | None = None
-    settled = 0
-    # the last map step in (dmu/sigma, dlog sigma, dalpha), and the
-    # number of steps since one receded (below)
-    last, calm = (0.0, 0.0, 0.0), 0
-    for iterations in range(1, _MAX_ITER + 1):
-        try:
-            out, root = _shape_map(data, score, q, beta, point, root_hint)
-        except (DegenerateDataError, AlphaRootError):
-            if fallback is None:
-                raise
-            point, fallback = fallback[0], None
-            history.clear()
-            continue
-        change = max(abs(out[0] - point[0]), abs(out[1] - point[1]), abs(out[2] - point[2]))
-        if change < _TOL:
-            converged = _stationarity(data, score, EpdParams(*out)) <= _STATIONARITY_TOL
-            settled += not converged
-            if converged or settled == _SETTLE:
-                point, fallback = out, None
-                break
-        d = ((out[0] - point[0]) / point[1], math.log(out[1] / point[1]), out[2] - point[2])
-        step = math.hypot(*d)
-        if fallback is not None and step > fallback[1]:
-            point, fallback = fallback[0], None
-            history.clear()
-            continue
-        root_hint = root
-        history.append(((point[0], math.log(point[1]), point[2]),
-                        (out[0], math.log(out[1]), out[2])))
-        # a longer step the same way as the last one means the map is
-        # pushing away from a fixed point, toward which an extrapolant
-        # would pull the fit: extrapolate only from a history of steps
-        # that did not
-        receding = step > math.hypot(*last) and sum(a * b for a, b in zip(d, last)) > 0.0
-        calm = 0 if receding else calm + 1
-        point, fallback, last = out, None, d
-        if iterations >= _WARMUP and len(history) > 1 and calm >= _DEPTH - 1:
-            trial = _anderson(history)
-            if trial is not None:
-                point, fallback = trial, (out, step)
-
-    mu, sigma, alpha_val = point if fallback is None else fallback[0]
     return FitResult(
         params=EpdParams(mu, sigma, alpha_val),
         converged=converged,
         iterations=iterations,
-        estimated_alpha=True,
+        estimated_alpha=estimate_alpha,
         family=score,
     )
 

@@ -380,6 +380,9 @@ def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):
 
     with np.errstate(invalid="ignore"):
         psi = np.stack([w * base_mu, w * base_sigma, w * base_alpha])
+    # a point whose weight is exactly 0 scores 0, also where its
+    # overflowing powers make the product 0 * inf
+    psi[np.isnan(psi) & (w == 0.0)] = 0.0
     if psi.ndim == 1:
         return float(psi[0]), float(psi[1]), float(psi[2])
     return psi

@@ -1,14 +1,16 @@
-"""Self-contained special-function and quadrature kernel.
+"""Special-function and quadrature kernel.
 
-Gamma, log-gamma, the regularized incomplete gammas, digamma, trigamma,
-and adaptive one-dimensional integration.  Everything here is pure and
-reentrant; no state is shared between calls.
+Gamma and log-gamma (from the standard library), the regularized
+incomplete gammas, digamma, trigamma, and adaptive one-dimensional
+integration.  Everything here is pure and reentrant; no state is shared
+between calls.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,78 +46,38 @@ class QuadratureError(RuntimeError):
         self.bound = bound
 
 
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey coefficient set).
-# Relative error below 1e-13 over the positive real axis.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-# from here base ** (z - 0.5) comes close to overflowing before exp(-base)
-# scales it back, so gamma_fn takes the power as two half-powers
-_GAMMA_SPLIT = 140.0
-# largest argument whose Gamma is a finite double
-_GAMMA_MAX = 171.6243769563027
+# the smallest z whose 1/z^2 is a finite double
+_TRIGAMMA_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 
-def _lanczos_sum(z: float) -> float:
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i - 1.0)
-    return acc
+def _positive(name: str, z) -> float:
+    """z as a float, or DomainError unless z > 0."""
+    z = float(z)
+    if not z > 0.0:
+        raise DomainError(f"{name} requires z > 0, got {z}")
+    return z
 
 
 def gamma_fn(z: float) -> float:
-    """Gamma function for real z > 0.
-
-    Lanczos approximation for z >= 0.5; the recurrence Gamma(z) =
-    Gamma(z+1)/z handles (0, 0.5) without a reflection step.  Above
-    about 171.62 Gamma exceeds the largest double and DomainError is
-    raised.
-    """
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"gamma_fn requires z > 0, got {z}")
-    if z > _GAMMA_MAX:
-        raise DomainError(f"gamma_fn overflows for z > {_GAMMA_MAX}, got {z}")
-    if z < 0.5:
-        return gamma_fn(z + 1.0) / z
-    base = z + _LANCZOS_G - 0.5
-    if z < _GAMMA_SPLIT:
-        return _SQRT_2PI * base ** (z - 0.5) * math.exp(-base) * _lanczos_sum(z)
-    half = base ** (0.5 * (z - 0.5))
-    return _SQRT_2PI * half * (half * math.exp(-base)) * _lanczos_sum(z)
+    """Gamma function for real z > 0 (``math.gamma``); DomainError where
+    it exceeds the largest double: z above about 171.62 or below 5.6e-309."""
+    z = _positive("gamma_fn", z)
+    try:
+        if z < math.inf:
+            return math.gamma(z)
+    except OverflowError:
+        pass
+    raise DomainError(f"gamma_fn overflows at z = {z}")
 
 
 def log_gamma(z: float) -> float:
-    """log(Gamma(z)) for real z > 0, stable for large z."""
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        return log_gamma(z + 1.0) - math.log(z)
-    base = z + _LANCZOS_G - 0.5
-    return (
-        math.log(_SQRT_2PI)
-        + (z - 0.5) * math.log(base)
-        - base
-        + math.log(_lanczos_sum(z))
-    )
+    """log(Gamma(z)) for real z > 0 (``math.lgamma``), inf at z = inf;
+    DomainError above about 2.5e305, where it exceeds the largest double."""
+    z = _positive("log_gamma", z)
+    try:
+        return math.lgamma(z)
+    except OverflowError:
+        raise DomainError(f"log_gamma overflows at z = {z}") from None
 
 
 def _lower_gamma_series(z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -236,14 +198,15 @@ _DIGAMMA_TAIL = (
 
 
 def digamma(z: float) -> float:
-    """Digamma function psi(z) for real z > 0."""
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"digamma requires z > 0, got {z}")
+    """Digamma function psi(z) for real z > 0, inf at z = inf; DomainError
+    below about 5.6e-309, where -1/z exceeds the largest double."""
+    z = _positive("digamma", z)
     acc = 0.0
     while z < 8.0:
         acc -= 1.0 / z
         z += 1.0
+    if math.isinf(acc):
+        raise DomainError("digamma overflows: 1/z exceeds the largest double")
     inv2 = 1.0 / (z * z)
     tail = 0.0
     power = inv2
@@ -266,10 +229,11 @@ _TRIGAMMA_TAIL = (
 
 
 def trigamma(z: float) -> float:
-    """Trigamma function psi'(z) for real z > 0."""
-    z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"trigamma requires z > 0, got {z}")
+    """Trigamma function psi'(z) for real z > 0, 0 at z = inf; DomainError
+    below about 7.5e-155, where 1/z^2 exceeds the largest double."""
+    z = _positive("trigamma", z)
+    if z < _TRIGAMMA_MIN:
+        raise DomainError(f"trigamma overflows at z = {z}")
     acc = 0.0
     while z < 8.0:
         acc += 1.0 / (z * z)

@@ -30,6 +30,8 @@ from epfit.special_fn import DomainError
 # incomplete gamma was its own series or continued fraction, and
 # ("q_closed") the q-weighted closed forms of TestQWeighted's random grid
 # and of q = 1 at n = 115, recorded when they refused every shape <= 3/2
+# and re-recorded when Gamma came from math.gamma (largest movement
+# 1.5e-15 of the largest entry)
 PINNED = json.loads((Path(__file__).parent / "data" / "fisher_pinned.json").read_text())
 
 

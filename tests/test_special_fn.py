@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from epfit import special_fn
 from epfit.special_fn import (
@@ -330,6 +330,36 @@ class TestAgainstScipy:
         lower, upper = regularized_gamma(z, a)
         assert lower == pytest.approx(scipy.special.gammainc(z, a), rel=1e-11, abs=1e-300)
         assert upper == pytest.approx(scipy.special.gammaincc(z, a), rel=1e-11, abs=1e-300)
+
+
+class TestEveryPositiveDouble:
+    """At every positive double, subnormals and inf included, each
+    function returns a value (finite at finite z, its limit at inf) or
+    raises DomainError naming the overflow: never NaN, never another
+    exception.  Gamma has no finite limit at inf."""
+
+    @pytest.mark.parametrize("fn, at_inf", [
+        (gamma_fn, None), (log_gamma, math.inf), (digamma, math.inf), (trigamma, 0.0),
+    ], ids=["gamma_fn", "log_gamma", "digamma", "trigamma"])
+    @given(st.floats(min_value=0.0, exclude_min=True))
+    @example(5e-324)
+    @example(1e-320)
+    @example(1e-200)
+    @example(1.4e-154)
+    @example(171.62437)
+    @example(171.6244)
+    @example(1e300)
+    @example(math.inf)
+    def test_value_or_domain_error(self, fn, at_inf, z):
+        try:
+            out = fn(z)
+        except DomainError as exc:
+            assert "overflows" in str(exc)
+            return
+        if math.isinf(z):
+            assert out == at_inf
+        else:
+            assert math.isfinite(out)
 
 
 class TestRegularizedGammaArrays:
