@@ -263,26 +263,26 @@ class _AlphaResidual:
 
     def __call__(self, alpha: float) -> float:
         # near-zero residuals: |y|^alpha -> 0 and the log term vanishes,
-        # but the point still carries its density weight below
-        with np.errstate(over="ignore", invalid="ignore"):
-            pow_a = np.exp(alpha * self.log_y)
-            if self.any_zero:
-                pow_a = np.where(self.zero, 0.0, pow_a)
-            pow_log = pow_a * self.log_y
-            if self.weight is not None:
-                w = self.weight(_log_norm_const(self.sigma, alpha) - pow_a)
-                sw = float(w.sum())
-                if sw <= 0.0:
-                    raise DegenerateDataError("shape-equation weights vanished")
-                contrib = w * pow_log
-                total = contrib.sum()
-                if not math.isfinite(total):
-                    # overflowing residual powers carry vanishing weights;
-                    # their weighted contribution tends to zero
-                    total = np.where(np.isfinite(contrib), contrib, 0.0).sum()
-                mean_pl = float(total / sw)
-            else:
-                mean_pl = float(pow_log.sum()) / self.n_total
+        # but the point still carries its density weight below; the
+        # caller ignores overflow and invalid results (fit_ee_alpha)
+        pow_a = np.exp(alpha * self.log_y)
+        if self.any_zero:
+            pow_a = np.where(self.zero, 0.0, pow_a)
+        pow_log = pow_a * self.log_y
+        if self.weight is not None:
+            w = self.weight(_log_norm_const(self.sigma, alpha) - pow_a)
+            sw = float(_sum(w))
+            if sw <= 0.0:
+                raise DegenerateDataError("shape-equation weights vanished")
+            contrib = w * pow_log
+            total = _sum(contrib)
+            if not math.isfinite(total):
+                # overflowing residual powers carry vanishing weights;
+                # their weighted contribution tends to zero
+                total = _sum(np.where(np.isfinite(contrib), contrib, 0.0))
+            mean_pl = float(total / sw)
+        else:
+            mean_pl = float(_sum(pow_log)) / self.n_total
         return 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - mean_pl
 
 
@@ -362,29 +362,29 @@ def fit_ee_alpha(
         raise ValueError("current sigma must be positive")
     lo, hi = bracket
     g = _AlphaResidual(data, current.mu, current.sigma, q, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hint is not None and lo < hint < hi:
+            # expand geometrically around the previous root before scanning,
+            # evaluating an end only when it moved (not once clipped)
+            a = b = hint
+            for _ in range(8):
+                if a > lo:
+                    a = max(lo, a / 1.6)
+                    fa = g(a)
+                if b < hi:
+                    b = min(hi, b * 1.6)
+                    fb = g(b)
+                if fa * fb <= 0.0:
+                    return _brent(g, a, b, fa, fb)
 
-    if hint is not None and lo < hint < hi:
-        # expand geometrically around the previous root before scanning,
-        # evaluating an end only when it moved (not once clipped)
-        a = b = hint
-        for _ in range(8):
-            if a > lo:
-                a = max(lo, a / 1.6)
-                fa = g(a)
-            if b < hi:
-                b = min(hi, b * 1.6)
-                fb = g(b)
-            if fa * fb <= 0.0:
-                return _brent(g, a, b, fa, fb)
-
-    grid = np.geomspace(lo, hi, 40)
-    vals = [g(a) for a in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return _brent(g, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
-    raise AlphaRootError(f"no shape-equation root in ({lo}, {hi})")
+        grid = np.geomspace(lo, hi, 40)
+        vals = [g(a) for a in grid]
+        for i in range(len(grid) - 1):
+            if vals[i] == 0.0:
+                return float(grid[i])
+            if vals[i] * vals[i + 1] < 0.0:
+                return _brent(g, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
+        raise AlphaRootError(f"no shape-equation root in ({lo}, {hi})")
 
 
 def _sweep_extrapolant(history) -> tuple[float, float] | None:
@@ -661,12 +661,14 @@ def fit_ee_location_scale(
 
 def _search_bounds(data: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Search box of the objective maximizers, from data that are not
-    all identical."""
+    all identical; the scale's floor shrinks with a spread below 1."""
     lo, hi = float(np.min(data)), float(np.max(data))
     spread = hi - lo
+    if not math.isfinite(spread):
+        raise DegenerateDataError(f"the spread of the data, {spread}, is not finite")
     return (
         (lo - spread, hi + spread),
-        (1e-2, 10.0 * spread),
+        (1e-2 * min(1.0, spread), 10.0 * spread),
         (0.1, 20.0),
     )
 
@@ -688,6 +690,7 @@ def fit_objective(
     data = _as_clean_array(data)
     if data.size < 4:
         raise DegenerateDataError("objective fits need at least four observations")
+    bounds = _search_bounds(data)
     mu0, sigma0 = initial_values(data)
     seeds = [
         np.array([mu0, sigma0, 2.0]),
@@ -697,7 +700,7 @@ def fit_objective(
 
     f = functools.partial(objective_values, family, data)
     cfg = GaConfig(
-        bounds=_search_bounds(data),
+        bounds=bounds,
         population=population,
         generations=generations,
         seed=seed,

@@ -5,18 +5,19 @@ outer products of dS/d(mu, sigma) under the underlying density; for the
 weighted families the integrand carries the deformation term and the
 tilted density, giving generally asymmetric 3x3 matrices.  Closed forms
 (in terms of complete/incomplete gammas, digamma and trigamma) give the
-plain and q-weighted matrices at every shape and the combined ones with
-every branch shape above 3/2; adaptive quadrature gives the others and
-is the cross-check for every closed form.  A quadrature matrix is one
-vector-valued pass over its entries.  On both routes parity decides
-which entries vanish or coincide, and the power of the residual at the
-center which diverge, reported as ``inf`` without being evaluated.
+Huber, plain and q-weighted matrices at every shape and the combined
+ones with every branch shape above 3/2; adaptive quadrature gives the
+others, in one vector-valued pass over the entries of one or more
+matrices, and is the cross-check for every closed form.  On both routes
+parity decides which entries vanish or coincide, and the power of the
+residual at the center which diverge, reported as ``inf`` unevaluated.
 
 All matrices are scaled by the sample size n; scaling is exactly linear.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "PsdDiagnostics",
     "VarianceReport",
     "fisher_for_family",
+    "fisher_for_group",
     "psd_check",
     "variances",
 ]
@@ -84,11 +86,12 @@ def _truncation_halfwidth(alpha: float) -> float:
     return max(40.0, 60.0 ** (1.0 / alpha))
 
 
-def _integrate_finite(finite, integrand, grid, closed=0.0):
-    """Entries of one matrix: ``closed`` plus one vector-valued pass of
+def _integrate_finite(finite, integrand, grid, closed=0.0, keep_best=True):
+    """Entries of matrices: ``closed`` plus one vector-valued pass of
     ``integrand`` over the panels between grid points for those flagged
-    ``finite`` (the others are infinite).  Returns values, error bounds
-    and whether each is finite with a bound within 1e-7 of it or 1e-10."""
+    ``finite`` (the others are infinite).  Returns values, error bounds and
+    whether each is finite with a bound within 1e-7 of it or 1e-10; a panel
+    out of splits keeps its best estimate, or raises if not ``keep_best``."""
     errors = np.where(finite, 0.0, math.inf)
     values = errors + closed
     # nothing is integrated when every entry diverges
@@ -96,12 +99,13 @@ def _integrate_finite(finite, integrand, grid, closed=0.0):
         try:
             res = integrate(integrand, lo, hi)
             v, e = res.value, res.error
-        except QuadratureError as exc:  # keep the best estimate and its bound
+        except QuadratureError as exc:
+            if not keep_best:
+                raise
             v, e = exc.best, exc.bound
         values[finite] += v
         errors[finite] += e
-    usable = finite.all() and np.all(errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
-    return values, errors, usable
+    return values, errors, finite & (errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
 
 
 def _ee_2x2_quadrature(family, params: EpdParams, n: int):
@@ -128,8 +132,14 @@ def _ee_2x2_quadrature(family, params: EpdParams, n: int):
     m, e, ok = _integrate_finite(finite, integrand, grid)
     # moments p = 0, 1, 2 fill [[(mu, mu), (mu, sigma)], [(sigma, mu), (sigma, sigma)]]
     entries, errors = np.array([m, e])[:, [[0, 1], [1, 2]]] / params.sigma**2
-    return FisherMatrix(n * entries, 2, n, "quadrature" if ok else "quadrature-partial",
+    return FisherMatrix(n * entries, 2, n, "quadrature" if ok.all() else "quadrature-partial",
                         element_errors=errors)
+
+
+def _huber_closed(a: float, r: float) -> np.ndarray:
+    """The moments p = 0, 2 of the EP density on [-r, r], where the Huber slope is 1."""
+    lower, _ = regularized_gamma([1.0 / a, 3.0 / a], r**a)
+    return np.diag([lower[0], gamma_fn(3.0 / a) / gamma_fn(1.0 / a) * lower[1]])
 
 
 def _combined_closed(params: EpdParams, family):
@@ -215,8 +225,9 @@ def _q_closed(params: EpdParams, q: float) -> np.ndarray:
     return entries
 
 
-def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
-                         dim: int) -> FisherMatrix:
+def _weighted_part(params: EpdParams, q: float, beta: float, dim: int):
+    """A fit's share of a weighted quadrature pass: its entries (keys), which
+    are finite, their closed parts, and its finite integrands (stack)."""
     alpha, sig = params.alpha, params.sigma
     weight = likelihood_weight(q, beta)
     log_norm = params.log_norm_const()
@@ -232,27 +243,25 @@ def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
 
     d0 = deformation(f0)
 
-    def integrand(u):
+    def stack(ya, decay, grow, power):
         # y = u^3 on the half line, doubled; the jacobian 3 u^2 and the
         # scale of dx = sigma dy are folded into each single power of u,
         # so no factor overflows however close to the center u gets
-        ya = u ** (3.0 * alpha)
         lf = log_norm - ya
         dens = np.exp(lf)
         t, deform = dens, 0.0
         if weight is not None:
             t = dens * weight(lf)
             deform = deformation(dens)
-        grow = 1.0 + 3.0 * alpha * np.log(u)
-        block = u ** (6.0 * alpha - 4.0) * t
+        block = power(6.0 * alpha - 4.0) * t
         # the location and (sigma, mu) entries leave their singular parts,
         # the center values t0 exp(-y^alpha) and d0 t0 exp(-y^alpha), to
         # the closed forms below; the rest is regular
-        singular = t0 * np.exp(-ya)
+        singular = t0 * decay
         terms = {
-            (0, 0): lambda: c * (c * u ** (6.0 * alpha - 10.0) * (t - singular)
-                                 - deform * u ** (9.0 * alpha - 10.0) * t),
-            (1, 0): lambda: -c * u ** (9.0 * alpha - 10.0) * (deform * t - d0 * singular),
+            (0, 0): lambda: c * (c * power(6.0 * alpha - 10.0) * (t - singular)
+                                 - deform * power(9.0 * alpha - 10.0) * t),
+            (1, 0): lambda: -c * power(9.0 * alpha - 10.0) * (deform * t - d0 * singular),
             (1, 1): lambda: c * c * block,
             (1, 2): lambda: -c * grow * block,
             (2, 2): lambda: grow * grow * block,
@@ -266,16 +275,35 @@ def _weighted_quadrature(params: EpdParams, q: float, beta: float, n: int,
         closed[0] = 2.0 * sig * c * c * t0 * gamma_fn(2.0 - 3.0 / alpha) / alpha
     if weight is not None and finite[1]:
         closed[1] = -2.0 * sig * c * d0 * t0 * gamma_fn(3.0 - 3.0 / alpha) / alpha
+    return keys, finite, closed, stack
+
+
+def _weighted_quadrature(fits, n: int, dim: int, keep_best: bool = True) -> list[FisherMatrix]:
+    """The matrices of (params, q, beta) fits at one shape from one pass,
+    which computes the node terms once and splits panels for them all."""
+    alpha = fits[0][0].alpha
+    keys, finite, closed, stacks = zip(*[_weighted_part(p, q, beta, dim) for p, q, beta in fits])
+
+    def integrand(u):
+        ya = u ** (3.0 * alpha)
+        # each power of u once, when an entry first needs it
+        shared = ya, np.exp(-ya), 1.0 + 3.0 * alpha * np.log(u), functools.cache(u.__pow__)
+        return np.concatenate([stack(*shared) for stack in stacks])
+
     grid = [0.0, _truncation_halfwidth(alpha) ** (1.0 / 3.0)]
-    values, errors, ok = _integrate_finite(finite, integrand, grid, closed)
-    full = np.zeros((2, 3, 3))  # the entries and their error bounds
-    for (i, j), v, e in zip(keys, values, errors):
-        full[:, i, j] = v, e
-    # (alpha, mu) = (sigma, mu) and (alpha, sigma) = (sigma, alpha)
-    full[:, 2, :2] = full[:, 1, [0, 2]]
-    entries, bounds = full[:, :dim, :dim]
-    return FisherMatrix(n * entries, dim, n, "quadrature" if ok else "quadrature-partial",
-                        element_errors=bounds)
+    values, errors, ok = _integrate_finite(np.concatenate(finite), integrand, grid,
+                                           np.concatenate(closed), keep_best)
+    matrices = []
+    splits = np.cumsum([len(k) for k in keys[:-1]], dtype=int)
+    for k, v, e, usable in zip(keys, *(np.split(a, splits) for a in (values, errors, ok))):
+        full = np.zeros((2, 3, 3))  # the entries and their error bounds
+        full[:, [i for i, _ in k], [j for _, j in k]] = v, e
+        # (alpha, mu) = (sigma, mu) and (alpha, sigma) = (sigma, alpha)
+        full[:, 2, :2] = full[:, 1, [0, 2]]
+        entries, bounds = full[:, :dim, :dim]
+        method = "quadrature" if usable.all() else "quadrature-partial"
+        matrices.append(FisherMatrix(n * entries, dim, n, method, element_errors=bounds))
+    return matrices
 
 
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
@@ -287,10 +315,10 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
     of the likelihood families; the Huber and combined matrices are
     always 2x2, and asking for them with dim 3 raises ValueError.
-    ``method`` is 'closed', 'quad' or 'auto'.  The plain and q-weighted
-    matrices (and the distorted one at beta = 0) have a closed form at
-    every shape, the combined ones when every branch shape is above 3/2;
-    the Huber and distorted (beta > 0) matrices have none.  Where no
+    ``method`` is 'closed', 'quad' or 'auto'.  The Huber, plain and
+    q-weighted matrices (and the distorted one at beta = 0) have a closed
+    form at every shape, the combined ones when every branch shape is
+    above 3/2; the distorted (beta > 0) matrices have none.  Where no
     closed form applies, 'auto' integrates by quadrature and 'closed'
     raises DomainError.  The q-weighted matrix is asymmetric for q < 1:
     its lower triangle keeps the deformation term after the odd parts
@@ -309,7 +337,9 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
         try:
             if family.shapes is not None:
                 entries = _combined_closed(params, family)
-            elif family.likelihood is not None and family.likelihood[1] == 0.0:
+            elif family.likelihood is None:
+                entries = _huber_closed(params.alpha, family.r) / params.sigma**2
+            elif family.likelihood[1] == 0.0:
                 entries = _q_closed(params, family.likelihood[0])[:dim, :dim]
             else:
                 raise DomainError(f"no closed-form information matrix for {family!r}; "
@@ -320,7 +350,18 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
                 raise
     if family.likelihood is None:
         return _ee_2x2_quadrature(family, params, n)
-    return _weighted_quadrature(params, *family.likelihood, n, dim)
+    return _weighted_quadrature([(params, *family.likelihood)], n, dim)[0]
+
+
+def fisher_for_group(fits, n: int, dim: int = 2) -> list[FisherMatrix]:
+    """``fisher_for_family(family, params, n, dim, method='quad')`` of each
+    (family, params) likelihood fit at one shape, from one pass (each judged
+    partial on its own); a pass of several out of splits raises QuadratureError."""
+    if (len({params.alpha for _, params in fits}) != 1 or dim not in (2, 3)
+            or any(family.likelihood is None for family, _ in fits)):
+        raise ValueError("a group needs likelihood fits at one shape, and dim 2 or 3")
+    return _weighted_quadrature([(params, *family.likelihood) for family, params in fits],
+                                n, dim, keep_best=len(fits) == 1)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

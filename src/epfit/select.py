@@ -19,7 +19,7 @@ import numpy as np
 
 from .epd import EpdParams, _standard_cdf, make_rng, sample
 from .estimate import FitResult, fit_ee_location_scale
-from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
+from .fisher import FisherMatrix, fisher_for_family, fisher_for_group, psd_check, variances
 from .scores import score
 from .special_fn import gamma_fn, log_gamma, regularized_gamma
 
@@ -290,10 +290,15 @@ def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult
     shape estimated keeps its (mu, sigma) matrix.
     """
     data = np.asarray(data, dtype=float)
+    dim = 3 if fit.estimated_alpha and fit.family.likelihood is not None else 2
+    return _attach(data, fit, fisher_for_family(fit.family, fit.params, len(data),
+                                                dim=dim, method=fisher_method))
+
+
+def _attach(data: np.ndarray, fit: FitResult, matrix: FisherMatrix) -> FitResult:
+    """``evaluate_fit`` with its information matrix given."""
     n = len(data)
     p = 3 if fit.estimated_alpha else 2
-    dim = p if fit.family.likelihood is not None else 2
-    matrix = fisher_for_family(fit.family, fit.params, n, dim=dim, method=fisher_method)
     psd_check(matrix)
     out = dataclasses.replace(fit)
     out.fisher = matrix
@@ -342,8 +347,9 @@ def tune(
 
     Each candidate (a score family with its tuning constants baked in)
     is fitted by its estimating equations, its volume and criteria are
-    recorded, and its mean absolute error is the exact expected sorted
-    mean absolute error against artificial samples drawn from the fitted
+    recorded (the distorted ones' matrices from one quadrature pass),
+    and its mean absolute error is the exact expected sorted mean
+    absolute error against artificial samples drawn from the fitted
     parameters (``expected_mae``), computed for the whole grid with one
     incomplete-gamma pass per distinct component shape.  A candidate
     whose fit or mean absolute error fails is recorded with its error.
@@ -363,23 +369,31 @@ def tune(
     fits = []
     for cand in candidates:
         try:
-            fits.append(evaluate_fit(data, fit_ee_location_scale(data, cand, alpha=alpha)))
+            fits.append(fit_ee_location_scale(data, cand, alpha=alpha))
         except Exception as exc:  # candidate-level failure is data, not fatal
             fits.append(exc)
     c = np.sort(data)
-    fitted = [(fit.params, cand) for fit, cand in zip(fits, candidates)
-              if not isinstance(fit, Exception)]
+    ok = {i: fit for i, fit in enumerate(fits) if not isinstance(fit, Exception)}
+    # the grid makes one MAE pass, and its distorted fits (beta > 0), all
+    # at its fixed shape, one quadrature pass; where a pass fails, each
+    # candidate is redone on its own, so a failure stays with its own
+    shared = [i for i, fit in ok.items() if getattr(fit.family, "beta", 0.0) > 0.0]
     try:
-        maes = iter(_expected_maes(c, fitted, sizes))
-    except Exception:  # one candidate at a time, so a failure stays with its own
-        maes = None
+        matrices = dict(zip(shared, fisher_for_group(
+            [(ok[i].family, ok[i].params) for i in shared], n) if shared else []))
+    except Exception:
+        matrices = {}
+    try:
+        maes = dict(zip(ok, _expected_maes(c, [(f.params, f.family) for f in ok.values()], sizes)))
+    except Exception:
+        maes = {}
     records = []
-    for cand, fit in zip(candidates, fits):
+    for i, (cand, fit) in enumerate(zip(candidates, fits)):
         if not isinstance(fit, Exception):
             try:
-                mae = (next(maes) if maes is not None
-                       else _expected_maes(c, [(fit.params, cand)], sizes)[0])
-            except Exception as exc:
+                fit = _attach(data, fit, matrices[i]) if i in matrices else evaluate_fit(data, fit)
+                mae = maes[i] if i in maes else _expected_maes(c, [(fit.params, cand)], sizes)[0]
+            except Exception as exc:  # candidate-level failure is data, not fatal
                 fit = exc
         if isinstance(fit, Exception):
             records.append(CandidateRecord(

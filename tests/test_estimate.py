@@ -370,7 +370,9 @@ class TestShapeResidualSetUp:
     def _check(self, data, mu, sigma, q, beta):
         new = epfit.estimate._AlphaResidual(data, mu, sigma, q, beta)
         ref = _EveryCallResidual(data, mu, sigma, q, beta)
-        got = [self._outcome(new, a) for a in self.ALPHAS]
+        # the residual leaves the floating-point state to its caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [self._outcome(new, a) for a in self.ALPHAS]
         assert got == [self._outcome(ref, a) for a in self.ALPHAS]
         return got
 
@@ -410,6 +412,31 @@ class TestShapeResidualSetUp:
         got = [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
         monkeypatch.setattr(epfit.estimate, "_AlphaResidual", _EveryCallResidual)
         assert got == [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
+
+
+class TestObjectiveSearchBox:
+    @pytest.mark.parametrize("scale", [1e-4, 1e-8])
+    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(6e-3)],
+                             ids=["s", "sq", "sd"])
+    def test_small_spread_fits(self, family, scale):
+        # the scale box was (0.01, 10 spread), empty for a spread below 1e-3
+        data = 3.0 + scale * np.random.default_rng(0).standard_normal(110)
+        spread = float(np.ptp(data))
+        res = fit_objective(data, family, seed=1)
+        p = res.params
+        assert data.min() - spread <= p.mu <= data.max() + spread
+        assert 1e-2 * spread <= p.sigma <= 10.0 * spread
+        assert 0.1 <= p.alpha <= 20.0
+        assert math.isfinite(res.objective_value)
+
+    def test_box_kept_from_unit_spread(self):
+        for data in reference_samples().values():
+            assert np.ptp(data) >= 1.0
+            assert epfit.estimate._search_bounds(data)[1][0] == 1e-2
+
+    def test_infinite_spread_is_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="spread of the data, inf"):
+            fit_objective(np.array([-1e308, 0.0, 1.0, 2.0, 1e308]), Plain(), seed=1)
 
 
 # Objective-route fits recorded before the GA evaluated its population
@@ -702,7 +729,8 @@ OBJECTIVE_PINS = [
 
 
 class TestObjectiveRoutePinned:
-    @pytest.mark.parametrize("name, mode, seed, point, value, length, history", OBJECTIVE_PINS)
+    @pytest.mark.parametrize("name, mode, seed, point, value, length, history", OBJECTIVE_PINS,
+                             ids=[f"{name}-{mode}-seed{seed}" for name, mode, seed, *_ in OBJECTIVE_PINS])
     def test_bit_identical(self, name, mode, seed, point, value, length, history):
         res = fit_objective(reference_samples()[name], mode, seed=seed)
         p = res.params

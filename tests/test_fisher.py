@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epfit import fisher
+from epfit import fisher, special_fn
 from epfit.epd import EpdParams
+from epfit.estimate import fit_ee_location_scale
 from epfit.fisher import (
     FisherMatrix,
     fisher_for_family,
+    fisher_for_group,
     psd_check,
     variances,
 )
@@ -22,7 +24,8 @@ from epfit.scores import (
     CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
 )
 from epfit.select import volume
-from epfit.special_fn import DomainError
+from epfit.simulate import generate, reference_design
+from epfit.special_fn import DomainError, QuadratureError
 
 # quadrature entries recorded with the per-entry integration that the
 # one-pass vector quadrature replaced, ("combined_closed") the closed
@@ -185,6 +188,107 @@ class TestDistorted:
         assert e1 < e0
 
 
+class TestHuberClosed:
+    def test_matches_quadrature(self):
+        # diag(P(1/alpha, r^alpha), Gamma(3/alpha)/Gamma(1/alpha) P(3/alpha, r^alpha)) n/sigma^2
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            r, alpha = rng.uniform(0.3, 4.0), rng.uniform(0.3, 12.0)
+            p = EpdParams(0.2, math.exp(rng.uniform(-3.0, 3.0)), alpha)
+            closed = fisher_for_family(Huber(r), p, 7)
+            quad = fisher_for_family(Huber(r), p, 7, method="quad")
+            assert closed.method == "closed_form" and quad.method == "quadrature"
+            assert closed.entries[0, 1] == closed.entries[1, 0] == 0.0
+            scale = float(np.max(np.abs(quad.entries)))
+            assert np.max(np.abs(closed.entries - quad.entries)) <= 1e-13 * scale
+
+    def test_matches_recorded_quadrature(self):
+        for rec in PINNED["huber"]:
+            F = fisher_for_family(Huber(1.5), EpdParams(0.0, rec["sigma"], rec["alpha"]), 1)
+            recorded = np.array(rec["entries"])
+            assert np.max(np.abs(F.entries - recorded)) <= 1e-13 * np.max(np.abs(recorded))
+
+
+def _distorted_group(rng, alpha, size):
+    return [(Distorted(float(rng.uniform(1e-3, 0.05))),
+             EpdParams(float(rng.normal()), float(np.exp(rng.uniform(-1.0, 1.0))), alpha))
+            for _ in range(size)]
+
+
+class TestGroupPass:
+    """fisher_for_group against fisher_for_family, one fit at a time."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_group_of_one_is_the_lone_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        for alpha, family in itertools.product((0.8, 1.3, 2.0, 3.5),
+                                               (Distorted(6e-3), QWeighted(0.8), Plain())):
+            p = EpdParams(0.3, float(np.exp(rng.uniform(-1.0, 1.0))), alpha)
+            lone = fisher_for_family(family, p, 110, dim=dim, method="quad")
+            [group] = fisher_for_group([(family, p)], 110, dim)
+            assert group.method == lone.method
+            assert group.entries.tobytes() == lone.entries.tobytes()
+            assert group.element_errors.tobytes() == lone.element_errors.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.8, 1.3, 2.0, 3.5])
+    def test_groups_match_lone_matrices_within_their_bounds(self, alpha, dim):
+        rng = np.random.default_rng(int(10 * alpha) + dim)
+        for size in range(2, 7):
+            fits = _distorted_group(rng, alpha, size)
+            for (family, p), g in zip(fits, fisher_for_group(fits, 1, dim)):
+                lone = fisher_for_family(family, p, 1, dim=dim, method="quad")
+                assert g.method == lone.method
+                np.testing.assert_array_equal(np.isinf(g.entries), np.isinf(lone.entries))
+                finite = np.isfinite(lone.entries)
+                bound = (g.element_errors + lone.element_errors)[finite]
+                assert np.all(np.abs(g.entries[finite] - lone.entries[finite]) <= bound)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_benchmark_grid_at_shape_two(self, dim):
+        grid = [Distorted(b) for b in (0.002, 0.004, 0.006, 0.008, 0.01)]
+        for design in (1, 2, 3, 4):
+            data = generate(reference_design(design), design)
+            fits = [(c, fit_ee_location_scale(data, c, alpha=2.0).params) for c in grid]
+            for (family, p), g in zip(fits, fisher_for_group(fits, len(data), dim)):
+                lone = fisher_for_family(family, p, len(data), dim=dim)
+                assert g.method == lone.method == "quadrature"
+                np.testing.assert_allclose(g.entries, lone.entries, rtol=1e-13, atol=0.0)
+
+    def test_each_matrix_judged_on_its_own_bounds(self, monkeypatch):
+        fits = _distorted_group(np.random.default_rng(6), 2.0, 3)
+        real = special_fn.integrate
+
+        def loose_first(f, lo, hi):
+            res = real(f, lo, hi)
+            error = res.error.copy()
+            error[:3] = 1.0  # the three entries of the first fit's 2x2 matrix
+            return special_fn.IntegrationResult(res.value, error, res.subdivisions)
+
+        monkeypatch.setattr(fisher, "integrate", loose_first)
+        methods = [F.method for F in fisher_for_group(fits, 1, 2)]
+        assert methods == ["quadrature-partial", "quadrature", "quadrature"]
+
+    def test_a_pass_out_of_splits_raises(self, monkeypatch):
+        # alone, each matrix keeps its best estimate, flagged partial
+        fits = _distorted_group(np.random.default_rng(5), 2.0, 3)
+        monkeypatch.setattr(special_fn, "_MAX_SPLITS", 1)
+        with pytest.raises(QuadratureError):
+            fisher_for_group(fits, 1, 2)
+        for family, p in fits:
+            assert fisher_for_family(family, p, 1).method == "quadrature-partial"
+
+    @pytest.mark.parametrize("fits, message", [
+        ([(Distorted(0.01), EpdParams(0, 1, 2.0)), (Huber(1.5), EpdParams(0, 1, 2.0))],
+         "likelihood fits"),
+        ([(Distorted(0.01), EpdParams(0, 1, 2.0)), (Distorted(0.02), EpdParams(0, 1, 2.5))],
+         "at one shape"),
+    ], ids=["huber", "shapes"])
+    def test_group_must_share_a_likelihood_shape(self, fits, message):
+        with pytest.raises(ValueError, match=message):
+            fisher_for_group(fits, 10)
+
+
 class TestPsd:
     def test_identity_passes(self):
         d = psd_check(np.eye(2))
@@ -278,7 +382,7 @@ class TestDispatch:
     def test_family_routing(self, monkeypatch):
         p = EpdParams(0, 1, 2.0)
         assert fisher_for_family(Plain(), p, 10).method == "closed_form"
-        assert fisher_for_family(Huber(1.3), p, 10).method == "quadrature"
+        assert fisher_for_family(Huber(1.3), p, 10).method == "closed_form"
         assert fisher_for_family(QWeighted(0.8), p, 10).dim == 2
         assert fisher_for_family(QWeighted(0.8), p, 10, dim=3).dim == 3
         assert fisher_for_family(Plain(), p, 10, dim=3).dim == 3
@@ -302,7 +406,7 @@ class TestDispatch:
             assert F.method == "closed_form"
             np.testing.assert_array_equal(np.isinf(F.entries), divergent(family, alpha, dim))
 
-    @pytest.mark.parametrize("family", [Huber(1.3), Distorted(0.01)], ids=["huber", "sd"])
+    @pytest.mark.parametrize("family", [Distorted(0.01)], ids=["sd"])
     def test_closed_mode_without_closed_form_raises(self, family):
         with pytest.raises(DomainError, match="closed-form"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, method="closed")
@@ -328,6 +432,11 @@ class TestDispatch:
         # these families have no shape score, so no 3x3 matrix
         with pytest.raises(ValueError, match="dim 3 needs a likelihood family"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, dim=3, method=method)
+
+    def test_closed_mode_gives_the_huber_matrix(self, monkeypatch):
+        monkeypatch.setattr(fisher, "integrate", no_integration)
+        F = fisher_for_family(Huber(1.3), EpdParams(0, 1, 2.0), 10, method="closed")
+        assert F.method == "closed_form" and F.element_errors is None
 
     def test_low_shape_plain_degrades_to_partial(self):
         # below shape 3/2 the location entry diverges: the plain matrix

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epfit import select
+from epfit import fisher, select, special_fn
 from epfit.epd import EpdParams, cdf, sample
-from epfit.estimate import fit_ee_location_scale
+from epfit.estimate import DegenerateDataError, fit_ee_location_scale
 from epfit.fisher import FisherMatrix, fisher_for_family
 from epfit.scores import (
     CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
@@ -24,7 +24,8 @@ from epfit.select import (
     tune,
     volume,
 )
-from epfit.special_fn import log_gamma, regularized_gamma
+from epfit.simulate import generate, reference_design
+from epfit.special_fn import DomainError, log_gamma, regularized_gamma
 
 float_lists = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40)
 
@@ -268,6 +269,96 @@ class TestTune:
             tune(np.zeros(10), [])
 
 
+class TestTuneGroupPass:
+    """tune's one quadrature pass over the information matrices of its
+    distorted candidates, against evaluate_fit one candidate at a time."""
+
+    GRID = [Distorted(b) for b in (0.002, 0.004, 0.006, 0.008, 0.01)]
+
+    @staticmethod
+    def _data():
+        return generate(reference_design(1), 99)
+
+    def _alone(self, data, i):
+        return evaluate_fit(data, fit_ee_location_scale(data, self.GRID[i], alpha=2.0))
+
+    @staticmethod
+    def _integrations(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return special_fn.integrate(*args)
+
+        monkeypatch.setattr(fisher, "integrate", counted)
+        return calls
+
+    def test_one_integration_per_grid(self, monkeypatch):
+        data = self._data()
+        calls = self._integrations(monkeypatch)
+        report = tune(data, self.GRID, alpha=2.0)
+        assert len(calls) == 1
+        for i, rec in enumerate(report.candidates):
+            alone = self._alone(data, i)
+            assert rec.error is None and rec.fit.fisher.method == "quadrature"
+            np.testing.assert_allclose(rec.fit.fisher.entries, alone.fisher.entries,
+                                       rtol=1e-13, atol=0.0)
+            psd, alone_psd = rec.fit.fisher.psd, alone.fisher.psd
+            assert (psd.determinant_test, psd.pivot_test) == (alone_psd.determinant_test,
+                                                              alone_psd.pivot_test)
+            assert psd.min_eigenvalue == pytest.approx(alone_psd.min_eigenvalue, rel=1e-12)
+            assert rec.volume == pytest.approx(alone.volume, rel=1e-12, abs=0.0)
+            assert rec.fit.variances.raw == pytest.approx(alone.variances.raw, rel=1e-12)
+            assert (rec.aic, rec.caic, rec.bic) == alone.ic
+
+    def test_failed_fit_in_the_middle(self, monkeypatch):
+        data = self._data()
+        real = select.fit_ee_location_scale
+
+        def fit(data, family, alpha=None):
+            if family == self.GRID[2]:
+                raise DegenerateDataError("planted")
+            return real(data, family, alpha=alpha)
+
+        monkeypatch.setattr(select, "fit_ee_location_scale", fit)
+        calls = self._integrations(monkeypatch)
+        report = tune(data, self.GRID, alpha=2.0)
+        assert len(calls) == 1
+        assert report.candidates[2].error == "DegenerateDataError: planted"
+        for i in (0, 1, 3, 4):
+            np.testing.assert_allclose(report.candidates[i].fit.fisher.entries,
+                                       self._alone(data, i).fisher.entries, rtol=1e-13, atol=0.0)
+
+    def test_failed_matrix_in_the_middle(self, monkeypatch):
+        # the pass fails, and each candidate is redone on its own
+        data = self._data()
+        real = fisher.likelihood_weight
+
+        def weight(q, beta):
+            if beta == self.GRID[2].beta:
+                raise DomainError("planted")
+            return real(q, beta)
+
+        monkeypatch.setattr(fisher, "likelihood_weight", weight)
+        report = tune(data, self.GRID, alpha=2.0)
+        assert report.candidates[2].error == "DomainError: planted"
+        for i in (0, 1, 3, 4):
+            got = report.candidates[i].fit.fisher
+            alone = self._alone(data, i).fisher
+            assert got.entries.tobytes() == alone.entries.tobytes()
+
+    def test_pass_out_of_splits_is_redone_alone(self, monkeypatch):
+        data = self._data()
+        monkeypatch.setattr(special_fn, "_MAX_SPLITS", 2)
+        calls = self._integrations(monkeypatch)
+        report = tune(data, self.GRID, alpha=2.0)
+        assert len(calls) == 1 + len(self.GRID)
+        for i, rec in enumerate(report.candidates):
+            alone = self._alone(data, i).fisher
+            assert rec.fit.fisher.method == alone.method == "quadrature-partial"
+            assert rec.fit.fisher.entries.tobytes() == alone.entries.tobytes()
+
+
 def integrated_cdf(t, p):
     """Integral of the EP CDF over (-inf, t], at one point, as the grid
     MAE computed it before its left-tail points joined one call:
@@ -435,6 +526,6 @@ class TestEvaluateFit:
                                sample(EpdParams(5, 6, 1.1), 10, 10)])
         fit = fit_ee_location_scale(data, Huber(1.5), estimate_alpha=True)
         fit = evaluate_fit(data, fit)
-        assert fit.fisher.dim == 2 and fit.fisher.method == "quadrature"
+        assert fit.fisher.dim == 2 and fit.fisher.method == "closed_form"
         assert len(fit.variances.raw) == 2
         assert fit.ic == ic_scores(data, fit.params, fit.family, 3, len(data))
