@@ -21,7 +21,6 @@ once and uses them in both w_i and D.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,41 +106,70 @@ def objective_values(family: ScoreFamily, data, points) -> np.ndarray:
     q-deformed log and the distorted score log(beta + f); the Huber and
     combined scores derive from no likelihood and raise TypeError.
     ``points`` is an (m, 3) array of (mu, sigma, alpha) rows; the result
-    has one value per row, -inf where sigma or alpha is not positive.
-    All rows are evaluated together as (m, n) arrays, with the same
-    elementwise operations as the single-point densities in ``epd``, so
-    a row's value is bit-identical to its single-point objective and
-    does not depend on the other rows.
+    has one value per row, -inf where the row is not an EP parameter
+    triple (mu finite, sigma and alpha positive and finite).  All rows
+    are evaluated together as (m, n) arrays, with the same elementwise
+    operations as the single-point densities in ``epd``, so a row's
+    value is bit-identical to its single-point objective and does not
+    depend on the other rows.
     """
+    return _objective(family, data)(points)
+
+
+def _objective(family: ScoreFamily, data):
+    """``objective_values`` of the family on ``data`` as a function of
+    the points alone, set up once for the many calls of one fit."""
     deformation = getattr(family, "likelihood", None)
     if deformation is None:
         raise TypeError(f"no likelihood objective for {family!r}")
+    q, beta = deformation
     data = np.asarray(data, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if len(points) == 1:
-        # one point (the simplex polish's steps): scalars, no row set-up
-        mu, sigma, alpha = points[0].tolist()
-        if not (sigma > 0.0 and alpha > 0.0):
-            return np.array([-np.inf])
-        lf = _log_norm_const(sigma, alpha) - np.power(np.abs(data - mu) / sigma, alpha)
-        return np.array([_deformed(lf, *deformation).sum()])
-    out = np.full(len(points), -np.inf)
-    ok = (points[:, 1] > 0.0) & (points[:, 2] > 0.0)
-    mu, sigma, alpha = points[ok].T
-    log_c = np.array([_log_norm_const(s, a) for s, a in zip(sigma.tolist(), alpha.tolist())])
-    y = data - mu[:, None]
-    np.abs(y, out=y)
-    y /= sigma[:, None]
-    lf = np.power(y, alpha[:, None])
-    # numpy computes x**2 and x**0.5 by exact shortcuts when the exponent
-    # is one scalar, as in the single-point densities, but not when a
-    # column of exponents is broadcast: redo those rows one by one (the
-    # only shapes that differ, pinned by the objective-route tests)
-    for k in np.flatnonzero((alpha == 0.5) | (alpha == 2.0)):
-        np.power(y[k], alpha[k], out=lf[k])
-    np.subtract(log_c[:, None], lf, out=lf)
-    out[ok] = _deformed(lf, *deformation).sum(axis=1)
-    return out
+    one_point = np.empty_like(data)
+    log, lgamma, inf = math.log, math.lgamma, math.inf
+
+    def values(points):
+        points = np.asarray(points, dtype=float)
+        rows = points.tolist()
+        # per valid row: its index, its log prefactor (epd._log_norm_const
+        # inlined), and the shapes 0.5 and 2 kept for the exact pass below
+        keep, log_c, exact = [], [], []
+        for k, (mu, sigma, alpha) in enumerate(rows):
+            if -inf < mu < inf and 0.0 < sigma < inf and 0.0 < alpha < inf:
+                if alpha == 0.5 or alpha == 2.0:
+                    exact.append((len(keep), alpha))
+                keep.append(k)
+                log_c.append(log(alpha) - log(2.0 * sigma) - lgamma(1.0 / alpha))
+        if len(keep) < len(rows):
+            out = np.full(len(rows), -np.inf)
+            if keep:
+                out[keep] = values(points[keep])
+            return out
+        if len(rows) == 1:
+            # one point (the simplex polish's steps): a scalar exponent, as
+            # in the single-point densities, in a buffer kept for the fit
+            [(mu, sigma, alpha)] = rows
+            y = np.subtract(data, mu, out=one_point)
+            np.abs(y, out=y)
+            y /= sigma
+            np.power(y, alpha, out=y)
+            np.subtract(log_c[0], y, out=y)
+            return np.array([_sum(_deformed(y, q, beta))])
+        y = data - points[:, :1]
+        np.abs(y, out=y)
+        y /= points[:, 1:2]
+        # numpy computes x**2 and x**0.5 by exact shortcuts when the
+        # exponent is one scalar, as in the single-point densities, but not
+        # when a column of exponents is broadcast: redo those rows one by
+        # one (the only shapes that differ, pinned by the objective-route
+        # tests)
+        exact = [(k, np.power(y[k], alpha)) for k, alpha in exact]
+        np.power(y, points[:, 2:], out=y)
+        for k, row in exact:
+            y[k] = row
+        np.subtract(np.array(log_c)[:, None], y, out=y)
+        return _sum(_deformed(y, q, beta), axis=1)
+
+    return values
 
 
 def objective_value(family: ScoreFamily, data: np.ndarray, p: EpdParams) -> float:
@@ -698,7 +726,7 @@ def fit_objective(
         np.array([float(np.mean(data)), float(np.std(data)), 3.0]),
     ]
 
-    f = functools.partial(objective_values, family, data)
+    f = _objective(family, data)
     cfg = GaConfig(
         bounds=bounds,
         population=population,

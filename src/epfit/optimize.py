@@ -18,7 +18,9 @@ changed.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -97,59 +99,72 @@ def maximize(
     of ``f``, on the children that changed, and none if none did.
     """
     rng = make_rng(cfg.seed)
+    integers, random, normal = rng.integers, rng.random, rng.normal
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     dim = len(cfg.bounds)
     width = hi - lo
 
-    pop = lo + rng.random((cfg.population, dim)) * width
+    pop = lo + random((cfg.population, dim)) * width
     if seed_points:
         for i, pt in enumerate(seed_points[: cfg.population]):
             pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
-    fit = np.asarray(f(pop), dtype=float)
-    if not np.any(np.isfinite(fit)):
+    fit = _fitness(f(pop))
+    if fit.max() == -np.inf:
         raise RuntimeError("all initial candidates evaluated non-finite")
 
     n_children = cfg.population - _ELITISM
     n_pairs = (n_children + 1) // 2
+    columns = np.arange(dim)
+    # the ranked generation; the next one is bred into pop and fit
+    ranked, ranked_fit = np.empty_like(pop), np.empty_like(fit)
+    children, children_fit = pop[_ELITISM:], fit[_ELITISM:]
     history = []
     for _ in range(cfg.generations):
-        fit = np.where(np.isfinite(fit), fit, -np.inf)
-        order = np.argsort(-fit, kind="stable")
-        pop, fit = pop[order], fit[order]
-        history.append(float(fit[0]))
+        order = (-fit).argsort(kind="stable")
+        pop.take(order, axis=0, out=ranked)
+        fit.take(order, out=ranked_fit)
+        history.append(float(ranked_fit[0]))
 
         # two binary tournaments per pair of children, ties to the first entrant
-        entrants = rng.integers(0, cfg.population, size=(n_pairs, 2, 2))
-        first, second = entrants[..., 0], entrants[..., 1]
-        winners = np.where(fit[first] >= fit[second], first, second)
-        parents = pop[winners]
+        entrants = integers(0, cfg.population, size=(n_pairs, 2, 2))
+        contest = ranked_fit[entrants]
+        winners = np.where(contest[..., 0] >= contest[..., 1], entrants[..., 0], entrants[..., 1])
+        parents = ranked.take(winners, axis=0)
         # with one coordinate every cut lands at 1 and nothing swaps
-        crossed = rng.random(n_pairs) < _CROSSOVER_RATE
-        cut = rng.integers(1, max(dim, 2), size=n_pairs)
-        swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
+        crossed = random(n_pairs) < _CROSSOVER_RATE
+        cut = integers(1, max(dim, 2), size=n_pairs)
+        swap = crossed[:, None] & (columns >= cut[:, None])
         # child k of a pair starts from parent k and takes the other
         # parent's coordinates where the pair swaps
-        children = np.where(swap[:, None], parents[:, ::-1], parents)
-        children = children.reshape(2 * n_pairs, dim)[:n_children]
-        mutate = rng.random((n_children, dim)) < _MUTATION_RATE
-        steps = rng.normal(0.0, _MUTATION_SCALE, size=(n_children, dim)) * width
-        children = np.where(mutate, children + steps, children).clip(lo, hi)
+        bred = np.where(swap[:, None], parents[:, ::-1], parents)
+        bred = bred.reshape(2 * n_pairs, dim)[:n_children]
+        mutate = random((n_children, dim)) < _MUTATION_RATE
+        steps = normal(0.0, _MUTATION_SCALE, size=(n_children, dim))
+        steps *= width
+        np.add(bred, steps, out=bred, where=mutate)
 
-        # elites, and children equal to their source parent, keep the
-        # known fitness; re-evaluation is redundant for a deterministic f
-        source = winners.reshape(-1)[:n_children]
-        child_fit = fit[source]
-        changed = (children != pop[source]).any(axis=1)
-        if changed.any():
-            child_fit[changed] = f(children[changed])
-        pop = np.concatenate([pop[: _ELITISM], children])
-        fit = np.concatenate([fit[: _ELITISM], child_fit])
+        # the next generation: the elites, then the children clipped to
+        # the box; elites, and children equal to their source parent, keep
+        # the known fitness, since re-evaluation is redundant for a
+        # deterministic f
+        pop[:_ELITISM], fit[:_ELITISM] = ranked[:_ELITISM], ranked_fit[:_ELITISM]
+        bred.clip(lo, hi, out=children)
+        ranked_fit.take(winners.reshape(-1)[:n_children], out=children_fit)
+        source = parents.reshape(2 * n_pairs, dim)[:n_children]
+        changed = (children != source).any(axis=1).nonzero()[0]
+        if changed.size:
+            children_fit[changed] = _fitness(f(children[changed]))
 
-    fit = np.where(np.isfinite(fit), fit, -np.inf)
     best = int(np.argmax(fit))
     history.append(float(fit[best]))
     return GaResult(pop[best].copy(), float(fit[best]), history)
+
+
+def _fitness(values) -> np.ndarray:
+    """Objective values as fitness, non-finite ones as -inf."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(values), values, -np.inf)
 
 
 def polish(
@@ -164,45 +179,49 @@ def polish(
     Candidate vertices are projected onto the box.  Never returns a
     point with a smaller objective than the start.
     """
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    start = np.clip(np.asarray(start, dtype=float), lo, hi)
+    box = [(float(lo), float(hi)) for lo, hi in bounds]
+    start = np.clip(np.asarray(start, dtype=float), *zip(*box))
     dim = len(start)
 
+    def clip(point):
+        # ndarray.clip coordinate by coordinate, NaN and signed zeros alike
+        return [lo if x < lo else hi if x > hi else x for x, (lo, hi) in zip(point, box)]
+
     def g(points):
-        vals = np.asarray(f(np.clip(points, lo, hi)), dtype=float)
-        return np.where(np.isfinite(vals), vals, -np.inf)
+        # the values at points already projected onto the box, -inf where not finite
+        values = np.asarray(f(np.array(points)), dtype=float).tolist()
+        return [v if math.isfinite(v) else -math.inf for v in values]
 
-    def g_point(point):
-        # one vertex, already projected onto the box
-        value = float(f(point[None])[0])
-        return value if math.isfinite(value) else -math.inf
-
-    # initial simplex: perturb each coordinate by 5% of box width
-    simplex = [start]
-    for i in range(dim):
-        vertex = start.copy()
-        step = 0.05 * (hi[i] - lo[i])
-        vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
+    # the simplex as lists of floats, with numpy's arithmetic in numpy's
+    # order; initial simplex: perturb each coordinate by 5% of box width
+    simplex = [start.tolist()]
+    for i, (lo, hi) in enumerate(box):
+        vertex = list(simplex[0])
+        step = 0.05 * (hi - lo)
+        vertex[i] = vertex[i] + step if vertex[i] + step <= hi else vertex[i] - step
         simplex.append(vertex)
-    simplex = np.array(simplex)
-    values = g(simplex)
+    values = g([clip(v) for v in simplex])
     start_val = values[0]
 
     for _ in range(_POLISH_ITERS * dim):
-        order = np.argsort(-values)
-        simplex, values = simplex[order], values[order]
-        if (np.abs(simplex[1:] - simplex[0]).max() < _POLISH_XATOL
-                and np.abs(values[0] - values[1:]).max() < _POLISH_FATOL):
+        # numpy's default sort, whose order among tied values the result depends on
+        order = np.array([-v for v in values]).argsort().tolist()
+        simplex, values = [simplex[k] for k in order], [values[k] for k in order]
+        top = simplex[0]
+        # the values are sorted, so values[0] - values[-1] is their widest
+        # spread (NaN where both are -inf)
+        if (values[0] - values[-1] < _POLISH_FATOL
+                and all(abs(x - t) < _POLISH_XATOL for v in simplex[1:] for x, t in zip(v, top))):
             break
-        # the mean of the dim best vertices, summed and divided as np.mean does
-        centroid = simplex[:-1].sum(axis=0) / dim
+        # the mean of the dim best vertices, summed from 0.0 and divided as
+        # ndarray.sum(axis=0) / dim does
+        centroid = [functools.reduce(operator.add, x, 0.0) / dim for x in zip(*simplex[:-1])]
         worst = simplex[-1]
-        refl = (centroid + (centroid - worst)).clip(lo, hi)
-        f_refl = g_point(refl)
+        refl = clip([c + (c - w) for c, w in zip(centroid, worst)])
+        [f_refl] = g([refl])
         if f_refl > values[0]:
-            expa = (centroid + 2.0 * (centroid - worst)).clip(lo, hi)
-            f_expa = g_point(expa)
+            expa = clip([c + 2.0 * (c - w) for c, w in zip(centroid, worst)])
+            [f_expa] = g([expa])
             if f_expa > f_refl:
                 simplex[-1], values[-1] = expa, f_expa
             else:
@@ -210,15 +229,15 @@ def polish(
         elif f_refl > values[-2]:
             simplex[-1], values[-1] = refl, f_refl
         else:
-            contr = (centroid + 0.5 * (worst - centroid)).clip(lo, hi)
-            f_contr = g_point(contr)
+            contr = clip([c + 0.5 * (w - c) for c, w in zip(centroid, worst)])
+            [f_contr] = g([contr])
             if f_contr > values[-1]:
                 simplex[-1], values[-1] = contr, f_contr
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = g(simplex[1:])
+                simplex[1:] = [[t + 0.5 * (x - t) for x, t in zip(v, top)] for v in simplex[1:]]
+                values[1:] = g([clip(v) for v in simplex[1:]])
 
     best = int(np.argmax(values))
     if values[best] >= start_val:
-        return simplex[best].copy(), float(values[best])
+        return np.array(simplex[best]), float(values[best])
     return start, float(start_val)

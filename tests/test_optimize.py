@@ -4,6 +4,8 @@ Objectives are population-wise: they map an (m, dim) array of points to
 m values.  Written with ``x[..., k]`` they also take a single point.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,97 @@ class TestWholeGenerationDraws:
         assert batches[0][0] == 1 and len(batches[0][1]) == population
         for (_, got), (_, want) in zip(batches[1:], expected):
             assert got.tobytes() == want.tobytes()
+
+
+def ndarray_polish(f, start, bounds):
+    """Oracle: the simplex polish on ndarray vertices, the way ``polish``
+    ran before its simplex became lists of floats."""
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    start = np.clip(np.asarray(start, dtype=float), lo, hi)
+    dim = len(start)
+
+    def g(points):
+        vals = np.asarray(f(np.clip(points, lo, hi)), dtype=float)
+        return np.where(np.isfinite(vals), vals, -np.inf)
+
+    def g_point(point):
+        value = float(f(point[None])[0])
+        return value if math.isfinite(value) else -math.inf
+
+    simplex = [start]
+    for i in range(dim):
+        vertex = start.copy()
+        step = 0.05 * (hi[i] - lo[i])
+        vertex[i] = vertex[i] + step if vertex[i] + step <= hi[i] else vertex[i] - step
+        simplex.append(vertex)
+    simplex = np.array(simplex)
+    values = g(simplex)
+    start_val = values[0]
+
+    for _ in range(optimize._POLISH_ITERS * dim):
+        order = np.argsort(-values)
+        simplex, values = simplex[order], values[order]
+        if (np.abs(simplex[1:] - simplex[0]).max() < optimize._POLISH_XATOL
+                and np.abs(values[0] - values[1:]).max() < optimize._POLISH_FATOL):
+            break
+        centroid = simplex[:-1].sum(axis=0) / dim
+        worst = simplex[-1]
+        refl = (centroid + (centroid - worst)).clip(lo, hi)
+        f_refl = g_point(refl)
+        if f_refl > values[0]:
+            expa = (centroid + 2.0 * (centroid - worst)).clip(lo, hi)
+            f_expa = g_point(expa)
+            if f_expa > f_refl:
+                simplex[-1], values[-1] = expa, f_expa
+            else:
+                simplex[-1], values[-1] = refl, f_refl
+        elif f_refl > values[-2]:
+            simplex[-1], values[-1] = refl, f_refl
+        else:
+            contr = (centroid + 0.5 * (worst - centroid)).clip(lo, hi)
+            f_contr = g_point(contr)
+            if f_contr > values[-1]:
+                simplex[-1], values[-1] = contr, f_contr
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = g(simplex[1:])
+
+    best = int(np.argmax(values))
+    if values[best] >= start_val:
+        return simplex[best].copy(), float(values[best])
+    return start, float(start_val)
+
+
+class TestPolishMatchesTheNdarrayLoop:
+    """``polish`` against the ndarray simplex: the same point and value
+    bits and the same calls of ``f``, ties among vertex values included
+    (``_terraces``), which numpy's default argsort orders."""
+
+    # on _terraces in three coordinates, seeds 11 and 37 end at another
+    # point under a stable sort
+    @pytest.mark.parametrize("f", [_bowl, _holed_bowl, _terraces])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 37])
+    def test_same_point_value_and_calls(self, f, dim, seed):
+        rng = np.random.default_rng(seed)
+        bounds = tuple((float(a), float(a) + float(w))
+                       for a, w in zip(rng.uniform(-1.5, -0.2, dim), rng.uniform(0.5, 3.0, dim)))
+        # one start outside the box, which both project onto it
+        start = rng.uniform(-2.0, 2.0, dim)
+        runs = []
+        for run in (ndarray_polish, polish):
+            calls = []
+
+            def recording(x):
+                calls.append(x.copy())
+                return f(x)
+
+            # the ndarray loop subtracts -inf values from each other
+            with np.errstate(invalid="ignore"):
+                point, value = run(recording, start, bounds)
+            runs.append((point.tobytes(), value, [c.tobytes() for c in calls]))
+        assert runs[1] == runs[0]
 
 
 class TestPolish:

@@ -1,11 +1,13 @@
 """The benchmark's layer tracer still sees every fit.
 
 perfbench/tracing.py counts fits, EE sweeps and information matrices by
-rebinding names in the package's modules: ``fit_ee_location_scale`` and
-``fisher_for_family`` wherever they are bound, ``integrate`` wherever it
-is imported, ``ee_weight``, ``density_weight`` and ``digamma`` in
-``estimate``, and ``artificial_sample`` and ``mae`` in ``select``
-(installing fails if either is gone).
+rebinding names in the package's modules: ``fit_ee_location_scale``,
+``fit_objective`` and ``fisher_for_family`` wherever they are bound,
+``maximize`` and ``polish`` with their objective wrapped in a call
+counter, ``integrate`` wherever it is imported, ``ee_weight``,
+``density_weight`` and ``digamma`` in ``estimate``, and
+``artificial_sample`` and ``mae`` in ``select`` (installing fails if
+either is gone).
 A traced benchmark run fails when it sees fewer fits than it attempted,
 so these tests run the tracer here, on small inputs, without editing it.
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epfit import estimate, fisher, scores, select, simulate
+from epfit import estimate, fisher, optimize, scores, select, simulate
 from epfit.epd import EpdParams, sample
 from epfit.scores import Distorted, Huber, Plain, QWeighted
 
@@ -127,3 +129,47 @@ def test_closed_form_matrix_is_seen(tracer):
     assert tracer.counts["fisher.matrices"] == 1
     assert tracer.counts["fisher.closed_form"] == 1
     assert tracer.counts["special_fn.integrate_calls"] == 0
+
+
+def _objective_fit(data, family, seed):
+    res = estimate.fit_objective(data, family, seed=seed)
+    p = res.params
+    return (p.mu.hex(), p.sigma.hex(), p.alpha.hex(), res.objective_value.hex(),
+            [v.hex() for v in res.ga_history])
+
+
+@pytest.mark.parametrize("family", [QWeighted(0.8), Distorted(6e-3)])
+def test_objective_fit_is_seen(family, monkeypatch):
+    # the GA and the polish call their objective only through the f they
+    # are given, so the tracer's counting wrapper sees every call
+    data = simulate.generate(simulate.reference_design(2), np.random.SeedSequence(7))
+    calls = {"maximize": 0, "polish": 0}
+
+    def recording(fn):
+        def run(f, *args, **kwargs):
+            def counted(points):
+                calls[fn.__name__] += 1
+                return f(points)
+
+            return fn(counted, *args, **kwargs)
+
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(estimate, "maximize", recording(optimize.maximize))
+        m.setattr(estimate, "polish", recording(optimize.polish))
+        untraced = _objective_fit(data, family, seed=3)
+    assert calls["maximize"] > 1 and calls["polish"] > 1
+
+    tracing = _load_tracing()
+    t = tracing.Tracer()
+    tracing.install(t)
+    try:
+        traced = _objective_fit(data, family, seed=3)
+    finally:
+        t.uninstall()
+    assert estimate.maximize is optimize.maximize and estimate.polish is optimize.polish
+    assert traced == untraced
+    assert t.counts["estimate.fits"] == 1
+    assert t.counts["optimize.ga_evals"] == calls["maximize"]
+    assert t.counts["optimize.polish_evals"] == calls["polish"]
