@@ -48,6 +48,8 @@ _FAMILIES = {"s": Plain, "huber": Huber, "combined": CombinedPlain,
              "combined-huber": CombinedHuber, "sq": QWeighted, "sd": Distorted}
 # every tuning constant, in the order r, k, t, q, beta
 _TUNING_NAMES = tuple(dict.fromkeys(n for cls in _FAMILIES.values() for n in cls.tuning_names))
+# the keys of an [estimator.*] section: the fit flags it may set
+_ESTIMATOR_KEYS = ("score", "method", "alpha", "estimate_alpha", *_TUNING_NAMES)
 # report label of an objective-route fit, by --score
 _OBJECTIVE_LABELS = {"s": "MLE", "sq": "MqLE", "sd": "MDLE"}
 
@@ -321,8 +323,6 @@ def _cmd_fit(args, argv) -> int:
         raise UsageError("--outlier-abs needs --add-outliers")
     if args.method == "objective" and args.ga_seed is None:
         raise UsageError("--ga-seed is required for objective fits")
-    if args.mae_reps > 0 and args.seed is None:
-        raise UsageError("--seed is required when --mae-reps is set")
     data = ingest(args.data)
     digest = _sha256(args.data)
     if args.add_outliers:
@@ -340,7 +340,7 @@ def _cmd_fit(args, argv) -> int:
     payload = {"method": args.method, "score": args.score, **family_info,
                **_fit_payload(data, result),
                "outliers_added": bool(args.add_outliers)}
-    inputs = {"seed": args.ga_seed if args.method == "objective" else args.seed,
+    inputs = {"seed": args.ga_seed if args.method == "objective" else None,
               "data_sha256": digest, "n": int(len(data))}
     _write_report(args.out, "fit", argv, inputs, payload, timing)
     return 0
@@ -446,6 +446,12 @@ def _read_sections(path: str, prefix: str) -> list[tuple[str, dict]]:
     return out
 
 
+def _unknown_keys(values: dict, known, where: str):
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise UsageError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def _load_design(arg: str, n2: int | None) -> simulate.SimulationDesign:
     if arg in ("design1", "design2", "design3", "design4"):
         return simulate.reference_design(int(arg[-1]), n2=n2 or 100)
@@ -455,14 +461,21 @@ def _load_design(arg: str, n2: int | None) -> simulate.SimulationDesign:
         raise UsageError(f"{arg}: missing [component.{missing[0]}] section")
     built = []
     for key in ("1", "2", "3"):
-        vals = comps[key]
+        vals, where = comps[key], f"{arg}: component {key}"
+        _unknown_keys(vals, ("alpha", "mu", "sigma", "n"), where)
         try:
-            built.append(simulate.DesignComponent(
-                alpha=float(vals["alpha"]), mu=float(vals["mu"]),
-                sigma=float(vals["sigma"]), n=int(vals["n"]),
-            ))
+            n = vals["n"]
+            alpha, mu, sigma = (_number(str(vals[k]), f"{where} {k}")
+                                for k in ("alpha", "mu", "sigma"))
         except KeyError as exc:
-            raise UsageError(f"{arg}: component {key} is missing key {exc}") from exc
+            raise UsageError(f"{where} is missing key {exc}") from None
+        # _parse_scalar reads an integer as int, and true or false as bool
+        if type(n) is not int:
+            raise UsageError(f"{where}: n must be an integer, got {n!r}")
+        try:
+            built.append(simulate.DesignComponent(alpha=alpha, mu=mu, sigma=sigma, n=n))
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
     if n2 is not None:
         built[1] = dataclasses.replace(built[1], n=n2)
     return simulate.SimulationDesign(tuple(built))
@@ -475,9 +488,15 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
     alpha = None if alpha is None else _parse_triple(str(alpha))
     score = str(values.get("score", "s"))
     family = _build_family(score, values, alpha)
-    if values.get("method", "ee") != "objective":
+    method = values.get("method", "ee")
+    if method not in ("ee", "objective"):
+        raise UsageError(f"estimator {label}: method must be ee or objective, got {method!r}")
+    estimate_alpha = values.get("estimate_alpha", False)
+    if not isinstance(estimate_alpha, bool):
+        raise UsageError(f"estimator {label}: estimate_alpha must be true or false, "
+                         f"got {estimate_alpha!r}")
+    if method == "ee":
         scalar = alpha if isinstance(alpha, float) else None
-        estimate_alpha = bool(values.get("estimate_alpha", False))
         if scalar is None and family.shapes is None and not estimate_alpha:
             raise UsageError(f"estimator {label}: the {score} score needs a scalar --alpha "
                              "or --estimate-alpha")
@@ -486,9 +505,7 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
         if family.likelihood is None:
             raise UsageError(f"estimator {label}: objective fits need a likelihood score "
                              "(s, sq or sd)")
-        ga_pop = _number(str(values.get("ga_pop", 50)), f"estimator {label}: ga_pop", int)
-        ga_gens = _number(str(values.get("ga_gens", 200)), f"estimator {label}: ga_gens", int)
-        route = dict(objective=True, ga_population=ga_pop, ga_generations=ga_gens)
+        route = dict(objective=True)
     try:
         return simulate.EstimatorSpec(label=label, family=family, **route)
     except ValueError as exc:
@@ -496,7 +513,10 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
 
 
 def _load_estimators(path: str) -> list[simulate.EstimatorSpec]:
-    return [_estimator(name, vals) for name, vals in _read_sections(path, "estimator")]
+    sections = _read_sections(path, "estimator")
+    for name, vals in sections:
+        _unknown_keys(vals, _ESTIMATOR_KEYS, f"estimator {name}")
+    return [_estimator(name, vals) for name, vals in sections]
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -538,8 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--alpha", help="shape value, or a1,a2,a3 for combined scores")
     fit.add_argument("--estimate-alpha", action="store_true")
     fit.add_argument("--fisher", choices=["closed", "quad", "auto"], default="auto")
-    fit.add_argument("--ga-pop", type=_count(4), default=50)
-    fit.add_argument("--ga-gens", type=_count(1), default=200)
     fit.add_argument("--ga-seed", type=int)
     fit.add_argument("--add-outliers", action="store_true",
                      help="append the +/- doubled sample maximum before fitting")
@@ -547,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --add-outliers, use the doubled absolute maximum instead")
     fit.add_argument("--mae-reps", type=_count(0), default=0,
                      help="any positive count attaches the exact expected sorted MAE")
-    fit.add_argument("--seed", type=int, help="required with --mae-reps; the MAE draws nothing")
     fit.add_argument("--timings", action="store_true")
     fit.add_argument("--out", required=True)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epd import EpdParams, _deformed, _log_norm_const
-from .optimize import GaConfig, maximize, polish
+from .optimize import maximize, polish
 from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
 from .special_fn import digamma
 
@@ -701,13 +701,7 @@ def _search_bounds(data: np.ndarray) -> tuple[tuple[float, float], ...]:
     )
 
 
-def fit_objective(
-    data,
-    family: ScoreFamily,
-    seed: int = 0,
-    population: int = 50,
-    generations: int = 200,
-) -> FitResult:
+def fit_objective(data, family: ScoreFamily, seed: int = 0) -> FitResult:
     """Maximize the family's log-likelihood over (mu, sigma, alpha).
 
     ``family`` is Plain, QWeighted or Distorted (see
@@ -727,19 +721,14 @@ def fit_objective(
     ]
 
     f = _objective(family, data)
-    cfg = GaConfig(
-        bounds=bounds,
-        population=population,
-        generations=generations,
-        seed=seed,
-    )
-    ga = maximize(f, cfg, seed_points=seeds)
-    point, value = polish(f, ga.best_point, cfg.bounds)
+    ga = maximize(f, bounds, seed, seed_points=seeds)
+    point, value = polish(f, ga.best_point, bounds)
 
     return FitResult(
         params=EpdParams(float(point[0]), float(point[1]), float(point[2])),
         converged=True,
-        iterations=generations,
+        # one history entry per generation, then the final best
+        iterations=len(ga.history) - 1,
         estimated_alpha=True,
         family=family,
         objective_value=float(value),

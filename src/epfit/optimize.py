@@ -4,9 +4,9 @@ The GA uses binary tournament selection, single-point crossover on the
 coordinate vector, Gaussian mutation scaled to the box width, and
 elitism, all driven by one counter-based generator so a fixed seed gives
 a bit-identical trajectory.  Each generation draws its randomness as
-whole arrays, in five generator calls whatever the population size
-(tournament entrants, crossover flags, cut points, mutation masks and
-mutation steps), and builds its children by fancy indexing.
+whole arrays, in five generator calls (tournament entrants, crossover
+flags, cut points, mutation masks and mutation steps), and builds its
+children by fancy indexing.
 
 Both maximizers take a population-wise, deterministic objective: ``f``
 maps an (m, dim) array of points to the m objective values, and a row's
@@ -28,7 +28,7 @@ import numpy as np
 
 from .epd import make_rng
 
-__all__ = ["GaConfig", "GaResult", "maximize", "polish"]
+__all__ = ["GaResult", "maximize", "polish"]
 
 # the polish stops once the simplex spans less than _POLISH_XATOL in every
 # coordinate and its values less than _POLISH_FATOL, or after
@@ -37,32 +37,17 @@ _POLISH_XATOL = 1e-10
 _POLISH_FATOL = 1e-12
 _POLISH_ITERS = 400
 
-# the GA's breeding constants: the share of pairs that cross, the share
-# of child coordinates that mutate, the mutation step as a share of the
-# box width, and the number of best points kept unchanged each generation
+# the GA's budget and breeding constants: the population size (even, so
+# the children pair up), the number of generations, the share of pairs
+# that cross, the share of child coordinates that mutate, the mutation
+# step as a share of the box width, and the number of best points kept
+# unchanged each generation
+_POPULATION = 50
+_GENERATIONS = 200
 _CROSSOVER_RATE = 0.8
 _MUTATION_RATE = 0.1
 _MUTATION_SCALE = 0.1
 _ELITISM = 2
-
-
-@dataclass(frozen=True)
-class GaConfig:
-    bounds: tuple[tuple[float, float], ...]
-    population: int = 50
-    generations: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if self.generations < 1:
-            raise ValueError(f"generations must be at least 1, got {self.generations}")
-        if not self.bounds:
-            raise ValueError("bounds must be non-empty")
-        for lo, hi in self.bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"bounds must be finite non-empty intervals, got ({lo}, {hi})")
 
 
 @dataclass
@@ -74,10 +59,12 @@ class GaResult:
 
 def maximize(
     f: Callable,
-    cfg: GaConfig,
+    bounds: Sequence[tuple[float, float]],
+    seed,
     seed_points: Sequence[np.ndarray] | None = None,
 ) -> GaResult:
-    """Maximize f over the box in cfg.bounds.
+    """Maximize f over the box ``bounds``, one finite (lo, hi) with
+    lo < hi per coordinate, from the generator seed ``seed``.
 
     ``f`` is population-wise: it takes an (m, dim) array of points and
     returns their m objective values.  It must be deterministic, and a
@@ -93,41 +80,43 @@ def maximize(
     crossing pair swaps its coordinates from the cut on), then a
     mutation mask and a Gaussian step for every child coordinate, the
     step applied where the mask is set.  Children are clipped to the
-    box, and an odd last child is dropped.  A child equal to its source
-    parent (the tournament winner whose coordinates it starts from)
-    takes that parent's value, so a generation makes at most one call
-    of ``f``, on the children that changed, and none if none did.
+    box.  A child equal to its source parent (the tournament winner
+    whose coordinates it starts from) takes that parent's value, so a
+    generation makes at most one call of ``f``, on the children that
+    changed, and none if none did.
     """
-    rng = make_rng(cfg.seed)
+    if not bounds or not all(np.isfinite(lo) and np.isfinite(hi) and lo < hi for lo, hi in bounds):
+        raise ValueError(f"bounds must be finite non-empty intervals, one or more, got {bounds}")
+    rng = make_rng(seed)
     integers, random, normal = rng.integers, rng.random, rng.normal
-    lo = np.array([b[0] for b in cfg.bounds])
-    hi = np.array([b[1] for b in cfg.bounds])
-    dim = len(cfg.bounds)
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    dim = len(bounds)
     width = hi - lo
 
-    pop = lo + random((cfg.population, dim)) * width
+    pop = lo + random((_POPULATION, dim)) * width
     if seed_points:
-        for i, pt in enumerate(seed_points[: cfg.population]):
+        for i, pt in enumerate(seed_points[:_POPULATION]):
             pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
     fit = _fitness(f(pop))
     if fit.max() == -np.inf:
         raise RuntimeError("all initial candidates evaluated non-finite")
 
-    n_children = cfg.population - _ELITISM
-    n_pairs = (n_children + 1) // 2
+    n_children = _POPULATION - _ELITISM
+    n_pairs = n_children // 2
     columns = np.arange(dim)
     # the ranked generation; the next one is bred into pop and fit
     ranked, ranked_fit = np.empty_like(pop), np.empty_like(fit)
     children, children_fit = pop[_ELITISM:], fit[_ELITISM:]
     history = []
-    for _ in range(cfg.generations):
+    for _ in range(_GENERATIONS):
         order = (-fit).argsort(kind="stable")
         pop.take(order, axis=0, out=ranked)
         fit.take(order, out=ranked_fit)
         history.append(float(ranked_fit[0]))
 
         # two binary tournaments per pair of children, ties to the first entrant
-        entrants = integers(0, cfg.population, size=(n_pairs, 2, 2))
+        entrants = integers(0, _POPULATION, size=(n_pairs, 2, 2))
         contest = ranked_fit[entrants]
         winners = np.where(contest[..., 0] >= contest[..., 1], entrants[..., 0], entrants[..., 1])
         parents = ranked.take(winners, axis=0)
@@ -138,7 +127,7 @@ def maximize(
         # child k of a pair starts from parent k and takes the other
         # parent's coordinates where the pair swaps
         bred = np.where(swap[:, None], parents[:, ::-1], parents)
-        bred = bred.reshape(2 * n_pairs, dim)[:n_children]
+        bred = bred.reshape(n_children, dim)
         mutate = random((n_children, dim)) < _MUTATION_RATE
         steps = normal(0.0, _MUTATION_SCALE, size=(n_children, dim))
         steps *= width
@@ -150,8 +139,8 @@ def maximize(
         # deterministic f
         pop[:_ELITISM], fit[:_ELITISM] = ranked[:_ELITISM], ranked_fit[:_ELITISM]
         bred.clip(lo, hi, out=children)
-        ranked_fit.take(winners.reshape(-1)[:n_children], out=children_fit)
-        source = parents.reshape(2 * n_pairs, dim)[:n_children]
+        ranked_fit.take(winners.reshape(-1), out=children_fit)
+        source = parents.reshape(n_children, dim)
         changed = (children != source).any(axis=1).nonzero()[0]
         if changed.size:
             children_fit[changed] = _fitness(f(children[changed]))

@@ -51,8 +51,9 @@ class DesignComponent:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("component size must be non-negative")
-        if not (self.alpha > 0.0 and self.sigma > 0.0):
-            raise ValueError("component shape and scale must be positive")
+        # building the law checks that the parameters are finite and the
+        # scale and shape positive
+        self.params
 
     # the component's EP law, built once for all its replications
     @functools.cached_property
@@ -128,17 +129,9 @@ class EstimatorSpec:
     objective: bool = False
     alpha: float | None = None
     estimate_alpha: bool = False
-    ga_population: int = 50
-    ga_generations: int = 200
 
     def __post_init__(self):
         # rejected here, not counted as a failure of every replication
-        if self.objective and self.ga_population < 4:
-            raise ValueError(f"objective fits need a GA population of at least 4, "
-                             f"got {self.ga_population}")
-        if self.objective and self.ga_generations < 1:
-            raise ValueError(f"objective fits need at least one GA generation, "
-                             f"got {self.ga_generations}")
         if self.estimate_alpha and self.family.shapes is not None:
             raise ValueError("shape estimation is undefined for the combined families")
 
@@ -156,8 +149,7 @@ class EstimatorSpec:
         """This estimator fitted to ``data``; ``seed`` drives the genetic
         optimizer of the objective route and is unused otherwise."""
         if self.objective:
-            return fit_objective(data, self.family, seed=seed, population=self.ga_population,
-                                 generations=self.ga_generations)
+            return fit_objective(data, self.family, seed=seed)
         return fit_ee_location_scale(data, self.family, alpha=self.alpha,
                                      estimate_alpha=self.estimate_alpha)
 

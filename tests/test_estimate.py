@@ -195,14 +195,14 @@ class TestObjectiveFits:
 
     def test_mdle_at_zero_consistent(self):
         data = sample(EpdParams(0, 1, 2), 10_000, 444)
-        res = fit_objective(data, Distorted(0.0), seed=2, population=30, generations=80)
+        res = fit_objective(data, Distorted(0.0), seed=2)
         assert res.params.mu == pytest.approx(0.0, abs=0.05)
         assert res.params.sigma == pytest.approx(1.0, abs=0.05)
         assert res.params.alpha == pytest.approx(2.0, abs=0.15)
 
     def test_history_monotone(self):
         data = sample(EpdParams(0, 1, 2), 100, 6)
-        res = fit_objective(data, QWeighted(0.8), seed=4, population=20, generations=30)
+        res = fit_objective(data, QWeighted(0.8), seed=4)
         assert np.all(np.diff(np.array(res.ga_history)) >= 0.0)
 
     def test_mode_validation(self):
@@ -221,7 +221,7 @@ class TestObjectiveFits:
     def test_no_likelihood_no_objective(self, family):
         data = sample(EpdParams(0, 1, 2), 50, 3)
         with pytest.raises(TypeError):
-            fit_objective(data, family, seed=0, population=8, generations=2)
+            fit_objective(data, family, seed=0)
 
 
 def reference_samples():

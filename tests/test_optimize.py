@@ -11,7 +11,7 @@ import pytest
 
 from epfit import optimize
 from epfit.epd import make_rng
-from epfit.optimize import GaConfig, maximize, polish
+from epfit.optimize import maximize, polish
 
 
 def neg_quadratic_1d(x):
@@ -20,64 +20,50 @@ def neg_quadratic_1d(x):
 
 class TestMaximize:
     def test_quadratic_1d(self):
-        res = maximize(neg_quadratic_1d, GaConfig(bounds=((-10.0, 10.0),), seed=42))
+        res = maximize(neg_quadratic_1d, ((-10.0, 10.0),), 42)
         assert res.best_point[0] == pytest.approx(3.0, abs=1e-2)
 
     def test_separable_quadratic_3d(self):
         target = np.array([1.0, 2.0, 0.5])
-        res = maximize(
-            lambda x: -np.sum((x - target) ** 2, axis=-1),
-            GaConfig(bounds=((-5.0, 5.0),) * 3, seed=7),
-        )
+        res = maximize(lambda x: -np.sum((x - target) ** 2, axis=-1), ((-5.0, 5.0),) * 3, 7)
         np.testing.assert_allclose(res.best_point, target, atol=5e-2)
 
     def test_same_seed_bit_identical(self):
-        cfg = GaConfig(bounds=((-5.0, 5.0),) * 2, seed=11, generations=40)
         f = lambda x: -np.sum(x**2, axis=-1)
-        a, b = maximize(f, cfg), maximize(f, cfg)
+        a, b = (maximize(f, ((-5.0, 5.0),) * 2, 11) for _ in range(2))
         np.testing.assert_array_equal(a.best_point, b.best_point)
         assert a.history == b.history
 
     def test_elitism_monotone(self):
-        res = maximize(
-            lambda x: np.cos(x[..., 0]) + 0.1 * x[..., 1],
-            GaConfig(bounds=((-8.0, 8.0), (-1.0, 1.0)), seed=3),
-        )
+        res = maximize(lambda x: np.cos(x[..., 0]) + 0.1 * x[..., 1],
+                       ((-8.0, 8.0), (-1.0, 1.0)), 3)
         assert np.all(np.diff(np.array(res.history)) >= 0.0)
 
     def test_bounds_respected(self):
-        res = maximize(
-            lambda x: x[..., 0],
-            GaConfig(bounds=((-2.0, 1.5),), seed=9, generations=60),
-        )
+        res = maximize(lambda x: x[..., 0], ((-2.0, 1.5),), 9)
         assert -2.0 <= res.best_point[0] <= 1.5
         assert res.best_point[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_non_finite_becomes_minus_inf(self):
         def f(x):
             return np.where(x[..., 0] < 0, np.nan, -x[..., 0] ** 2)
-        res = maximize(f, GaConfig(bounds=((-1.0, 1.0),), seed=13))
+        res = maximize(f, ((-1.0, 1.0),), 13)
         assert res.best_point[0] >= 0.0
 
     def test_all_infeasible_raises(self):
         with pytest.raises(RuntimeError):
-            maximize(lambda x: np.full(len(x), np.nan), GaConfig(bounds=((0.0, 1.0),), seed=1, generations=2))
+            maximize(lambda x: np.full(len(x), np.nan), ((0.0, 1.0),), 1)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GaConfig(bounds=((0.0, 1.0),), population=2)
-        with pytest.raises(ValueError):
-            GaConfig(bounds=())
-        with pytest.raises(ValueError):
-            GaConfig(bounds=((1.0, 1.0),))
-        # the rule of simulate's estimator specs and of fit --ga-gens
-        for generations in (0, -5):
-            with pytest.raises(ValueError, match="generations"):
-                GaConfig(bounds=((0.0, 1.0),), generations=generations)
-        GaConfig(bounds=((0.0, 1.0),), generations=1)
+    def test_bounds_validation(self):
+        calls = []
+        for bounds in ((), ((1.0, 1.0),), ((0.0, 1.0), (2.0, -2.0)), ((0.0, np.inf),),
+                       ((np.nan, 1.0),)):
+            with pytest.raises(ValueError, match="bounds must be"):
+                maximize(lambda x: calls.append(x) or -np.sum(x**2, axis=-1), bounds, 0)
+        assert calls == []
 
 
-def every_child_maximize(f, cfg, seed_points=None):
+def every_child_maximize(f, bounds, seed, seed_points=None):
     """Oracle: the GA loop that evaluates every child of every
     generation, the way ``maximize`` did before children that copy
     their source parent kept its value.
@@ -85,29 +71,29 @@ def every_child_maximize(f, cfg, seed_points=None):
     Returns the result and, per generation, the children that differ
     from their source parent: the rows ``maximize`` has to evaluate.
     """
-    rng = make_rng(cfg.seed)
-    lo = np.array([b[0] for b in cfg.bounds])
-    hi = np.array([b[1] for b in cfg.bounds])
-    dim = len(cfg.bounds)
+    rng = make_rng(seed)
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    dim = len(bounds)
     width = hi - lo
-    elitism = optimize._ELITISM
+    population, elitism = optimize._POPULATION, optimize._ELITISM
 
-    pop = lo + rng.random((cfg.population, dim)) * width
+    pop = lo + rng.random((population, dim)) * width
     if seed_points:
-        for i, pt in enumerate(seed_points[: cfg.population]):
+        for i, pt in enumerate(seed_points[:population]):
             pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
     fit = np.asarray(f(pop), dtype=float)
 
-    n_children = cfg.population - elitism
+    n_children = population - elitism
     n_pairs = (n_children + 1) // 2
     history, changed = [], []
-    for _ in range(cfg.generations):
+    for _ in range(optimize._GENERATIONS):
         fit = np.where(np.isfinite(fit), fit, -np.inf)
         order = np.argsort(-fit, kind="stable")
         pop, fit = pop[order], fit[order]
         history.append(float(fit[0]))
 
-        entrants = rng.integers(0, cfg.population, size=(n_pairs, 2, 2))
+        entrants = rng.integers(0, population, size=(n_pairs, 2, 2))
         first, second = entrants[..., 0], entrants[..., 1]
         winners = np.where(fit[first] >= fit[second], first, second)
         parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
@@ -150,21 +136,19 @@ class TestChildrenKeepTheirParentsValue:
     """``maximize`` against the evaluate-every-child loop."""
 
     @pytest.mark.parametrize("f", [_bowl, _holed_bowl, _terraces])
-    @pytest.mark.parametrize("population", [4, 7, 12, 50])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 5, 23])
-    def test_matches_the_every_child_loop(self, f, population, dim, seed):
-        cfg = GaConfig(bounds=((-1.0, 1.0),) * dim, population=population,
-                       generations=30, seed=seed)
+    def test_matches_the_every_child_loop(self, f, dim, seed):
+        bounds = ((-1.0, 1.0),) * dim
         seeds = [np.full(dim, 0.25), np.full(dim, 7.0)] if seed == 5 else None
-        expected, changed = every_child_maximize(f, cfg, seeds)
+        expected, changed = every_child_maximize(f, bounds, seed, seeds)
         calls = []
 
         def recording(x):
             calls.append(x.copy())
             return f(x)
 
-        res = maximize(recording, cfg, seeds)
+        res = maximize(recording, bounds, seed, seeds)
         assert res.best_point.tobytes() == expected.best_point.tobytes()
         assert res.best_value == expected.best_value
         assert res.history == expected.history
@@ -181,10 +165,10 @@ class TestChildrenKeepTheirParentsValue:
             rows.append(len(x))
             return _bowl(x)
 
-        cfg = GaConfig(bounds=((-1.0, 1.0),) * 3, seed=1)
-        maximize(f, cfg)
+        maximize(f, ((-1.0, 1.0),) * 3, 1)
         # most children neither cross nor mutate
-        assert sum(rows[1:]) < 0.5 * cfg.generations * (cfg.population - optimize._ELITISM)
+        children = optimize._GENERATIONS * (optimize._POPULATION - optimize._ELITISM)
+        assert sum(rows[1:]) < 0.5 * children
 
 
 class _CountingRng:
@@ -205,17 +189,14 @@ class _CountingRng:
 
 
 class TestWholeGenerationDraws:
-    GENERATIONS = 10
+    BOUNDS = ((-1.0, 1.0),) * 3
+    SEED = 5
 
     @staticmethod
     def _f(x):
         return -np.sum(x**2, axis=-1)
 
-    def _cfg(self, population):
-        return GaConfig(bounds=((-1.0, 1.0),) * 3, population=population,
-                        generations=self.GENERATIONS, seed=5)
-
-    def _run(self, monkeypatch, population):
+    def _run(self, monkeypatch):
         proxies = []
 
         def counting_make_rng(seed):
@@ -227,31 +208,25 @@ class TestWholeGenerationDraws:
 
         def f(x):
             # the draws made before this call: one for the initial
-            # population, then the same number per generation
+            # population, then five per generation
             batches.append((proxies[0].calls, x.copy()))
             return self._f(x)
 
-        maximize(f, self._cfg(population))
+        maximize(f, self.BOUNDS, self.SEED)
         return proxies[0].calls, batches
 
-    def test_draws_do_not_grow_with_the_population(self, monkeypatch):
-        small, _ = self._run(monkeypatch, 12)
-        large, _ = self._run(monkeypatch, 200)
-        assert small == large
-        # one draw for the initial population, at most six per generation
-        assert small - 1 <= 6 * self.GENERATIONS
+    def test_five_draws_per_generation(self, monkeypatch):
+        draws, _ = self._run(monkeypatch)
+        assert draws == 1 + 5 * optimize._GENERATIONS
 
-    @pytest.mark.parametrize("population", [12, 200])
-    def test_one_objective_call_per_generation(self, monkeypatch, population):
-        draws, batches = self._run(monkeypatch, population)
-        assert draws == self._run(monkeypatch, 4)[0]
-        per_generation = (draws - 1) // self.GENERATIONS
+    def test_one_objective_call_per_generation(self, monkeypatch):
+        _, batches = self._run(monkeypatch)
         # the initial population, then at most one call per generation,
         # holding exactly the children that differ from their source parent
-        _, changed = every_child_maximize(self._f, self._cfg(population))
-        expected = [(1 + per_generation * (g + 1), c) for g, c in enumerate(changed) if len(c)]
+        _, changed = every_child_maximize(self._f, self.BOUNDS, self.SEED)
+        expected = [(1 + 5 * (g + 1), c) for g, c in enumerate(changed) if len(c)]
         assert [n for n, _ in batches[1:]] == [n for n, _ in expected]
-        assert batches[0][0] == 1 and len(batches[0][1]) == population
+        assert batches[0][0] == 1 and len(batches[0][1]) == optimize._POPULATION
         for (_, got), (_, want) in zip(batches[1:], expected):
             assert got.tobytes() == want.tobytes()
 

@@ -28,31 +28,60 @@ def test_all_matches_the_public_definitions(name):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def retired_names() -> list[str]:
-    """The ``module.name`` paths README's "Retired names" lists as gone
-    whole: each bullet's names before its replacement, leaving out a
-    retired parameter of a kept name (arguments with ``...``)."""
+def retired_spans() -> list[tuple[str, str]]:
+    """The ``module.name`` paths, each with its argument text, that start
+    README's "Retired names" bullets: each bullet's names before its
+    replacement."""
     section = README.read_text().split("\n## Retired names\n", 1)[1].split("\n## ", 1)[0]
-    names = []
+    spans = []
     for bullet in section.split("\n- ")[1:]:
         head = bullet.split("`:", 1)[0] + "`"
         for span in re.findall(r"`([^`]*)`", head):
             m = re.fullmatch(r"(\w+(?:\.\w+)+)(?:\((.*)\))?", span, re.S)
-            if m and m[1].split(".")[0] in MODULES and "..." not in (m[2] or ""):
-                names.append(m[1])
-    return names
+            if m and m[1].split(".")[0] in MODULES:
+                spans.append((m[1], m[2] or ""))
+    return spans
+
+
+def retired_names() -> list[str]:
+    """The names retired whole, leaving out a retired parameter of a kept
+    name (arguments with ``...``)."""
+    return [name for name, args in retired_spans() if "..." not in args]
+
+
+def retired_parameters() -> list[tuple[str, str]]:
+    """(kept name, parameter) for each retired parameter of a kept name:
+    the ``parameter=`` arguments of a span with ``...``."""
+    return [(name, param) for name, args in retired_spans() if "..." in args
+            for param in re.findall(r"(\w+)=", args)]
+
+
+def _owner(path):
+    owner = importlib.import_module(f"epfit.{path[0]}")
+    for attr in path[1:]:
+        owner = getattr(owner, attr)
+    return owner
 
 
 def test_retired_names_are_gone():
     names = retired_names()
     assert {"special_fn.incomplete_gamma", "fisher.FisherMatrix.unit",
-            "special_fn.IntegrationResult.__float__", "special_fn.QuadratureSpec"} <= set(names)
+            "special_fn.IntegrationResult.__float__", "special_fn.QuadratureSpec",
+            "optimize.GaConfig"} <= set(names)
     present = []
     for name in names:
         *path, last = name.split(".")
-        owner = importlib.import_module(f"epfit.{path[0]}")
-        for attr in path[1:]:
-            owner = getattr(owner, attr)
+        owner = _owner(path)
         if hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", {}):
             present.append(name)
+    assert present == []
+
+
+def test_retired_parameters_are_gone():
+    pairs = retired_parameters()
+    assert {("estimate.fit_objective", "population"), ("estimate.fit_objective", "generations"),
+            ("simulate.EstimatorSpec", "ga_population"),
+            ("simulate.EstimatorSpec", "ga_generations"), ("simulate.run", "threads")} <= set(pairs)
+    present = [(name, param) for name, param in pairs
+               if param in inspect.signature(_owner(name.split("."))).parameters]
     assert present == []

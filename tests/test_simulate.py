@@ -22,6 +22,8 @@ class TestDesigns:
             DesignComponent(alpha=0.0, mu=0, sigma=1, n=5)
         with pytest.raises(ValueError):
             DesignComponent(alpha=1, mu=0, sigma=1, n=-1)
+        with pytest.raises(ValueError, match="finite"):
+            DesignComponent(alpha=1, mu=float("inf"), sigma=1, n=5)
         comp = DesignComponent(1.0, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             SimulationDesign((comp, comp, comp))
@@ -147,17 +149,12 @@ class TestRun:
             EstimatorSpec(label="bad")
         with pytest.raises(ValueError):
             run(reference_design(1), [], m=1)
-        with pytest.raises(ValueError, match="population"):
-            EstimatorSpec(label="mle", family=Plain(), objective=True, ga_population=3)
-        with pytest.raises(ValueError, match="generation"):
-            EstimatorSpec(label="mle", family=Plain(), objective=True, ga_generations=0)
         with pytest.raises(ValueError, match="combined"):
             EstimatorSpec(label="c", family=CombinedPlain(ShapeTriple(1.8, 2.0, 2.4), 1.0, 1.0),
                           estimate_alpha=True)
 
     def test_objective_route_column(self):
-        spec = EstimatorSpec(label="mdle", family=Distorted(6e-3), objective=True,
-                             ga_population=8, ga_generations=3)
+        spec = EstimatorSpec(label="mdle", family=Distorted(6e-3), objective=True)
         assert spec.n_params == 3
         row = run(reference_design(4, n2=20), [spec], m=2, seed=3).rows[0]
         assert row.tuning == "beta=0.006"
