@@ -135,10 +135,14 @@ def _terraces(x):
 class TestChildrenKeepTheirParentsValue:
     """``maximize`` against the evaluate-every-child loop."""
 
+    # the fixed budget's population, and smaller even ones so that the
+    # tournaments and the elites meet the same rows more often
     @pytest.mark.parametrize("f", [_bowl, _holed_bowl, _terraces])
+    @pytest.mark.parametrize("population", [4, 12, 50])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 5, 23])
-    def test_matches_the_every_child_loop(self, f, dim, seed):
+    def test_matches_the_every_child_loop(self, monkeypatch, f, population, dim, seed):
+        monkeypatch.setattr(optimize, "_POPULATION", population)
         bounds = ((-1.0, 1.0),) * dim
         seeds = [np.full(dim, 0.25), np.full(dim, 7.0)] if seed == 5 else None
         expected, changed = every_child_maximize(f, bounds, seed, seeds)
@@ -196,7 +200,8 @@ class TestWholeGenerationDraws:
     def _f(x):
         return -np.sum(x**2, axis=-1)
 
-    def _run(self, monkeypatch):
+    def _run(self, monkeypatch, population):
+        monkeypatch.setattr(optimize, "_POPULATION", population)
         proxies = []
 
         def counting_make_rng(seed):
@@ -215,18 +220,21 @@ class TestWholeGenerationDraws:
         maximize(f, self.BOUNDS, self.SEED)
         return proxies[0].calls, batches
 
-    def test_five_draws_per_generation(self, monkeypatch):
-        draws, _ = self._run(monkeypatch)
-        assert draws == 1 + 5 * optimize._GENERATIONS
+    def test_draws_do_not_grow_with_the_population(self, monkeypatch):
+        small, _ = self._run(monkeypatch, 12)
+        large, _ = self._run(monkeypatch, 200)
+        fixed, _ = self._run(monkeypatch, 50)
+        assert small == large == fixed == 1 + 5 * optimize._GENERATIONS
 
-    def test_one_objective_call_per_generation(self, monkeypatch):
-        _, batches = self._run(monkeypatch)
+    @pytest.mark.parametrize("population", [12, 200])
+    def test_one_objective_call_per_generation(self, monkeypatch, population):
+        _, batches = self._run(monkeypatch, population)
         # the initial population, then at most one call per generation,
         # holding exactly the children that differ from their source parent
         _, changed = every_child_maximize(self._f, self.BOUNDS, self.SEED)
         expected = [(1 + 5 * (g + 1), c) for g, c in enumerate(changed) if len(c)]
         assert [n for n, _ in batches[1:]] == [n for n, _ in expected]
-        assert batches[0][0] == 1 and len(batches[0][1]) == optimize._POPULATION
+        assert batches[0][0] == 1 and len(batches[0][1]) == population
         for (_, got), (_, want) in zip(batches[1:], expected):
             assert got.tobytes() == want.tobytes()
 
