@@ -323,6 +323,8 @@ def _cmd_fit(args, argv) -> int:
         raise UsageError("--outlier-abs needs --add-outliers")
     if args.method == "objective" and args.ga_seed is None:
         raise UsageError("--ga-seed is required for objective fits")
+    if args.method == "ee" and args.ga_seed is not None:
+        raise UsageError("--ga-seed applies only to objective fits")
     data = ingest(args.data)
     digest = _sha256(args.data)
     if args.add_outliers:
@@ -491,8 +493,9 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
     method = values.get("method", "ee")
     if method not in ("ee", "objective"):
         raise UsageError(f"estimator {label}: method must be ee or objective, got {method!r}")
-    estimate_alpha = values.get("estimate_alpha", False)
-    if not isinstance(estimate_alpha, bool):
+    # None where neither the flag nor the key is given
+    estimate_alpha = values.get("estimate_alpha")
+    if estimate_alpha is not None and not isinstance(estimate_alpha, bool):
         raise UsageError(f"estimator {label}: estimate_alpha must be true or false, "
                          f"got {estimate_alpha!r}")
     if method == "ee":
@@ -500,11 +503,14 @@ def _estimator(label: str, values) -> simulate.EstimatorSpec:
         if scalar is None and family.shapes is None and not estimate_alpha:
             raise UsageError(f"estimator {label}: the {score} score needs a scalar --alpha "
                              "or --estimate-alpha")
-        route = dict(alpha=scalar, estimate_alpha=estimate_alpha)
+        route = dict(alpha=scalar, estimate_alpha=bool(estimate_alpha))
     else:
         if family.likelihood is None:
             raise UsageError(f"estimator {label}: objective fits need a likelihood score "
                              "(s, sq or sd)")
+        if alpha is not None or estimate_alpha is False:
+            raise UsageError(f"estimator {label}: objective fits estimate the shape, so they "
+                             "take neither alpha nor estimate_alpha = false")
         route = dict(objective=True)
     try:
         return simulate.EstimatorSpec(label=label, family=family, **route)
@@ -556,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--score", required=True, choices=list(_FAMILIES))
     fit.add_argument("--method", choices=["ee", "objective"], default="ee")
     fit.add_argument("--alpha", help="shape value, or a1,a2,a3 for combined scores")
-    fit.add_argument("--estimate-alpha", action="store_true")
+    fit.add_argument("--estimate-alpha", action="store_true", default=None)
     fit.add_argument("--fisher", choices=["closed", "quad", "auto"], default="auto")
     fit.add_argument("--ga-seed", type=int)
     fit.add_argument("--add-outliers", action="store_true",

@@ -30,6 +30,7 @@ from .special_fn import (
     QuadratureError,
     digamma,
     gamma_fn,
+    incomplete_gammas,
     integrate,
     regularized_gamma,
     trigamma,
@@ -160,9 +161,8 @@ def _combined_closed(params: EpdParams, family):
     # the outer shapes, lower ones inside them with the center shape
     p = np.array([[3.0], [2.0], [1.0]])
     z = np.hstack([(2 * a1 - p) / a2, (2 * a3 - p) / a2, 2 - p / a2, 2 - p / a2])
-    lower, upper = regularized_gamma(z, [k**a2, t**a2, k**a2, t**a2])
-    whole = np.array([[gamma_fn(v) for v in row] for row in z])
-    up_k, up_t, low_k, low_t = (whole * np.hstack([upper[:, :2], lower[:, 2:]])).T
+    lower, upper = incomplete_gammas(z, [k**a2, t**a2, k**a2, t**a2])
+    up_k, up_t, low_k, low_t = np.hstack([upper[:, :2], lower[:, 2:]]).T
     # the (mu, sigma) entry takes the terms at k with the opposite sign
     sign = np.array([1.0, -1.0, 1.0])
     e_mm, e_ms, e_ss = pref * (sign * A1 * up_k + A3 * up_t + A2 * (sign * low_k + low_t))

@@ -3,10 +3,11 @@
 The GA uses binary tournament selection, single-point crossover on the
 coordinate vector, Gaussian mutation scaled to the box width, and
 elitism, all driven by one counter-based generator so a fixed seed gives
-a bit-identical trajectory.  Each generation draws its randomness as
-whole arrays, in five generator calls (tournament entrants, crossover
-flags, cut points, mutation masks and mutation steps), and builds its
-children by fancy indexing.
+a bit-identical trajectory.  After the initial population a run draws
+all its randomness up front, in five generator calls (tournament
+entrants, crossover flags, cut points, mutation masks and mutation
+steps), each a block with one row per generation; each generation
+slices its rows and builds its children by fancy indexing.
 
 Both maximizers take a population-wise, deterministic objective: ``f``
 maps an (m, dim) array of points to the m objective values, and a row's
@@ -73,28 +74,28 @@ def maximize(
     injected into the initial population (clipped to the box), which
     speeds up convergence without changing reachability.
 
-    Each generation ranks the population (stable sort, best first),
-    keeps the ``_ELITISM`` best with their known values, and breeds
-    the rest in pairs from one array draw per kind: two binary
-    tournaments per pair, a crossover flag and a cut point per pair (a
-    crossing pair swaps its coordinates from the cut on), then a
-    mutation mask and a Gaussian step for every child coordinate, the
-    step applied where the mask is set.  Children are clipped to the
-    box.  A child equal to its source parent (the tournament winner
-    whose coordinates it starts from) takes that parent's value, so a
-    generation makes at most one call of ``f``, on the children that
-    changed, and none if none did.
+    The generator makes six calls per run: the initial population,
+    then one block per kind with a row for each generation.  Each
+    generation ranks the population (stable sort, best first), keeps
+    the ``_ELITISM`` best with their known values, and breeds the rest
+    in pairs from its rows: two binary tournaments per pair, a
+    crossover flag and a cut point per pair (a crossing pair swaps its
+    coordinates from the cut on), then a mutation mask and a Gaussian
+    step for every child coordinate, the step applied where the mask is
+    set.  Children are clipped to the box.  A child equal to its source
+    parent (the tournament winner whose coordinates it starts from)
+    takes that parent's value, so a generation makes at most one call of
+    ``f``, on the children that changed, and none if none did.
     """
     if not bounds or not all(np.isfinite(lo) and np.isfinite(hi) and lo < hi for lo, hi in bounds):
         raise ValueError(f"bounds must be finite non-empty intervals, one or more, got {bounds}")
     rng = make_rng(seed)
-    integers, random, normal = rng.integers, rng.random, rng.normal
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     dim = len(bounds)
     width = hi - lo
 
-    pop = lo + random((_POPULATION, dim)) * width
+    pop = lo + rng.random((_POPULATION, dim)) * width
     if seed_points:
         for i, pt in enumerate(seed_points[:_POPULATION]):
             pop[i] = np.clip(np.asarray(pt, dtype=float), lo, hi)
@@ -104,34 +105,38 @@ def maximize(
 
     n_children = _POPULATION - _ELITISM
     n_pairs = n_children // 2
-    columns = np.arange(dim)
+    # the whole run's randomness, one generator call per kind, one row
+    # per generation
+    entrants = rng.integers(0, _POPULATION, size=(_GENERATIONS, n_pairs, 2, 2))
+    crossed = rng.random((_GENERATIONS, n_pairs)) < _CROSSOVER_RATE
+    # with one coordinate every cut lands at 1 and nothing swaps
+    cut = rng.integers(1, max(dim, 2), size=(_GENERATIONS, n_pairs))
+    mutate = rng.random((_GENERATIONS, n_children, dim)) < _MUTATION_RATE
+    steps = rng.normal(0.0, _MUTATION_SCALE, size=(_GENERATIONS, n_children, dim))
+    steps *= width
+    # a crossing pair swaps its coordinates from the cut on
+    swap = crossed[..., None] & (np.arange(dim) >= cut[..., None])
+
     # the ranked generation; the next one is bred into pop and fit
     ranked, ranked_fit = np.empty_like(pop), np.empty_like(fit)
     children, children_fit = pop[_ELITISM:], fit[_ELITISM:]
     history = []
-    for _ in range(_GENERATIONS):
+    for g_entrants, g_swap, g_mutate, g_steps in zip(entrants, swap, mutate, steps):
         order = (-fit).argsort(kind="stable")
         pop.take(order, axis=0, out=ranked)
         fit.take(order, out=ranked_fit)
         history.append(float(ranked_fit[0]))
 
-        # two binary tournaments per pair of children, ties to the first entrant
-        entrants = integers(0, _POPULATION, size=(n_pairs, 2, 2))
-        contest = ranked_fit[entrants]
-        winners = np.where(contest[..., 0] >= contest[..., 1], entrants[..., 0], entrants[..., 1])
+        # each tournament goes to the fitter entrant, ties to the first
+        contest = ranked_fit[g_entrants]
+        winners = np.where(contest[..., 0] >= contest[..., 1], g_entrants[..., 0],
+                           g_entrants[..., 1])
         parents = ranked.take(winners, axis=0)
-        # with one coordinate every cut lands at 1 and nothing swaps
-        crossed = random(n_pairs) < _CROSSOVER_RATE
-        cut = integers(1, max(dim, 2), size=n_pairs)
-        swap = crossed[:, None] & (columns >= cut[:, None])
         # child k of a pair starts from parent k and takes the other
         # parent's coordinates where the pair swaps
-        bred = np.where(swap[:, None], parents[:, ::-1], parents)
+        bred = np.where(g_swap[:, None], parents[:, ::-1], parents)
         bred = bred.reshape(n_children, dim)
-        mutate = random((n_children, dim)) < _MUTATION_RATE
-        steps = normal(0.0, _MUTATION_SCALE, size=(n_children, dim))
-        steps *= width
-        np.add(bred, steps, out=bred, where=mutate)
+        np.add(bred, g_steps, out=bred, where=g_mutate)
 
         # the next generation: the elites, then the children clipped to
         # the box; elites, and children equal to their source parent, keep
@@ -193,8 +198,8 @@ def polish(
     start_val = values[0]
 
     for _ in range(_POLISH_ITERS * dim):
-        # numpy's default sort, whose order among tied values the result depends on
-        order = np.array([-v for v in values]).argsort().tolist()
+        # best first, tied values in their current order
+        order = sorted(range(dim + 1), key=lambda k: -values[k])
         simplex, values = [simplex[k] for k in order], [values[k] for k in order]
         top = simplex[0]
         # the values are sorted, so values[0] - values[-1] is their widest

@@ -1,7 +1,7 @@
 """Special-function and quadrature kernel.
 
-Gamma and log-gamma (from the standard library), the regularized
-incomplete gammas, digamma, trigamma, and adaptive one-dimensional
+Gamma and log-gamma (from the standard library), the incomplete gammas,
+regularized or not, digamma, trigamma, and adaptive one-dimensional
 integration.  Everything here is pure and reentrant; no state is shared
 between calls.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "gamma_fn",
     "log_gamma",
     "regularized_gamma",
+    "incomplete_gammas",
     "digamma",
     "trigamma",
     "integrate",
@@ -150,36 +151,63 @@ def regularized_gamma(z, a):
     lost to cancellation.  The prefactor a^z e^(-a) / Gamma(z) is formed
     in log space, so the pair stays finite where gamma_fn(z) overflows.
     """
+    return _incomplete_pair("regularized_gamma", z, a, regularized=True)
+
+
+def incomplete_gammas(z, a):
+    """The lower and upper incomplete gammas gamma(z, a) and Gamma(z, a),
+    not regularized, for z > 0 and a in [0, inf], elementwise over
+    broadcast arrays as ``regularized_gamma``.
+
+    Each is formed from the series or the continued fraction times
+    e^(z log a - a), not as gamma_fn(z) times a regularized one, so a
+    value near the underflow keeps its digits where P or Q would be
+    subnormal.  DomainError where gamma_fn(z) overflows.
+    """
+    return _incomplete_pair("incomplete_gammas", z, a, regularized=False)
+
+
+def _incomplete_pair(name, z, a, regularized):
+    """(lower, upper) incomplete gammas, divided by Gamma(z) when
+    ``regularized``: the one the series or the continued fraction gives,
+    then the other as their sum, 1 or Gamma(z), minus it."""
     z_in = np.asarray(z, dtype=float)
     a_in = np.asarray(a, dtype=float)
     bad = ~(z_in > 0.0)
     if bad.any():
-        raise DomainError(f"regularized_gamma requires z > 0, got {z_in[bad].flat[0]}")
+        raise DomainError(f"{name} requires z > 0, got {z_in[bad].flat[0]}")
     bad = ~(a_in >= 0.0)
     if bad.any():
-        raise DomainError(f"regularized_gamma requires a >= 0, got {a_in[bad].flat[0]}")
+        raise DomainError(f"{name} requires a >= 0, got {a_in[bad].flat[0]}")
     zb, ab = np.broadcast_arrays(z_in, a_in)
     zf, af = zb.ravel(), ab.ravel()
+    if regularized:
+        total = np.ones(af.shape)
+        log_gamma_z = (log_gamma(float(z_in)) if z_in.ndim == 0
+                       else np.array([log_gamma(v) for v in zf]))
+    else:
+        total = (np.full(af.shape, gamma_fn(float(z_in))) if z_in.ndim == 0
+                 else np.array([gamma_fn(v) for v in zf]))
     lower = np.zeros(af.shape)
-    upper = np.ones(af.shape)
+    upper = total.copy()
     inf = np.isinf(af)
-    lower[inf], upper[inf] = 1.0, 0.0
+    lower[inf], upper[inf] = total[inf], 0.0
     series = (af > 0.0) & (af < zf + 1.0)
     frac = (af >= zf + 1.0) & ~inf
-    log_gamma_z = (log_gamma(float(z_in)) if z_in.ndim == 0
-                   else np.array([log_gamma(v) for v in zf]))
 
     def scaled(method, mask):
         zm, am = zf[mask], af[mask]
-        lg = log_gamma_z if z_in.ndim == 0 else log_gamma_z[mask]
-        return method(zm, am) * np.exp(zm * np.log(am) - am - lg)
+        log_scale = zm * np.log(am) - am
+        if regularized:
+            log_scale -= log_gamma_z if z_in.ndim == 0 else log_gamma_z[mask]
+        return method(zm, am) * np.exp(log_scale)
 
     if series.any():
         lower[series] = scaled(_lower_gamma_series, series)
-        upper[series] = 1.0 - lower[series]
+        upper[series] = total[series] - lower[series]
     if frac.any():
         upper[frac] = scaled(_upper_gamma_cf, frac)
-        lower[frac] = 1.0 - upper[frac]
+        lower[frac] = total[frac] - upper[frac]
     if zb.ndim == 0:
         return float(lower[0]), float(upper[0])
     return lower.reshape(zb.shape), upper.reshape(zb.shape)

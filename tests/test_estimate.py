@@ -719,17 +719,19 @@ class TestFixedFitPinnedSet:
 
 
 OBJECTIVE_PINS = [
-    ("contaminated", Plain(), 5, ('0x1.374c5ad7bdf80p-3', '0x1.93d52d0b9e23dp-2', '0x1.5afabab382ba3p-1'), '-0x1.4b4920a666555p+7', 201, 'a26e2b8d32d54ac281152b4fdfd37a5c0705a9ef9a61560cf6e873c035629fc1'),
-    ("contaminated", QWeighted(0.8), 5, ('0x1.35fad22236a70p-3', '0x1.a692a069dfbf2p-2', '0x1.9b32d1d6c1460p-1'), '-0x1.0335e5e825788p+7', 201, '2d775594c80cc9c68b1070d70647bd964b86ac5169c21db9080710eca461a6ec'),
-    ("contaminated", Distorted(0.006), 9, ('-0x1.b38c73ddc0ac0p-6', '0x1.21856a10f1f32p+0', '0x1.23c6720c367ebp+1'), '-0x1.27dbdf5087db1p+7', 201, '55db6bed7618689cbeddbd71237193780445eac5fd096d4ca94381ac767d311e'),
-    ("clean", Plain(), 5, ('0x1.7d1f82a0f3480p+0', '0x1.2c2573c85f988p-1', '0x1.5816f27348b5ap+0'), '-0x1.8842d82640c71p+5', 201, '5da20bde2543478bcc37046317fbf27491958367e43ef8b351ac1f2695879169'),
-    ("clean", QWeighted(0.8), 5, ('0x1.80100ee748c6ap+0', '0x1.c35eba944ed9fp-2', '0x1.3138b04a2756ap+0'), '-0x1.4a264a95ac275p+5', 201, 'ac6b3593e23950756043b82be95fd2f9597d8cec2095a1a20df8d53a9cf25cc1'),
-    ("clean", Distorted(0.006), 9, ('0x1.7db01113ed742p+0', '0x1.29b0556f9ad9cp-1', '0x1.608fc1bc9a514p+0'), '-0x1.7d212efa6115ap+5', 201, '5fd7907a891c2f7da73e390c4250e54ad2dfb1da9be3a2ce6bcf52864f0a55c6'),
-    # two fits whose polished point depends on numpy's default argsort
-    # order among tied vertex values: under a stable sort their alpha
-    # moves by 2.8e-8 and 1.1e-8
-    ("k50", Distorted(0.006), 50, ('0x1.9fa61c609cdefp-4', '0x1.cbc37b00473b1p-1', '0x1.263c7554d07a4p+1'), '-0x1.fe2dec77416f9p+6', 201, 'f096245e2fe7731057583b03ba0f1910fbbec25347592739782b082ddd30928b'),
-    ("k57", Plain(), 57, ('0x1.24a5f818e6be6p-4', '0x1.33900f07aeecep-1', '0x1.b14c0261f8ef2p-1'), '-0x1.3f7b4e3fd076ep+7', 201, '788eacde411fc80a7d31f01ee4b01aa55f21c362fc981a1fcbc4776ddf2cb42e'),
+    ("contaminated", Plain(), 5, ('0x1.374c5ad7bdf7ep-3', '0x1.9eaaa33590b34p-2', '0x1.5eb3c2ed22d89p-1'), '-0x1.4b47f874f2297p+7', 201, '9b65ddce8a7b640268023a732fc8d7c1b3a00ee75278ec559363a33dc98dd11b'),
+    ("contaminated", QWeighted(0.8), 5, ('0x1.374c5ad7bdf80p-3', '0x1.bb69aa337de58p-2', '0x1.a4ee0441acb3cp-1'), '-0x1.0332d4fd1a8c5p+7', 201, '38deb11180f6a25f929111bbccb9542edf969dc5695b4a3c50b5cd94b472a84b'),
+    ("contaminated", Distorted(0.006), 9, ('-0x1.b38c8f000985fp-6', '0x1.21856a14f2f5ep+0', '0x1.23c67125510c2p+1'), '-0x1.27dbdf5087db4p+7', 201, 'fde38547a535f7fabfa11137fae0513259c00f02a503e95e1b333db747d06564'),
+    ("clean", Plain(), 5, ('0x1.7d1f8270fa863p+0', '0x1.2c2572a52d0bap-1', '0x1.5816f19c74f6cp+0'), '-0x1.8842d82640c68p+5', 201, '20c947c61afd7c6c56283d65eaa80151669998414b445ab52e793b35fce316d1'),
+    ("clean", QWeighted(0.8), 5, ('0x1.80100ef38c37dp+0', '0x1.c35eb8c817400p-2', '0x1.3138af365489cp+0'), '-0x1.4a264a95ac275p+5', 201, '4d77f228725528721424ee2456f1cf2efe632af87d6083974c04f177066456e5'),
+    ("clean", Distorted(0.006), 9, ('0x1.7db01110c6c82p+0', '0x1.29b055b6339c0p-1', '0x1.608fc1866e4bep+0'), '-0x1.7d212efa6115ep+5', 201, '0e836b9a36b079b5ad475d94f56813577985d1de6d5b99889e35aeab0f0a3d9d'),
+    # two fits whose polished point depended on the order among tied
+    # vertex values under the per-generation GA stream (numpy's default
+    # argsort against a stable sort moved alpha by 2.8e-8 and 1.1e-8);
+    # they now pin the polish's stable tie order, although under the
+    # whole-run stream no fit of the 60-sample set depends on it
+    ("k50", Distorted(0.006), 50, ('0x1.9fa61e06c8728p-4', '0x1.cbc37b8ea3017p-1', '0x1.263c75ec314f2p+1'), '-0x1.fe2dec77416f7p+6', 201, 'df627df942b163a6b1730ee189bfc52e93f7a597b7f4f3dfd058360cd9506bee'),
+    ("k57", Plain(), 57, ('0x1.24a5f818e6c17p-4', '0x1.339071bf0a363p-1', '0x1.b14c5c67cfcc2p-1'), '-0x1.3f7b4e3fd2ee7p+7', 201, 'ce242e0dc5629230f15cd02a69dbbd38ef81e538c83701f7f6077fc9ac8d6158'),
 ]
 
 

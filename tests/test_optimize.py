@@ -68,8 +68,11 @@ def every_child_maximize(f, bounds, seed, seed_points=None):
     generation, the way ``maximize`` did before children that copy
     their source parent kept its value.
 
-    Returns the result and, per generation, the children that differ
-    from their source parent: the rows ``maximize`` has to evaluate.
+    It draws a run's randomness in the order ``maximize`` does: the
+    initial population, then one block per kind with a row for each
+    generation.  Returns the result and, per generation, the children
+    that differ from their source parent: the rows ``maximize`` has to
+    evaluate.
     """
     rng = make_rng(seed)
     lo = np.array([b[0] for b in bounds])
@@ -85,29 +88,33 @@ def every_child_maximize(f, bounds, seed, seed_points=None):
     fit = np.asarray(f(pop), dtype=float)
 
     n_children = population - elitism
-    n_pairs = (n_children + 1) // 2
+    n_pairs = n_children // 2
+    generations = optimize._GENERATIONS
+    # the whole run's draws, kind by kind, a row per generation
+    all_entrants = rng.integers(0, population, size=(generations, n_pairs, 2, 2))
+    all_crossed = rng.random((generations, n_pairs)) < optimize._CROSSOVER_RATE
+    all_cuts = rng.integers(1, max(dim, 2), size=(generations, n_pairs))
+    all_mutate = rng.random((generations, n_children, dim)) < optimize._MUTATION_RATE
+    all_steps = rng.normal(0.0, optimize._MUTATION_SCALE, size=(generations, n_children, dim))
     history, changed = [], []
-    for _ in range(optimize._GENERATIONS):
+    for g in range(generations):
         fit = np.where(np.isfinite(fit), fit, -np.inf)
         order = np.argsort(-fit, kind="stable")
         pop, fit = pop[order], fit[order]
         history.append(float(fit[0]))
 
-        entrants = rng.integers(0, population, size=(n_pairs, 2, 2))
+        entrants = all_entrants[g]
         first, second = entrants[..., 0], entrants[..., 1]
         winners = np.where(fit[first] >= fit[second], first, second)
         parent_a, parent_b = pop[winners[:, 0]], pop[winners[:, 1]]
-        crossed = rng.random(n_pairs) < optimize._CROSSOVER_RATE
-        cut = rng.integers(1, max(dim, 2), size=n_pairs)
-        swap = crossed[:, None] & (np.arange(dim) >= cut[:, None])
+        swap = all_crossed[g][:, None] & (np.arange(dim) >= all_cuts[g][:, None])
         children = np.stack([np.where(swap, parent_b, parent_a),
                              np.where(swap, parent_a, parent_b)], axis=1)
-        children = children.reshape(2 * n_pairs, dim)[:n_children]
-        mutate = rng.random((n_children, dim)) < optimize._MUTATION_RATE
-        steps = rng.normal(0.0, optimize._MUTATION_SCALE, size=(n_children, dim)) * width
-        children = np.where(mutate, children + steps, children).clip(lo, hi)
+        children = children.reshape(n_children, dim)
+        steps = all_steps[g] * width
+        children = np.where(all_mutate[g], children + steps, children).clip(lo, hi)
 
-        parents = pop[winners.reshape(-1)[:n_children]]
+        parents = pop[winners.reshape(-1)]
         changed.append(children[[not np.array_equal(c, p) for c, p in zip(children, parents)]])
         pop = np.concatenate([pop[:elitism], children])
         fit = np.concatenate([fit[:elitism], f(children)])
@@ -193,6 +200,9 @@ class _CountingRng:
 
 
 class TestWholeGenerationDraws:
+    """A run draws its randomness in six generator calls: the initial
+    population, then each kind's block for every generation."""
+
     BOUNDS = ((-1.0, 1.0),) * 3
     SEED = 5
 
@@ -213,7 +223,7 @@ class TestWholeGenerationDraws:
 
         def f(x):
             # the draws made before this call: one for the initial
-            # population, then five per generation
+            # population, then the five whole-run blocks
             batches.append((proxies[0].calls, x.copy()))
             return self._f(x)
 
@@ -224,7 +234,15 @@ class TestWholeGenerationDraws:
         small, _ = self._run(monkeypatch, 12)
         large, _ = self._run(monkeypatch, 200)
         fixed, _ = self._run(monkeypatch, 50)
-        assert small == large == fixed == 1 + 5 * optimize._GENERATIONS
+        assert small == large == fixed == 1 + 5
+
+    @pytest.mark.parametrize("generations", [2, 7])
+    def test_draws_do_not_grow_with_the_generations(self, monkeypatch, generations):
+        monkeypatch.setattr(optimize, "_GENERATIONS", generations)
+        draws, batches = self._run(monkeypatch, 12)
+        assert draws == 1 + 5
+        _, changed = every_child_maximize(self._f, self.BOUNDS, self.SEED)
+        assert len(batches) == 1 + sum(len(c) > 0 for c in changed)
 
     @pytest.mark.parametrize("population", [12, 200])
     def test_one_objective_call_per_generation(self, monkeypatch, population):
@@ -232,10 +250,10 @@ class TestWholeGenerationDraws:
         # the initial population, then at most one call per generation,
         # holding exactly the children that differ from their source parent
         _, changed = every_child_maximize(self._f, self.BOUNDS, self.SEED)
-        expected = [(1 + 5 * (g + 1), c) for g, c in enumerate(changed) if len(c)]
-        assert [n for n, _ in batches[1:]] == [n for n, _ in expected]
+        expected = [c for c in changed if len(c)]
         assert batches[0][0] == 1 and len(batches[0][1]) == population
-        for (_, got), (_, want) in zip(batches[1:], expected):
+        assert [n for n, _ in batches[1:]] == [1 + 5] * len(expected)
+        for (_, got), want in zip(batches[1:], expected):
             assert got.tobytes() == want.tobytes()
 
 
@@ -266,7 +284,7 @@ def ndarray_polish(f, start, bounds):
     start_val = values[0]
 
     for _ in range(optimize._POLISH_ITERS * dim):
-        order = np.argsort(-values)
+        order = np.argsort(-values, kind="stable")
         simplex, values = simplex[order], values[order]
         if (np.abs(simplex[1:] - simplex[0]).max() < optimize._POLISH_XATOL
                 and np.abs(values[0] - values[1:]).max() < optimize._POLISH_FATOL):
@@ -302,10 +320,10 @@ def ndarray_polish(f, start, bounds):
 class TestPolishMatchesTheNdarrayLoop:
     """``polish`` against the ndarray simplex: the same point and value
     bits and the same calls of ``f``, ties among vertex values included
-    (``_terraces``), which numpy's default argsort orders."""
+    (``_terraces``), which both order stably."""
 
     # on _terraces in three coordinates, seeds 11 and 37 end at another
-    # point under a stable sort
+    # point under numpy's default, unstable argsort
     @pytest.mark.parametrize("f", [_bowl, _holed_bowl, _terraces])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 11, 37])
