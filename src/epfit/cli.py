@@ -112,10 +112,6 @@ def _json_safe(obj):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "log_q_pdf",
     "distorted_log_pdf",
     "sample",
-    "gamma_transform",
     "make_rng",
     "cdf",
 ]
@@ -119,20 +118,11 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def gamma_transform(y_gamma, z_sign, p: EpdParams):
-    """Map gamma variates and signs to EP draws: x = mu + sigma * z * y^(1/alpha)."""
-    out = np.asarray(y_gamma, dtype=float) ** (1.0 / p.alpha)
-    # in place, the same products as mu + (sigma z) y^(1/alpha)
-    out *= p.sigma * np.asarray(z_sign)
-    out += p.mu
-    return out if out.ndim else float(out)
-
-
 def sample(p: EpdParams, n: int, seed) -> np.ndarray:
     """Draw n EP variates.
 
-    Y ~ Gamma(1/alpha, 1), then x = mu + sigma * Z * Y^(1/alpha) with
-    Z = +/-1 equiprobable.  The sign variable makes the draws cover the
+    Y ~ Gamma(1/alpha, 1), then x = mu + (sigma Z) Y^(1/alpha), in place
+    on the gamma draws, with Z = +/-1 equiprobable.  The sign variable makes the draws cover the
     whole real line, matching the density's symmetry about mu.  Gamma
     variates come from the generator's Marsaglia-Tsang sampler (with the
     shape < 1 boost).  Draw order is fixed: gammas first, then signs.
@@ -142,7 +132,10 @@ def sample(p: EpdParams, n: int, seed) -> np.ndarray:
     rng = make_rng(seed)
     y = rng.gamma(shape=1.0 / p.alpha, scale=1.0, size=n)
     z = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    return gamma_transform(y, z, p)
+    y **= 1.0 / p.alpha
+    y *= p.sigma * z
+    y += p.mu
+    return y
 
 
 def cdf(x, p: EpdParams):

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .epd import EpdParams, _deformed, _log_norm_const
-from .optimize import maximize, polish
+from .optimize import _GENERATIONS, maximize, polish
 from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
 from .special_fn import digamma
 
@@ -96,7 +96,6 @@ class FitResult:
     volume: float | None = None
     mae: float | None = None
     objective_value: float | None = None
-    ga_history: list = field(default_factory=list)
 
 
 def objective_values(family: ScoreFamily, data, points) -> np.ndarray:
@@ -366,29 +365,26 @@ def fit_ee_alpha(
     current: EpdParams,
     q: float = 1.0,
     beta: float = 0.0,
-    bracket: tuple[float, float] = _ALPHA_BRACKET,
     hint: float | None = None,
 ) -> float:
     """Solve the shape estimating equation at fixed (mu, sigma).
 
     Root-finds the residual of the shape equation (equivalently, the
     shape derivative of the chosen objective) by Brent's bracketed
-    method.  Without a hint it scans 40 geometric steps of the bracket
-    and returns the root in the first step that changes sign, the
-    smallest one the scan resolves, so the iteration locks onto the
-    central solution rather than a degenerate high-shape one.  With a
-    ``hint`` inside the bracket it first tries [hint/1.6, 1.6 hint],
-    then that bracket widened by the same factor, up to seven times, and
-    returns Brent's root in the first of those brackets that changes
-    sign, which need not be the smallest root; only when none does it
-    fall back to the scan.
-    q = 1, beta = 0 is the plain-likelihood equation; q < 1 and beta > 0
-    select the weighted variants.
+    method in the shape bracket (0.05, 50).  Without a hint it scans 40
+    geometric steps of the bracket and returns the root in the first
+    step that changes sign, the smallest one the scan resolves, so the
+    iteration locks onto the central solution rather than a degenerate
+    high-shape one.  With a ``hint`` inside the bracket it first tries
+    [hint/1.6, 1.6 hint], then that bracket widened by the same factor,
+    up to seven times, and returns Brent's root in the first of those
+    brackets that changes sign, which need not be the smallest root;
+    only when none does it fall back to the scan.  q = 1, beta = 0 is
+    the plain-likelihood equation; q < 1 and beta > 0 select the
+    weighted variants.
     """
     data = _as_clean_array(data)
-    if not current.sigma > 0.0:
-        raise ValueError("current sigma must be positive")
-    lo, hi = bracket
+    lo, hi = _ALPHA_BRACKET
     g = _AlphaResidual(data, current.mu, current.sigma, q, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         if hint is not None and lo < hint < hi:
@@ -704,10 +700,10 @@ def _search_bounds(data: np.ndarray) -> tuple[tuple[float, float], ...]:
 def fit_objective(data, family: ScoreFamily, seed: int = 0) -> FitResult:
     """Maximize the family's log-likelihood over (mu, sigma, alpha).
 
-    ``family`` is Plain, QWeighted or Distorted (see
-    ``objective_values``).  Runs the genetic optimizer over the search
-    box spanned by the data, seeding it with robust starting
-    points, then refines the best point with the simplex polish.
+    ``family`` is Plain, QWeighted or Distorted (see ``objective_values``).
+    Runs the genetic optimizer over the search box spanned by the data,
+    seeding it with robust starting points, then refines the best point
+    with the simplex polish; ``iterations`` is the GA's 200 generations.
     """
     data = _as_clean_array(data)
     if data.size < 4:
@@ -721,16 +717,14 @@ def fit_objective(data, family: ScoreFamily, seed: int = 0) -> FitResult:
     ]
 
     f = _objective(family, data)
-    ga = maximize(f, bounds, seed, seed_points=seeds)
-    point, value = polish(f, ga.best_point, bounds)
+    point, _ = maximize(f, bounds, seed, seed_points=seeds)
+    point, value = polish(f, point, bounds)
 
     return FitResult(
         params=EpdParams(float(point[0]), float(point[1]), float(point[2])),
         converged=True,
-        # one history entry per generation, then the final best
-        iterations=len(ga.history) - 1,
+        iterations=_GENERATIONS,
         estimated_alpha=True,
         family=family,
         objective_value=float(value),
-        ga_history=ga.history,
     )

@@ -117,12 +117,19 @@ def _ee_2x2_quadrature(family, params: EpdParams, n: int):
     and dS/dsigma = -y S'(y)/sigma, so the entries are the moments
     p = 0, 1, 2 of y^p S'(y)^2.  The family gives S'(y) and the residuals
     where it breaks.  The combined scores integrate under their center
-    shape alpha2, where y^p S'(y)^2 ~ |y|^(2 alpha2 - 4 + p), finite iff
+    shape alpha2; y^p S'(y)^2 ~ |y|^(2 a - 4 + p) near y = 0, finite iff
     that power exceeds -1; Huber's slope is bounded.
     """
     powers = np.array([0.0, 1.0, 2.0])
     alpha_ref = params.alpha if family.shapes is None else family.shapes.alpha2
-    finite = powers > (-math.inf if family.shapes is None else 3.0 - 2.0 * alpha_ref)
+    # a is the least shape of the branches that reach y = 0 with a nonzero
+    # slope: the center one beside a positive cut, else the tail one, unless
+    # a huberized zero cut scales that tail's slope to 0
+    reaching = [] if family.shapes is None else [
+        alpha_ref if cut > 0.0 else tail
+        for cut, tail in ((family.k, family.shapes.alpha1), (family.t, family.shapes.alpha3))
+        if cut > 0.0 or not family.huberized]
+    finite = powers > 3.0 - 2.0 * min(reaching, default=math.inf)
     dens = EpdParams(0.0, 1.0, alpha_ref)
     w = _truncation_halfwidth(alpha_ref)
     grid = [-w] + [b for b in family.breaks if -w < b < w] + [w]
@@ -353,15 +360,15 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     return _weighted_quadrature([(params, *family.likelihood)], n, dim)[0]
 
 
-def fisher_for_group(fits, n: int, dim: int = 2) -> list[FisherMatrix]:
-    """``fisher_for_family(family, params, n, dim, method='quad')`` of each
+def fisher_for_group(fits, n: int) -> list[FisherMatrix]:
+    """The 2x2 ``fisher_for_family(family, params, n, method='quad')`` of each
     (family, params) likelihood fit at one shape, from one pass (each judged
     partial on its own); a pass of several out of splits raises QuadratureError."""
-    if (len({params.alpha for _, params in fits}) != 1 or dim not in (2, 3)
+    if (len({params.alpha for _, params in fits}) != 1
             or any(family.likelihood is None for family, _ in fits)):
-        raise ValueError("a group needs likelihood fits at one shape, and dim 2 or 3")
+        raise ValueError("a group needs likelihood fits at one shape")
     return _weighted_quadrature([(params, *family.likelihood) for family, params in fits],
-                                n, dim, keep_best=len(fits) == 1)
+                                n, 2, keep_best=len(fits) == 1)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

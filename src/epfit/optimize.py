@@ -3,7 +3,7 @@
 The GA uses binary tournament selection, single-point crossover on the
 coordinate vector, Gaussian mutation scaled to the box width, and
 elitism, all driven by one counter-based generator so a fixed seed gives
-a bit-identical trajectory.  After the initial population a run draws
+a bit-identical result.  After the initial population a run draws
 all its randomness up front, in five generator calls (tournament
 entrants, crossover flags, cut points, mutation masks and mutation
 steps), each a block with one row per generation; each generation
@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .epd import make_rng
 
-__all__ = ["GaResult", "maximize", "polish"]
+__all__ = ["maximize", "polish"]
 
 # the polish stops once the simplex spans less than _POLISH_XATOL in every
 # coordinate and its values less than _POLISH_FATOL, or after
@@ -51,21 +50,15 @@ _MUTATION_SCALE = 0.1
 _ELITISM = 2
 
 
-@dataclass
-class GaResult:
-    best_point: np.ndarray
-    best_value: float
-    history: list = field(default_factory=list)
-
-
 def maximize(
     f: Callable,
     bounds: Sequence[tuple[float, float]],
     seed,
     seed_points: Sequence[np.ndarray] | None = None,
-) -> GaResult:
+) -> tuple[np.ndarray, float]:
     """Maximize f over the box ``bounds``, one finite (lo, hi) with
-    lo < hi per coordinate, from the generator seed ``seed``.
+    lo < hi per coordinate, from the generator seed ``seed``; returns
+    the best point of the last generation and its value.
 
     ``f`` is population-wise: it takes an (m, dim) array of points and
     returns their m objective values.  It must be deterministic, and a
@@ -120,12 +113,10 @@ def maximize(
     # the ranked generation; the next one is bred into pop and fit
     ranked, ranked_fit = np.empty_like(pop), np.empty_like(fit)
     children, children_fit = pop[_ELITISM:], fit[_ELITISM:]
-    history = []
     for g_entrants, g_swap, g_mutate, g_steps in zip(entrants, swap, mutate, steps):
         order = (-fit).argsort(kind="stable")
         pop.take(order, axis=0, out=ranked)
         fit.take(order, out=ranked_fit)
-        history.append(float(ranked_fit[0]))
 
         # each tournament goes to the fitter entrant, ties to the first
         contest = ranked_fit[g_entrants]
@@ -151,8 +142,7 @@ def maximize(
             children_fit[changed] = _fitness(f(children[changed]))
 
     best = int(np.argmax(fit))
-    history.append(float(fit[best]))
-    return GaResult(pop[best].copy(), float(fit[best]), history)
+    return pop[best].copy(), float(fit[best])
 
 
 def _fitness(values) -> np.ndarray:

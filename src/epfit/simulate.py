@@ -90,15 +90,15 @@ _REFERENCE_DESIGNS = {
 }
 
 
-def reference_design(index: int, n2: int = 100, n1: int = 5, n3: int = 5) -> SimulationDesign:
-    """One of the four documented contamination designs."""
+def reference_design(index: int, n2: int = 100) -> SimulationDesign:
+    """One of the four documented contamination designs, five draws per tail component."""
     if index not in _REFERENCE_DESIGNS:
         raise ValueError(f"design index must be 1..4, got {index}")
     (a1, m1, s1), (a2, m2, s2), (a3, m3, s3) = _REFERENCE_DESIGNS[index]
     return SimulationDesign((
-        DesignComponent(a1, m1, s1, n1),
+        DesignComponent(a1, m1, s1, 5),
         DesignComponent(a2, m2, s2, n2),
-        DesignComponent(a3, m3, s3, n3),
+        DesignComponent(a3, m3, s3, 5),
     ))
 
 
@@ -173,9 +173,6 @@ class EstimatorRow:
 
 @dataclass
 class SimulationReport:
-    design: SimulationDesign
-    m: int
-    seed: int
     rows: list
 
     def to_csv(self) -> str:
@@ -244,4 +241,4 @@ def run(
             failures=failures,
             replications=m,
         ))
-    return SimulationReport(design=design, m=m, seed=seed, rows=rows)
+    return SimulationReport(rows)

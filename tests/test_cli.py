@@ -180,6 +180,34 @@ class TestFitCommand:
         again = json.loads(json.dumps(report))
         assert again == report
 
+    def test_timings_add_only_the_timing(self, sample_file, tmp_path):
+        out = tmp_path / "fit.json"
+        args = ["fit", "--data", str(sample_file), "--score", "sq", "--q", "0.8",
+                "--alpha", "2.1", "--out", str(out)]
+        assert dispatch(args) == 0
+        default = json.loads(out.read_text())
+        assert "timing_ms" not in default
+        assert dispatch(args + ["--timings"]) == 0
+        timed = json.loads(out.read_text())
+        validate_report(timed)
+        assert timed.pop("timing_ms") >= 0.0
+        assert timed.pop("argv") == args + ["--timings"]
+        default.pop("argv")
+        assert timed == default
+
+    def test_computation_failure_exits_one(self, tmp_path, capsys):
+        # the distorted shape equation has no root on this sample
+        data = tmp_path / "ints.csv"
+        data.write_text("".join(f"{v}\n" for v in np.random.default_rng(0).integers(0, 4, 110)))
+        out = tmp_path / "x.json"
+        code = dispatch(["fit", "--data", str(data), "--score", "sd", "--beta", "6e-3",
+                         "--estimate-alpha", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "computation"
+        assert err["message"].startswith("AlphaRootError: ")
+        assert not out.exists()
+
     def test_objective_fit_requires_ga_seed(self, sample_file, tmp_path, capsys):
         code = dispatch(["fit", "--data", str(sample_file), "--score", "sq",
                          "--q", "0.8", "--method", "objective",

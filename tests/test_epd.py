@@ -11,9 +11,9 @@ from epfit.epd import (
     EpdParams,
     cdf,
     distorted_log_pdf,
-    gamma_transform,
     log_pdf,
     log_q_pdf,
+    make_rng,
     pdf,
     sample,
 )
@@ -91,7 +91,14 @@ class TestDeformedLogs:
 
 class TestSampler:
     def test_transform_identity(self):
-        assert gamma_transform(1.0, 1.0, EpdParams(0.0, 2.0, 2.0)) == pytest.approx(2.0)
+        # the same Philox stream by hand: gammas, then signs, then
+        # x = mu + (sigma z) y^(1/alpha)
+        p = EpdParams(0.5, 2.0, 1.3)
+        rng = make_rng(8)
+        y = rng.gamma(shape=1.0 / p.alpha, scale=1.0, size=50)
+        z = np.where(rng.random(50) < 0.5, -1.0, 1.0)
+        expected = y ** (1.0 / p.alpha) * (p.sigma * z) + p.mu
+        assert sample(p, 50, 8).tobytes() == expected.tobytes()
 
     def test_deterministic(self):
         a = sample(STANDARD, 100, 12345)

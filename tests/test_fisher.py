@@ -96,6 +96,33 @@ class TestCombined:
         )
         assert F.method == "quadrature"
 
+    def test_zero_cut_lets_the_tail_branch_diverge(self):
+        # at k = 0 the left tail reaches y = 0, where S'(y)^2 ~ |y|^(2 * 1.2 - 4)
+        F = fisher_for_family(CombinedPlain(ShapeTriple(1.2, 2.0, 2.0), 0.0, 1.0),
+                              EpdParams(0, 1, 2), 1)
+        assert F.method == "quadrature-partial"
+        np.testing.assert_array_equal(np.isinf(F.entries), [[True, False], [False, False]])
+        # beside a positive cut the centre branch, of shape 2, reaches it
+        F = fisher_for_family(CombinedPlain(ShapeTriple(1.2, 2.0, 2.0), 1e-3, 1.0),
+                              EpdParams(0, 1, 2), 1)
+        assert F.method == "quadrature" and np.all(np.isfinite(F.entries))
+
+    def test_zero_cuts_keep_the_centre_branch_away(self):
+        # both tails have shape 2, so S'(y) = 2 everywhere: E[S'^2] = 4 and
+        # E[y^2 S'^2] = 4 Gamma(3/a2) / Gamma(1/a2) under the centre shape
+        F = fisher_for_family(CombinedPlain(ShapeTriple(2.0, 1.4, 2.0), 0.0, 0.0),
+                              EpdParams(0, 1, 2), 1)
+        assert F.method == "quadrature"
+        assert F.entries[0, 0] == pytest.approx(4.0, rel=1e-12)
+        assert F.entries[1, 1] == pytest.approx(
+            4.0 * math.gamma(3.0 / 1.4) / math.gamma(1.0 / 1.4), rel=1e-12)
+
+    def test_huberized_zero_cut_has_no_slope(self):
+        # t = 0 scales the right tail, of shape 1.1, to slope 0
+        F = fisher_for_family(CombinedHuber(ShapeTriple(2, 2, 1.1), 1, 0), EpdParams(0, 1, 2), 1)
+        assert F.method == "quadrature"
+        assert F.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
+
     def test_scaling_linear_in_n(self):
         family = CombinedPlain(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0)
         F1 = fisher_for_family(family, EpdParams(0, 1.5, 2), 1, dim=2, method="closed")
@@ -216,16 +243,17 @@ def _distorted_group(rng, alpha, size):
 
 
 class TestGroupPass:
-    """fisher_for_group against fisher_for_family, one fit at a time."""
+    """fisher_for_group against fisher_for_family, one fit at a time: the
+    group's 2x2 matrices against the (mu, sigma) blocks of the lone
+    matrices with the shape fixed (dim 2) and estimated (dim 3)."""
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_group_of_one_is_the_lone_matrix(self, dim):
-        rng = np.random.default_rng(dim)
+    def test_group_of_one_is_the_lone_matrix(self):
+        rng = np.random.default_rng(2)
         for alpha, family in itertools.product((0.8, 1.3, 2.0, 3.5),
                                                (Distorted(6e-3), QWeighted(0.8), Plain())):
             p = EpdParams(0.3, float(np.exp(rng.uniform(-1.0, 1.0))), alpha)
-            lone = fisher_for_family(family, p, 110, dim=dim, method="quad")
-            [group] = fisher_for_group([(family, p)], 110, dim)
+            lone = fisher_for_family(family, p, 110, method="quad")
+            [group] = fisher_for_group([(family, p)], 110)
             assert group.method == lone.method
             assert group.entries.tobytes() == lone.entries.tobytes()
             assert group.element_errors.tobytes() == lone.element_errors.tobytes()
@@ -236,13 +264,14 @@ class TestGroupPass:
         rng = np.random.default_rng(int(10 * alpha) + dim)
         for size in range(2, 7):
             fits = _distorted_group(rng, alpha, size)
-            for (family, p), g in zip(fits, fisher_for_group(fits, 1, dim)):
+            for (family, p), g in zip(fits, fisher_for_group(fits, 1)):
                 lone = fisher_for_family(family, p, 1, dim=dim, method="quad")
+                entries, errors = lone.entries[:2, :2], lone.element_errors[:2, :2]
                 assert g.method == lone.method
-                np.testing.assert_array_equal(np.isinf(g.entries), np.isinf(lone.entries))
-                finite = np.isfinite(lone.entries)
-                bound = (g.element_errors + lone.element_errors)[finite]
-                assert np.all(np.abs(g.entries[finite] - lone.entries[finite]) <= bound)
+                np.testing.assert_array_equal(np.isinf(g.entries), np.isinf(entries))
+                finite = np.isfinite(entries)
+                bound = (g.element_errors + errors)[finite]
+                assert np.all(np.abs(g.entries[finite] - entries[finite]) <= bound)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_benchmark_grid_at_shape_two(self, dim):
@@ -250,10 +279,10 @@ class TestGroupPass:
         for design in (1, 2, 3, 4):
             data = generate(reference_design(design), design)
             fits = [(c, fit_ee_location_scale(data, c, alpha=2.0).params) for c in grid]
-            for (family, p), g in zip(fits, fisher_for_group(fits, len(data), dim)):
+            for (family, p), g in zip(fits, fisher_for_group(fits, len(data))):
                 lone = fisher_for_family(family, p, len(data), dim=dim)
                 assert g.method == lone.method == "quadrature"
-                np.testing.assert_allclose(g.entries, lone.entries, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(g.entries, lone.entries[:2, :2], rtol=1e-13, atol=0.0)
 
     def test_each_matrix_judged_on_its_own_bounds(self, monkeypatch):
         fits = _distorted_group(np.random.default_rng(6), 2.0, 3)
@@ -266,7 +295,7 @@ class TestGroupPass:
             return special_fn.IntegrationResult(res.value, error, res.subdivisions)
 
         monkeypatch.setattr(fisher, "integrate", loose_first)
-        methods = [F.method for F in fisher_for_group(fits, 1, 2)]
+        methods = [F.method for F in fisher_for_group(fits, 1)]
         assert methods == ["quadrature-partial", "quadrature", "quadrature"]
 
     def test_a_pass_out_of_splits_raises(self, monkeypatch):
@@ -274,7 +303,7 @@ class TestGroupPass:
         fits = _distorted_group(np.random.default_rng(5), 2.0, 3)
         monkeypatch.setattr(special_fn, "_MAX_SPLITS", 1)
         with pytest.raises(QuadratureError):
-            fisher_for_group(fits, 1, 2)
+            fisher_for_group(fits, 1)
         for family, p in fits:
             assert fisher_for_family(family, p, 1).method == "quadrature-partial"
 
@@ -297,6 +326,15 @@ class TestPsd:
 
     def test_indefinite_fails_determinant(self):
         d = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not d.determinant_test
+        assert not d.pivot_test
+
+    def test_zero_pivot_with_a_vanishing_row_passes(self):
+        d = psd_check(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert d.determinant_test and d.pivot_test
+
+    def test_zero_pivot_with_a_nonzero_row_fails(self):
+        d = psd_check(np.array([[0.0, 1.0], [1.0, 1.0]]))
         assert not d.determinant_test
         assert not d.pivot_test
 

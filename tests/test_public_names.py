@@ -67,7 +67,9 @@ def test_retired_names_are_gone():
     names = retired_names()
     assert {"special_fn.incomplete_gamma", "fisher.FisherMatrix.unit",
             "special_fn.IntegrationResult.__float__", "special_fn.QuadratureSpec",
-            "optimize.GaConfig"} <= set(names)
+            "optimize.GaConfig", "optimize.GaResult", "estimate.FitResult.ga_history",
+            "epd.gamma_transform", "simulate.SimulationReport.design",
+            "simulate.SimulationReport.m", "simulate.SimulationReport.seed"} <= set(names)
     present = []
     for name in names:
         *path, last = name.split(".")
@@ -81,7 +83,9 @@ def test_retired_parameters_are_gone():
     pairs = retired_parameters()
     assert {("estimate.fit_objective", "population"), ("estimate.fit_objective", "generations"),
             ("simulate.EstimatorSpec", "ga_population"),
-            ("simulate.EstimatorSpec", "ga_generations"), ("simulate.run", "threads")} <= set(pairs)
+            ("simulate.EstimatorSpec", "ga_generations"), ("simulate.run", "threads"),
+            ("estimate.fit_ee_alpha", "bracket"), ("simulate.reference_design", "n1"),
+            ("simulate.reference_design", "n3"), ("fisher.fisher_for_group", "dim")} <= set(pairs)
     present = [(name, param) for name, param in pairs
                if param in inspect.signature(_owner(name.split("."))).parameters]
     assert present == []

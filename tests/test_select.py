@@ -268,6 +268,15 @@ class TestTune:
         with pytest.raises(ValueError):
             tune(np.zeros(10), [])
 
+    def test_every_candidate_failing_raises(self):
+        # identical observations leave every fit degenerate; the error
+        # names each candidate with its own failure
+        with pytest.raises(RuntimeError, match="every candidate failed to fit") as info:
+            tune(np.ones(5), [Distorted(0.0), Distorted(3e-3)], alpha=2.0)
+        message = str(info.value)
+        for label in ("Distorted(beta=0)", "Distorted(beta=0.003)"):
+            assert f"{label}: DegenerateDataError" in message
+
 
 class TestTuneGroupPass:
     """tune's one quadrature pass over the information matrices of its

@@ -1,5 +1,7 @@
 """Monte Carlo harness: designs, generation, replication accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,12 @@ from epfit.simulate import (
     reference_design,
     run,
 )
+
+
+def _sized(design, n1, n3):
+    """The design with n1 and n3 draws from its contaminating components."""
+    left, centre, right = design.components
+    return SimulationDesign((replace(left, n=n1), centre, replace(right, n=n3)))
 
 
 class TestDesigns:
@@ -69,7 +77,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("design", [
         reference_design(1), reference_design(2), reference_design(3), reference_design(4),
-        reference_design(2, n1=0), reference_design(4, n1=7, n3=0),
+        _sized(reference_design(2), 0, 5), _sized(reference_design(4), 7, 0),
     ], ids=["1", "2", "3", "4", "2-no-left", "4-no-right"])
     def test_matches_reference_bit_for_bit(self, design):
         # the sampler and generator as they were before the component
@@ -93,7 +101,7 @@ class TestGenerate:
 
 class TestRun:
     def test_truth_estimator_gives_zero_error(self, monkeypatch):
-        d = reference_design(1, n2=20, n1=2, n3=2)
+        d = _sized(reference_design(1, n2=20), 2, 2)
         spec = EstimatorSpec(label="truth", family=Plain(), alpha=2.0)
         truth = FitResult(EpdParams(0.0, 1.0, 2.0), converged=True, iterations=0,
                           estimated_alpha=False)

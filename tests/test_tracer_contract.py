@@ -134,8 +134,7 @@ def test_closed_form_matrix_is_seen(tracer):
 def _objective_fit(data, family, seed):
     res = estimate.fit_objective(data, family, seed=seed)
     p = res.params
-    return (p.mu.hex(), p.sigma.hex(), p.alpha.hex(), res.objective_value.hex(),
-            [v.hex() for v in res.ga_history])
+    return p.mu.hex(), p.sigma.hex(), p.alpha.hex(), res.objective_value.hex()
 
 
 @pytest.mark.parametrize("family", [QWeighted(0.8), Distorted(6e-3)])
