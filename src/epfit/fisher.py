@@ -6,18 +6,19 @@ weighted families the integrand carries the deformation term and the
 tilted density, giving generally asymmetric 3x3 matrices.  Closed forms
 (in terms of complete/incomplete gammas, digamma and trigamma) give the
 Huber, plain and q-weighted matrices at every shape and the combined
-ones with every branch shape above 3/2; adaptive quadrature gives the
-others, in one vector-valued pass over the entries of one or more
-matrices, and is the cross-check for every closed form.  On both routes
-parity decides which entries vanish or coincide, and the power of the
-residual at the center which diverge, reported as ``inf`` unevaluated.
+ones with every branch shape above 3/2.  Quadrature gives the others and
+is the cross-check for every closed form: one pass of a fixed exp-sinh
+rule for the likelihood families, with the centre parts in closed form,
+and one vector-valued adaptive pass over the entries for the Huber and
+combined families.  On both routes parity decides which entries vanish
+or coincide, and the power of the residual at the center which diverge,
+reported as ``inf`` unevaluated.
 
 All matrices are scaled by the sample size n; scaling is exactly linear.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ __all__ = [
     "PsdDiagnostics",
     "VarianceReport",
     "fisher_for_family",
-    "fisher_for_group",
     "psd_check",
     "variances",
 ]
@@ -81,32 +81,11 @@ class VarianceReport:
     negative: tuple
 
 
-def _truncation_halfwidth(alpha: float) -> float:
-    # exp(-y^alpha) tail mass beyond the window is far below quadrature
-    # tolerance; the width grows as the shape drops below 1
-    return max(40.0, 60.0 ** (1.0 / alpha))
-
-
-def _integrate_finite(finite, integrand, grid, closed=0.0, keep_best=True):
-    """Entries of matrices: ``closed`` plus one vector-valued pass of
-    ``integrand`` over the panels between grid points for those flagged
-    ``finite`` (the others are infinite).  Returns values, error bounds and
-    whether each is finite with a bound within 1e-7 of it or 1e-10; a panel
-    out of splits keeps its best estimate, or raises if not ``keep_best``."""
-    errors = np.where(finite, 0.0, math.inf)
-    values = errors + closed
-    # nothing is integrated when every entry diverges
-    for lo, hi in zip(grid[:-1], grid[1:]) if finite.any() else ():
-        try:
-            res = integrate(integrand, lo, hi)
-            v, e = res.value, res.error
-        except QuadratureError as exc:
-            if not keep_best:
-                raise
-            v, e = exc.best, exc.bound
-        values[finite] += v
-        errors[finite] += e
-    return values, errors, finite & (errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
+def _method(values, errors) -> str:
+    """'quadrature-partial' if some entry is not finite or its error bound
+    exceeds 1e-7 of it and 1e-10, else 'quadrature'."""
+    ok = np.isfinite(values) & (errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
+    return "quadrature" if ok.all() else "quadrature-partial"
 
 
 def _ee_2x2_quadrature(family, params: EpdParams, n: int):
@@ -124,24 +103,36 @@ def _ee_2x2_quadrature(family, params: EpdParams, n: int):
     alpha_ref = params.alpha if family.shapes is None else family.shapes.alpha2
     # a is the least shape of the branches that reach y = 0 with a nonzero
     # slope: the center one beside a positive cut, else the tail one, unless
-    # a huberized zero cut scales that tail's slope to 0
+    # a huberized zero cut scales that tail's slope to 0; a branch of shape
+    # 1 has slope a (a - 1) |y|^(a - 2) = 0
     reaching = [] if family.shapes is None else [
         alpha_ref if cut > 0.0 else tail
         for cut, tail in ((family.k, family.shapes.alpha1), (family.t, family.shapes.alpha3))
         if cut > 0.0 or not family.huberized]
-    finite = powers > 3.0 - 2.0 * min(reaching, default=math.inf)
+    finite = powers > 3.0 - 2.0 * min((a for a in reaching if a != 1.0), default=math.inf)
     dens = EpdParams(0.0, 1.0, alpha_ref)
-    w = _truncation_halfwidth(alpha_ref)
+    # exp(-y^alpha) tail mass beyond the window is far below quadrature
+    # tolerance; the width grows as the shape drops below 1
+    w = max(40.0, 60.0 ** (1.0 / alpha_ref))
     grid = [-w] + [b for b in family.breaks if -w < b < w] + [w]
 
     def integrand(y):
         return family.slope(y) ** 2 * y ** powers[finite, None] * pdf(y, dens)
 
-    m, e, ok = _integrate_finite(finite, integrand, grid)
+    m, e = np.where(finite, 0.0, math.inf), np.where(finite, 0.0, math.inf)
+    # one vector-valued pass over the panels between grid points, none when
+    # every entry diverges; a panel out of splits keeps its best estimate
+    for lo, hi in zip(grid[:-1], grid[1:]) if finite.any() else ():
+        try:
+            res = integrate(integrand, lo, hi)
+            value, error = res.value, res.error
+        except QuadratureError as exc:
+            value, error = exc.best, exc.bound
+        m[finite] += value
+        e[finite] += error
     # moments p = 0, 1, 2 fill [[(mu, mu), (mu, sigma)], [(sigma, mu), (sigma, sigma)]]
     entries, errors = np.array([m, e])[:, [[0, 1], [1, 2]]] / params.sigma**2
-    return FisherMatrix(n * entries, 2, n, "quadrature" if ok.all() else "quadrature-partial",
-                        element_errors=errors)
+    return FisherMatrix(n * entries, 2, n, _method(m, e), element_errors=errors)
 
 
 def _huber_closed(a: float, r: float) -> np.ndarray:
@@ -232,85 +223,78 @@ def _q_closed(params: EpdParams, q: float) -> np.ndarray:
     return entries
 
 
-def _weighted_part(params: EpdParams, q: float, beta: float, dim: int):
-    """A fit's share of a weighted quadrature pass: its entries (keys), which
-    are finite, their closed parts, and its finite integrands (stack)."""
+# The exp-sinh rule of Takahasi & Mori (Publ. RIMS 9, 1974) on (0, inf):
+# v = exp(pi/2 sinh s) at s = -6, -6 + 1/32, ..., 3, each node weighted by
+# the step times d(log v)/ds, so an integrand enters multiplied by v.
+# Every other node, at twice the weight, is the rule one level below;
+# _DE_BELOW gives the difference from it.
+_DE_STEPS = np.arange(-192, 97) / 32.0
+_DE_LOG_V = 0.5 * math.pi * np.sinh(_DE_STEPS)
+_DE_V = np.exp(_DE_LOG_V)
+_DE_WEIGHTS = 0.5 * math.pi * np.cosh(_DE_STEPS) / 32.0
+_DE_BELOW = _DE_WEIGHTS * np.where(np.arange(_DE_STEPS.size) % 2, 1.0, -1.0)
+
+
+def _likelihood_quadrature(params: EpdParams, q: float, beta: float, n: int,
+                           dim: int) -> FisherMatrix:
+    """The plain, q-weighted or distorted matrix from one pass of the
+    exp-sinh rule in v = |y|^alpha.
+
+    With y = v^(1/alpha) on the half line, doubled, each finite entry of
+    _WEIGHTED_THRESHOLDS is 2 sigma / alpha times an integral over v > 0
+    of a power of v, the tilted density f0 exp(-v) w(v) and the
+    deformation.  The centre part, the tilt's centre value w0 times
+    exp(-v), is w0 times the plain closed form (the (sigma, mu) entry's
+    is its own gamma term); the rule takes the rest, which vanishes at
+    v = 0.  An entry's error bound is its difference from the level below
+    plus 1e-14 of its closed part and of its absolute terms.
+    """
     alpha, sig = params.alpha, params.sigma
     weight = likelihood_weight(q, beta)
     log_norm = params.log_norm_const()
     c = alpha * (alpha - 1.0) / sig
-    # without a deformation the (sigma, mu) integrand is identically zero
-    keys = [k for k in _WEIGHTED_THRESHOLDS if max(k) < dim and (k != (1, 0) or weight is not None)]
-    finite = np.array([alpha > _WEIGHTED_THRESHOLDS[k] for k in keys])
+    # the plain matrix has no tilt and no deformation: it is the closed form
+    w0 = 1.0 if weight is None else float(weight(log_norm))
     f0 = math.exp(log_norm)
-    t0 = f0 * (1.0 if weight is None else weight(log_norm))
+    t0 = f0 * w0
+    closed = w0 * _q_closed(params, 1.0)
+    keys = []
+    if weight is not None:
+        def deformation(dens):
+            return alpha * alpha * ((1.0 - q) if q != 1.0 else beta / (beta + dens))
 
-    def deformation(dens):
-        return alpha * alpha * ((1.0 - q) if q != 1.0 else beta / (beta + dens))
-
-    d0 = deformation(f0)
-
-    def stack(ya, decay, grow, power):
-        # y = u^3 on the half line, doubled; the jacobian 3 u^2 and the
-        # scale of dx = sigma dy are folded into each single power of u,
-        # so no factor overflows however close to the center u gets
-        lf = log_norm - ya
+        d0 = deformation(f0)
+        closed[1:, 0] = (-2.0 * sig * c * d0 * t0 * gamma_fn(3.0 - 3.0 / alpha) / alpha
+                         if alpha > _WEIGHTED_THRESHOLDS[(1, 0)] else math.inf)
+        keys = [k for k in _WEIGHTED_THRESHOLDS if max(k) < dim and math.isfinite(closed[k])]
+    errors = np.where(np.isfinite(closed), 1e-14 * np.abs(closed), math.inf)
+    values = closed.copy()
+    if keys:
+        v = _DE_V
+        lf = log_norm - v
         dens = np.exp(lf)
-        t, deform = dens, 0.0
-        if weight is not None:
-            t = dens * weight(lf)
-            deform = deformation(dens)
-        block = power(6.0 * alpha - 4.0) * t
-        # the location and (sigma, mu) entries leave their singular parts,
-        # the center values t0 exp(-y^alpha) and d0 t0 exp(-y^alpha), to
-        # the closed forms below; the rest is regular
-        singular = t0 * decay
+        decay = np.exp(-v)
+        t = dens * weight(lf)
+        deform = deformation(dens)
+        rest = t - t0 * decay
+        block = v ** (2.0 - 1.0 / alpha) * rest
+        grow = 1.0 + _DE_LOG_V
+        # only the finite entries: a divergent one's power overflows near v = 0
         terms = {
-            (0, 0): lambda: c * (c * power(6.0 * alpha - 10.0) * (t - singular)
-                                 - deform * power(9.0 * alpha - 10.0) * t),
-            (1, 0): lambda: -c * power(9.0 * alpha - 10.0) * (deform * t - d0 * singular),
+            (0, 0): lambda: c * v ** (2.0 - 3.0 / alpha) * (c * rest - deform * v * t),
+            (1, 0): lambda: -c * v ** (3.0 - 3.0 / alpha) * (deform * t - d0 * t0 * decay),
             (1, 1): lambda: c * c * block,
             (1, 2): lambda: -c * grow * block,
             (2, 2): lambda: grow * grow * block,
         }
-        return 6.0 * sig * np.stack([terms[k]() for k, ok in zip(keys, finite) if ok])
-
-    # 6 sigma u^(3 alpha p - 10) exp(-u^(3 alpha)) integrates to
-    # 2 sigma Gamma(p - 3/alpha) / alpha; keys[1] is (sigma, mu) when deformed
-    closed = np.zeros(len(keys))
-    if finite[0]:
-        closed[0] = 2.0 * sig * c * c * t0 * gamma_fn(2.0 - 3.0 / alpha) / alpha
-    if weight is not None and finite[1]:
-        closed[1] = -2.0 * sig * c * d0 * t0 * gamma_fn(3.0 - 3.0 / alpha) / alpha
-    return keys, finite, closed, stack
-
-
-def _weighted_quadrature(fits, n: int, dim: int, keep_best: bool = True) -> list[FisherMatrix]:
-    """The matrices of (params, q, beta) fits at one shape from one pass,
-    which computes the node terms once and splits panels for them all."""
-    alpha = fits[0][0].alpha
-    keys, finite, closed, stacks = zip(*[_weighted_part(p, q, beta, dim) for p, q, beta in fits])
-
-    def integrand(u):
-        ya = u ** (3.0 * alpha)
-        # each power of u once, when an entry first needs it
-        shared = ya, np.exp(-ya), 1.0 + 3.0 * alpha * np.log(u), functools.cache(u.__pow__)
-        return np.concatenate([stack(*shared) for stack in stacks])
-
-    grid = [0.0, _truncation_halfwidth(alpha) ** (1.0 / 3.0)]
-    values, errors, ok = _integrate_finite(np.concatenate(finite), integrand, grid,
-                                           np.concatenate(closed), keep_best)
-    matrices = []
-    splits = np.cumsum([len(k) for k in keys[:-1]], dtype=int)
-    for k, v, e, usable in zip(keys, *(np.split(a, splits) for a in (values, errors, ok))):
-        full = np.zeros((2, 3, 3))  # the entries and their error bounds
-        full[:, [i for i, _ in k], [j for _, j in k]] = v, e
+        stack = 2.0 * sig / alpha * np.stack([terms[k]() for k in keys])
+        rows, cols = zip(*keys)
+        values[rows, cols] += stack @ _DE_WEIGHTS
+        errors[rows, cols] += np.abs(stack @ _DE_BELOW) + 1e-14 * (np.abs(stack) @ _DE_WEIGHTS)
         # (alpha, mu) = (sigma, mu) and (alpha, sigma) = (sigma, alpha)
-        full[:, 2, :2] = full[:, 1, [0, 2]]
-        entries, bounds = full[:, :dim, :dim]
-        method = "quadrature" if usable.all() else "quadrature-partial"
-        matrices.append(FisherMatrix(n * entries, dim, n, method, element_errors=bounds))
-    return matrices
+        values[2, :2], errors[2, :2] = values[1, [0, 2]], errors[1, [0, 2]]
+    values, errors = values[:dim, :dim], errors[:dim, :dim]
+    return FisherMatrix(n * values, dim, n, _method(values, errors), element_errors=errors)
 
 
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
@@ -327,12 +311,14 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     form at every shape, the combined ones when every branch shape is
     above 3/2; the distorted (beta > 0) matrices have none.  Where no
     closed form applies, 'auto' integrates by quadrature and 'closed'
-    raises DomainError.  The q-weighted matrix is asymmetric for q < 1:
-    its lower triangle keeps the deformation term after the odd parts
-    integrate out.  Divergent entries are ``inf`` on both routes, by the
-    same rule; they make a quadrature matrix quadrature-partial, with
-    per-entry error bounds kept.  q = 1 and beta = 0 give the
-    plain-likelihood matrix.
+    raises DomainError.  The likelihood families' quadrature is one pass
+    of a fixed exp-sinh rule with no call of ``special_fn.integrate``; the
+    Huber and combined ones integrate adaptively.  The q-weighted matrix
+    is asymmetric for q < 1: its lower triangle keeps the deformation
+    term after the odd parts integrate out.  Divergent entries are
+    ``inf`` on both routes, by the same rule; they make a quadrature
+    matrix quadrature-partial, with per-entry error bounds kept.  q = 1
+    and beta = 0 give the plain-likelihood matrix.
     """
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
@@ -357,18 +343,7 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
                 raise
     if family.likelihood is None:
         return _ee_2x2_quadrature(family, params, n)
-    return _weighted_quadrature([(params, *family.likelihood)], n, dim)[0]
-
-
-def fisher_for_group(fits, n: int) -> list[FisherMatrix]:
-    """The 2x2 ``fisher_for_family(family, params, n, method='quad')`` of each
-    (family, params) likelihood fit at one shape, from one pass (each judged
-    partial on its own); a pass of several out of splits raises QuadratureError."""
-    if (len({params.alpha for _, params in fits}) != 1
-            or any(family.likelihood is None for family, _ in fits)):
-        raise ValueError("a group needs likelihood fits at one shape")
-    return _weighted_quadrature([(params, *family.likelihood) for family, params in fits],
-                                n, 2, keep_best=len(fits) == 1)
+    return _likelihood_quadrature(params, *family.likelihood, n, dim)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

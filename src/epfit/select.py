@@ -19,7 +19,7 @@ import numpy as np
 
 from .epd import EpdParams, _standard_cdf, make_rng, sample
 from .estimate import FitResult, fit_ee_location_scale
-from .fisher import FisherMatrix, fisher_for_family, fisher_for_group, psd_check, variances
+from .fisher import FisherMatrix, fisher_for_family, psd_check, variances
 from .scores import score
 from .special_fn import gamma_fn, log_gamma, regularized_gamma
 
@@ -283,22 +283,19 @@ def _expected_maes(c: np.ndarray, fits: list, sizes) -> list[float]:
 
 
 def evaluate_fit(data, fit: FitResult, fisher_method: str = "auto") -> FitResult:
-    """Attach the information matrix, variances, criteria and volume.
+    """Attach the information matrix with its semidefiniteness
+    diagnostics, the variances, criteria and volume; ``tune`` does this
+    for each candidate.
 
     The criteria count the shape when it was estimated.  The matrix
     covers it only for the likelihood families: a Huber fit with the
     shape estimated keeps its (mu, sigma) matrix.
     """
     data = np.asarray(data, dtype=float)
-    dim = 3 if fit.estimated_alpha and fit.family.likelihood is not None else 2
-    return _attach(data, fit, fisher_for_family(fit.family, fit.params, len(data),
-                                                dim=dim, method=fisher_method))
-
-
-def _attach(data: np.ndarray, fit: FitResult, matrix: FisherMatrix) -> FitResult:
-    """``evaluate_fit`` with its information matrix given."""
     n = len(data)
     p = 3 if fit.estimated_alpha else 2
+    dim = 3 if fit.estimated_alpha and fit.family.likelihood is not None else 2
+    matrix = fisher_for_family(fit.family, fit.params, n, dim=dim, method=fisher_method)
     psd_check(matrix)
     out = dataclasses.replace(fit)
     out.fisher = matrix
@@ -346,13 +343,13 @@ def tune(
     """Grid search over tuning-constant candidates.
 
     Each candidate (a score family with its tuning constants baked in)
-    is fitted by its estimating equations, its volume and criteria are
-    recorded (the distorted ones' matrices from one quadrature pass),
-    and its mean absolute error is the exact expected sorted mean
-    absolute error against artificial samples drawn from the fitted
-    parameters (``expected_mae``), computed for the whole grid with one
-    incomplete-gamma pass per distinct component shape.  A candidate
-    whose fit or mean absolute error fails is recorded with its error.
+    is fitted by its estimating equations and gets its matrix, volume
+    and criteria from ``evaluate_fit``.  Its mean absolute error is the
+    exact expected sorted mean absolute error against artificial samples
+    drawn from the fitted parameters (``expected_mae``), computed for the
+    whole grid with one incomplete-gamma pass per distinct component
+    shape.  A candidate whose fit, matrix or mean absolute error fails is
+    recorded with its error.
     The smallest mean absolute error wins; candidates within 1% of it
     are re-ranked by volume and then the Bayesian-penalty criterion.
     Deterministic for a fixed candidate order: no random draws are made.
@@ -374,15 +371,8 @@ def tune(
             fits.append(exc)
     c = np.sort(data)
     ok = {i: fit for i, fit in enumerate(fits) if not isinstance(fit, Exception)}
-    # the grid makes one MAE pass, and its distorted fits (beta > 0), all
-    # at its fixed shape, one quadrature pass; where a pass fails, each
-    # candidate is redone on its own, so a failure stays with its own
-    shared = [i for i, fit in ok.items() if getattr(fit.family, "beta", 0.0) > 0.0]
-    try:
-        matrices = dict(zip(shared, fisher_for_group(
-            [(ok[i].family, ok[i].params) for i in shared], n) if shared else []))
-    except Exception:
-        matrices = {}
+    # the grid makes one MAE pass; where it fails, each candidate is redone
+    # on its own, so a failure stays with its own
     try:
         maes = dict(zip(ok, _expected_maes(c, [(f.params, f.family) for f in ok.values()], sizes)))
     except Exception:
@@ -391,7 +381,7 @@ def tune(
     for i, (cand, fit) in enumerate(zip(candidates, fits)):
         if not isinstance(fit, Exception):
             try:
-                fit = _attach(data, fit, matrices[i]) if i in matrices else evaluate_fit(data, fit)
+                fit = evaluate_fit(data, fit)
                 mae = maes[i] if i in maes else _expected_maes(c, [(fit.params, cand)], sizes)[0]
             except Exception as exc:  # candidate-level failure is data, not fatal
                 fit = exc

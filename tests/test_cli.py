@@ -699,19 +699,23 @@ _PINNED_COMMANDS = [
 # columns are unchanged), and of fit-combined, fisher-combined and
 # tune-combined-huber when the closed combined matrices took their
 # incomplete gammas unregularized from incomplete_gammas (entries and what
-# is computed from them move in the last digits)
+# is computed from them move in the last digits); and those of fit-sd,
+# fit-s-quad, fisher-sd and fisher-sq-quad when the likelihood matrices
+# came from one pass of the exp-sinh rule (entries, and what is computed
+# from them, move at most 7e-15 relative, and the error bounds are the
+# rule's)
 _PINNED_SHA256 = {
     "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
-    "fit-sd.json": "7a91276fefd3bbf73eb276389579b514ea6b29fb514abc7dd3f6cff0a1c2265c",
+    "fit-sd.json": "0113c612ed93b16a649fe282a1fef5e1de2dc27b50ffeb784e3b8a7f6b5b4c5c",
     "fit-sq-shape.json": "3ddcf332660ec071d2113cb05bc9f55c68e392db2d3a2ed056ee0ea69bfad73e",
     "fit-huber-outliers.json": "5dc4e744fbeef873685b2e315f68dd6886ed2f7a607256d23c6a7c84fd2fc364",
     "fit-combined.json": "a4c98dfdee41e57b49cd4bc22fbce06918a567a1c1e3d3d7f1469c21a55c74a4",
-    "fit-s-quad.json": "b0c55aa40701b6a7775263fb0f149c5d0eff1d43695cc61602967893b9ef834a",
+    "fit-s-quad.json": "238b9808b492bfb98a1785a2e214463b5d6cb2a9c1c565cd29f215b284a487e6",
     "fit-objective.json": "bcf9efe7ce9799923fff0c07dda2ebeb3e68b85d66e5091ce68b8406b8da9205",
     "fisher-s.json": "20a0b0560eadf55ee7c8628bdf14bdad50a7bd8dc9c123e56b7ab27855a0ac85",
-    "fisher-sq-quad.json": "5f7a7928249852ed8942152bcd09959f36d1f7151f2fff8e27b2ef2079195f48",
+    "fisher-sq-quad.json": "18400c734fa5ae5063dd17ace5f81d578fde2a4e9fdeb86ea1976ec19073de80",
     "fisher-sq-low.json": "ecfadb5075eab2993b9dd3ff5782a1a14848555c151325ed36d9f50fe65f1d42",
-    "fisher-sd.json": "5335ee8b02d6327567ec1255a7bad24b4704bb06dfa3ce7cae50534442adbe1a",
+    "fisher-sd.json": "b550f104f08634a7102540bac3a059c4d0e533e93ac705af3ad8661f19b6d03f",
     "fisher-huber.json": "ded058bae3f7b3427d0602566511723a8ac0bbd1e59a39614c1842d7b8a471d5",
     "fisher-combined.json": "13d636d48b4493c135b140acc030f189c7ebc9977ea210fb7e99b76b56e14276",
     "fisher-combined-huber.json": "7b29d747c8651d90813d4bdf5813a8402a7f382f8a302825647aa85e11a8cebc",

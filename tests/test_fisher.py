@@ -9,23 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
-from epfit import fisher, special_fn
+from epfit import fisher, scores
 from epfit.epd import EpdParams
-from epfit.estimate import fit_ee_location_scale
 from epfit.fisher import (
     FisherMatrix,
     fisher_for_family,
-    fisher_for_group,
     psd_check,
     variances,
 )
 from epfit.scores import (
     CombinedHuber, CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple,
 )
-from epfit.select import volume
+from epfit.select import tune, volume
 from epfit.simulate import generate, reference_design
-from epfit.special_fn import DomainError, QuadratureError
+from epfit.special_fn import DomainError
 
 # quadrature entries recorded with the per-entry integration that the
 # one-pass vector quadrature replaced, ("combined_closed") the closed
@@ -44,7 +44,20 @@ def assert_matrices_close(a, b, rtol, atol_scale=1e-8):
 
 
 def no_integration(*args):
-    raise AssertionError("a closed-form matrix called integrate")
+    raise AssertionError("a closed-form or likelihood-family matrix called integrate")
+
+
+def assert_rule_matches_closed(q, p):
+    """The q-weighted matrix from the rule against its closed form: the
+    same divergent entries, and the finite ones within 1e-13 of the
+    largest and within their own error bounds."""
+    quad = fisher_for_family(QWeighted(q), p, 1, dim=3, method="quad")
+    closed = fisher_for_family(QWeighted(q), p, 1, dim=3, method="closed").entries
+    finite = np.isfinite(closed)
+    np.testing.assert_array_equal(np.isfinite(quad.entries), finite)
+    gap = np.abs(quad.entries[finite] - closed[finite])
+    assert np.all(gap <= 1e-13 * np.max(np.abs(closed[finite])))
+    assert np.all(gap <= quad.element_errors[finite])
 
 
 class TestCombined:
@@ -123,6 +136,24 @@ class TestCombined:
         assert F.method == "quadrature"
         assert F.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
 
+    def test_branch_of_shape_one_has_no_slope(self):
+        # a centre branch of shape 1 has slope 0: only the tails, of shape
+        # 2 beyond |y| = 1 under the Laplace density, contribute
+        F = fisher_for_family(CombinedPlain(ShapeTriple(2.0, 1.0, 2.0), 1.0, 1.0),
+                              EpdParams(0, 1, 1), 1)
+        assert F.method == "quadrature"
+        np.testing.assert_allclose(F.entries, [[4.0 / math.e, 0.0], [0.0, 20.0 / math.e]],
+                                   rtol=1e-12, atol=1e-14)
+        # a tail of shape 1 reaching y = 0 beside a zero cut: (mu, mu) is
+        # the value of its neighbour with k = 1e-12 and a1 = 1 + 1e-9
+        F = fisher_for_family(CombinedPlain(ShapeTriple(1.0, 2.0, 2.0), 0.0, 1.0),
+                              EpdParams(0, 1, 2), 1)
+        near = fisher_for_family(CombinedPlain(ShapeTriple(1.0 + 1e-9, 2.0, 2.0), 1e-12, 1.0),
+                                 EpdParams(0, 1, 2), 1)
+        assert F.method == near.method == "quadrature"
+        assert F.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
+        np.testing.assert_allclose(F.entries, near.entries, rtol=1e-8)
+
     def test_scaling_linear_in_n(self):
         family = CombinedPlain(ShapeTriple(2.0, 2.0, 2.0), 1.0, 1.0)
         F1 = fisher_for_family(family, EpdParams(0, 1.5, 2), 1, dim=2, method="closed")
@@ -157,6 +188,45 @@ class TestQWeighted:
             np.testing.assert_array_equal(np.isfinite(quad), finite)
             scale = np.max(np.abs(closed[finite]))
             assert np.max(np.abs(closed[finite] - quad[finite])) <= 1e-13 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.floats(0.5, 1.0, exclude_max=True), alpha=st.floats(0.5, 20.0, exclude_min=True),
+           log_sigma=st.floats(-2.0, 2.0))
+    def test_rule_matches_closed_form(self, q, alpha, log_sigma):
+        assert_rule_matches_closed(q, EpdParams(0.3, math.exp(log_sigma), alpha))
+
+    def test_rule_near_shape_one_half(self):
+        # the (sigma, alpha) block diverges as alpha falls to 1/2
+        rng = np.random.default_rng(19)
+        for alpha, q in zip(0.6 - 0.1 * rng.random(300), rng.uniform(0.5, 1.0, 300)):
+            assert_rule_matches_closed(q, EpdParams(0.0, 1.0, alpha))
+
+    @pytest.mark.parametrize("alpha", [1.7, 2.0, 3.0, 6.0])
+    def test_plain_closed_form_matches_textbook_integrands(self, alpha):
+        # at q = 1 the rule returns the closed form, so scipy integrates
+        # the entries' integrands over y > 0, doubled, under the density
+        sigma = 1.3
+        c = alpha * (alpha - 1.0) / sigma
+
+        def density(y):
+            return alpha / (2.0 * sigma * math.gamma(1.0 / alpha)) * math.exp(-y**alpha)
+
+        integrands = {
+            (0, 0): lambda y: c * c * y ** (2.0 * alpha - 4.0),
+            (1, 1): lambda y: c * c * y ** (2.0 * alpha - 2.0),
+            (1, 2): lambda y: -c * (1.0 + alpha * math.log(y)) * y ** (2.0 * alpha - 2.0),
+            (2, 2): lambda y: (1.0 + alpha * math.log(y)) ** 2 * y ** (2.0 * alpha - 2.0),
+        }
+        closed = fisher_for_family(Plain(), EpdParams(0.4, sigma, alpha), 1, dim=3,
+                                   method="closed").entries
+        for (i, j), g in integrands.items():
+            value = 2.0 * sigma * sum(
+                scipy.integrate.quad(lambda y: g(y) * density(y), lo, hi,
+                                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for lo, hi in ((0.0, 1.0), (1.0, np.inf)))
+            assert closed[i, j] == pytest.approx(value, rel=1e-9)
+            assert closed[j, i] == closed[i, j]
+        assert np.all(closed[0, 1:] == 0.0) and np.all(closed[1:, 0] == 0.0)
 
     def test_unit_scale_matches_quadrature(self):
         # the scale-one case is the cleanest anchor for the closed form
@@ -243,20 +313,21 @@ def _distorted_group(rng, alpha, size):
 
 
 class TestGroupPass:
-    """fisher_for_group against fisher_for_family, one fit at a time: the
-    group's 2x2 matrices against the (mu, sigma) blocks of the lone
-    matrices with the shape fixed (dim 2) and estimated (dim 3)."""
+    """A group of likelihood fits at one shape, as a tune grid holds them:
+    each gets the matrix it gets alone, judged on its own bounds, and the
+    2x2 matrices with the shape fixed (dim 2) match the (mu, sigma) blocks
+    of the matrices with the shape estimated (dim 3)."""
 
     def test_group_of_one_is_the_lone_matrix(self):
-        rng = np.random.default_rng(2)
+        data = generate(reference_design(1), 99)
         for alpha, family in itertools.product((0.8, 1.3, 2.0, 3.5),
                                                (Distorted(6e-3), QWeighted(0.8), Plain())):
-            p = EpdParams(0.3, float(np.exp(rng.uniform(-1.0, 1.0))), alpha)
-            lone = fisher_for_family(family, p, 110, method="quad")
-            [group] = fisher_for_group([(family, p)], 110)
-            assert group.method == lone.method
-            assert group.entries.tobytes() == lone.entries.tobytes()
-            assert group.element_errors.tobytes() == lone.element_errors.tobytes()
+            [rec] = tune(data, [family], alpha=alpha).candidates
+            lone = fisher_for_family(family, rec.fit.params, len(data))
+            assert rec.fit.fisher.method == lone.method
+            assert rec.fit.fisher.entries.tobytes() == lone.entries.tobytes()
+            if lone.element_errors is not None:
+                assert rec.fit.fisher.element_errors.tobytes() == lone.element_errors.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("alpha", [0.8, 1.3, 2.0, 3.5])
@@ -264,7 +335,8 @@ class TestGroupPass:
         rng = np.random.default_rng(int(10 * alpha) + dim)
         for size in range(2, 7):
             fits = _distorted_group(rng, alpha, size)
-            for (family, p), g in zip(fits, fisher_for_group(fits, 1)):
+            for family, p in fits:
+                g = fisher_for_family(family, p, 1, method="quad")
                 lone = fisher_for_family(family, p, 1, dim=dim, method="quad")
                 entries, errors = lone.entries[:2, :2], lone.element_errors[:2, :2]
                 assert g.method == lone.method
@@ -278,44 +350,30 @@ class TestGroupPass:
         grid = [Distorted(b) for b in (0.002, 0.004, 0.006, 0.008, 0.01)]
         for design in (1, 2, 3, 4):
             data = generate(reference_design(design), design)
-            fits = [(c, fit_ee_location_scale(data, c, alpha=2.0).params) for c in grid]
-            for (family, p), g in zip(fits, fisher_for_group(fits, len(data))):
-                lone = fisher_for_family(family, p, len(data), dim=dim)
-                assert g.method == lone.method == "quadrature"
-                np.testing.assert_allclose(g.entries, lone.entries[:2, :2], rtol=1e-13, atol=0.0)
+            for family, rec in zip(grid, tune(data, grid, alpha=2.0).candidates):
+                lone = fisher_for_family(family, rec.fit.params, len(data), dim=dim)
+                assert rec.fit.fisher.method == lone.method == "quadrature"
+                np.testing.assert_allclose(rec.fit.fisher.entries, lone.entries[:2, :2],
+                                           rtol=1e-13, atol=0.0)
 
     def test_each_matrix_judged_on_its_own_bounds(self, monkeypatch):
+        # the first fit's tilt is rough from node to node, so the rule one
+        # level below disagrees with it; the others keep their own bounds
         fits = _distorted_group(np.random.default_rng(6), 2.0, 3)
-        real = special_fn.integrate
+        rough_beta = fits[0][0].beta
 
-        def loose_first(f, lo, hi):
-            res = real(f, lo, hi)
-            error = res.error.copy()
-            error[:3] = 1.0  # the three entries of the first fit's 2x2 matrix
-            return special_fn.IntegrationResult(res.value, error, res.subdivisions)
+        def weight(q, beta):
+            real = scores.likelihood_weight(q, beta)
 
-        monkeypatch.setattr(fisher, "integrate", loose_first)
-        methods = [F.method for F in fisher_for_group(fits, 1)]
+            def rough(lf):
+                out = real(lf)
+                return out * (1.0 + 1e-3 * (np.arange(out.size) % 2)) if np.ndim(out) else out
+
+            return rough if beta == rough_beta else real
+
+        monkeypatch.setattr(fisher, "likelihood_weight", weight)
+        methods = [fisher_for_family(family, p, 1).method for family, p in fits]
         assert methods == ["quadrature-partial", "quadrature", "quadrature"]
-
-    def test_a_pass_out_of_splits_raises(self, monkeypatch):
-        # alone, each matrix keeps its best estimate, flagged partial
-        fits = _distorted_group(np.random.default_rng(5), 2.0, 3)
-        monkeypatch.setattr(special_fn, "_MAX_SPLITS", 1)
-        with pytest.raises(QuadratureError):
-            fisher_for_group(fits, 1)
-        for family, p in fits:
-            assert fisher_for_family(family, p, 1).method == "quadrature-partial"
-
-    @pytest.mark.parametrize("fits, message", [
-        ([(Distorted(0.01), EpdParams(0, 1, 2.0)), (Huber(1.5), EpdParams(0, 1, 2.0))],
-         "likelihood fits"),
-        ([(Distorted(0.01), EpdParams(0, 1, 2.0)), (Distorted(0.02), EpdParams(0, 1, 2.5))],
-         "at one shape"),
-    ], ids=["huber", "shapes"])
-    def test_group_must_share_a_likelihood_shape(self, fits, message):
-        with pytest.raises(ValueError, match=message):
-            fisher_for_group(fits, 10)
 
 
 class TestPsd:
@@ -471,6 +529,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="dim 3 needs a likelihood family"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, dim=3, method=method)
 
+    def test_likelihood_matrices_never_integrate(self, monkeypatch):
+        monkeypatch.setattr(fisher, "integrate", no_integration)
+        cases = itertools.product((0.45, 0.8, 1.2, 2.0, 3.5, 8.0),
+                                  (Plain(), QWeighted(0.8), Distorted(6e-3)), ("quad", "auto"), (2, 3))
+        for alpha, family, method, dim in cases:
+            F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), 110, dim=dim, method=method)
+            assert F.dim == dim
+
     def test_closed_mode_gives_the_huber_matrix(self, monkeypatch):
         monkeypatch.setattr(fisher, "integrate", no_integration)
         F = fisher_for_family(Huber(1.3), EpdParams(0, 1, 2.0), 10, method="closed")
@@ -584,8 +650,7 @@ class TestLowShapeRegime:
     def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd, monkeypatch):
         n = 110
         closed = family.likelihood[1] == 0.0
-        if closed:
-            monkeypatch.setattr(fisher, "integrate", no_integration)
+        monkeypatch.setattr(fisher, "integrate", no_integration)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), n, dim=dim)

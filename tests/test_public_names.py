@@ -69,7 +69,8 @@ def test_retired_names_are_gone():
             "special_fn.IntegrationResult.__float__", "special_fn.QuadratureSpec",
             "optimize.GaConfig", "optimize.GaResult", "estimate.FitResult.ga_history",
             "epd.gamma_transform", "simulate.SimulationReport.design",
-            "simulate.SimulationReport.m", "simulate.SimulationReport.seed"} <= set(names)
+            "simulate.SimulationReport.m", "simulate.SimulationReport.seed",
+            "fisher.fisher_for_group"} <= set(names)
     present = []
     for name in names:
         *path, last = name.split(".")
@@ -85,7 +86,7 @@ def test_retired_parameters_are_gone():
             ("simulate.EstimatorSpec", "ga_population"),
             ("simulate.EstimatorSpec", "ga_generations"), ("simulate.run", "threads"),
             ("estimate.fit_ee_alpha", "bracket"), ("simulate.reference_design", "n1"),
-            ("simulate.reference_design", "n3"), ("fisher.fisher_for_group", "dim")} <= set(pairs)
+            ("simulate.reference_design", "n3")} <= set(pairs)
     present = [(name, param) for name, param in pairs
                if param in inspect.signature(_owner(name.split("."))).parameters]
     assert present == []

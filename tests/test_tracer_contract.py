@@ -20,7 +20,7 @@ import pytest
 
 from epfit import estimate, fisher, optimize, scores, select, simulate
 from epfit.epd import EpdParams, sample
-from epfit.scores import Distorted, Huber, Plain, QWeighted
+from epfit.scores import CombinedPlain, Distorted, Huber, Plain, QWeighted, ShapeTriple
 
 TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -115,9 +115,26 @@ def test_tune_candidate_fits_are_each_seen(tracer):
             == [c.fit.params for c in report.candidates])
 
 
+def test_tune_matrices_are_each_seen(tracer):
+    # each candidate's matrix comes from its own fisher_for_family call
+    data = simulate.generate(simulate.reference_design(1), np.random.SeedSequence(6))
+    report = select.tune(data, [Distorted(0.0), Distorted(3e-3), Distorted(6e-3)], alpha=2.0)
+    assert tracer.counts["fisher.matrices"] == 3
+    assert tracer.counts["fisher.closed_form"] == 1
+    assert [c.fit.fisher.method for c in report.candidates] == [
+        "closed_form", "quadrature", "quadrature"]
+
+
 def test_quadrature_matrix_is_seen(tracer):
+    # a likelihood matrix is one pass of a fixed rule, with no integrate call
     fisher.fisher_for_family(Distorted(6e-3), EpdParams(0.0, 1.0, 2.0), 110, dim=3)
     assert tracer.counts["fisher.matrices"] == 1
+    assert tracer.counts["fisher.closed_form"] == 0
+    assert tracer.counts["special_fn.integrate_calls"] == 0
+    # a combined family with a branch shape at or below 3/2 integrates
+    fisher.fisher_for_family(CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
+                             EpdParams(0.0, 1.0, 3.18), 110)
+    assert tracer.counts["fisher.matrices"] == 2
     assert tracer.counts["fisher.closed_form"] == 0
     assert tracer.counts["special_fn.integrate_calls"] >= 1
     assert tracer.counts["special_fn.quad_splits"] >= 1
