@@ -28,7 +28,7 @@ import numpy as np
 
 from .epd import EpdParams, _deformed, _log_norm_const
 from .optimize import _GENERATIONS, maximize, polish
-from .scores import ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
+from .scores import _ZERO_TOL, ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
 from .special_fn import digamma
 
 __all__ = [
@@ -281,7 +281,7 @@ class _AlphaResidual:
 
     def __init__(self, data, mu, sigma, q, beta):
         y = np.abs(np.asarray(data, dtype=float) - mu) / sigma
-        self.zero = y < 1e-12
+        self.zero = y < _ZERO_TOL
         self.any_zero = bool(self.zero.any())
         self.log_y = np.log(np.where(self.zero, 1.0, y))
         self.n_total = len(y)

@@ -5,16 +5,15 @@ outer products of dS/d(mu, sigma) under the underlying density; for the
 weighted families the integrand carries the deformation term and the
 tilted density, giving generally asymmetric 3x3 matrices.  Closed forms
 (in terms of complete/incomplete gammas, digamma and trigamma) give the
-Huber, plain and q-weighted matrices at every shape and the combined
-ones with every branch shape above 3/2.  Quadrature gives the others and
-is the cross-check for every closed form: one pass of a fixed exp-sinh
-rule for the likelihood families, with the centre parts in closed form,
-and one vector-valued adaptive pass over the entries for the Huber and
-combined families.  On both routes parity decides which entries vanish
-or coincide, and the power of the residual at the center which diverge,
-reported as ``inf`` unevaluated.
+Huber and combined matrices at every branch shape and the plain and
+q-weighted ones at every shape.  Quadrature gives the distorted ones and
+is the cross-check for the likelihood closed forms: one pass of a fixed
+exp-sinh rule, with the centre parts in closed form.  On both routes
+parity decides which entries vanish or coincide, and the power of the
+residual at the center which diverge, reported as ``inf``.
 
-All matrices are scaled by the sample size n; scaling is exactly linear.
+All matrices are scaled by the sample size n; scaling is exactly linear,
+and so are the quadrature's per-entry error bounds.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epd import EpdParams, pdf
+from .epd import EpdParams
 from .scores import likelihood_weight
 from .special_fn import (
     DomainError,
-    QuadratureError,
     digamma,
     gamma_fn,
     incomplete_gammas,
-    integrate,
     regularized_gamma,
     trigamma,
 )
@@ -82,57 +79,10 @@ class VarianceReport:
 
 
 def _method(values, errors) -> str:
-    """'quadrature-partial' if some entry is not finite or its error bound
-    exceeds 1e-7 of it and 1e-10, else 'quadrature'."""
+    """'quadrature-partial' if some per-observation entry is not finite or
+    its error bound exceeds 1e-7 of it and 1e-10, else 'quadrature'."""
     ok = np.isfinite(values) & (errors <= np.maximum(1e-10, 1e-7 * np.abs(values)))
     return "quadrature" if ok.all() else "quadrature-partial"
-
-
-def _ee_2x2_quadrature(family, params: EpdParams, n: int):
-    """Expected outer products of dS/d(mu, sigma) under the EP density.
-
-    For a score S(y) of the standardized residual alone (the Huber and
-    combined scores), the parameter derivatives are dS/dmu = -S'(y)/sigma
-    and dS/dsigma = -y S'(y)/sigma, so the entries are the moments
-    p = 0, 1, 2 of y^p S'(y)^2.  The family gives S'(y) and the residuals
-    where it breaks.  The combined scores integrate under their center
-    shape alpha2; y^p S'(y)^2 ~ |y|^(2 a - 4 + p) near y = 0, finite iff
-    that power exceeds -1; Huber's slope is bounded.
-    """
-    powers = np.array([0.0, 1.0, 2.0])
-    alpha_ref = params.alpha if family.shapes is None else family.shapes.alpha2
-    # a is the least shape of the branches that reach y = 0 with a nonzero
-    # slope: the center one beside a positive cut, else the tail one, unless
-    # a huberized zero cut scales that tail's slope to 0; a branch of shape
-    # 1 has slope a (a - 1) |y|^(a - 2) = 0
-    reaching = [] if family.shapes is None else [
-        alpha_ref if cut > 0.0 else tail
-        for cut, tail in ((family.k, family.shapes.alpha1), (family.t, family.shapes.alpha3))
-        if cut > 0.0 or not family.huberized]
-    finite = powers > 3.0 - 2.0 * min((a for a in reaching if a != 1.0), default=math.inf)
-    dens = EpdParams(0.0, 1.0, alpha_ref)
-    # exp(-y^alpha) tail mass beyond the window is far below quadrature
-    # tolerance; the width grows as the shape drops below 1
-    w = max(40.0, 60.0 ** (1.0 / alpha_ref))
-    grid = [-w] + [b for b in family.breaks if -w < b < w] + [w]
-
-    def integrand(y):
-        return family.slope(y) ** 2 * y ** powers[finite, None] * pdf(y, dens)
-
-    m, e = np.where(finite, 0.0, math.inf), np.where(finite, 0.0, math.inf)
-    # one vector-valued pass over the panels between grid points, none when
-    # every entry diverges; a panel out of splits keeps its best estimate
-    for lo, hi in zip(grid[:-1], grid[1:]) if finite.any() else ():
-        try:
-            res = integrate(integrand, lo, hi)
-            value, error = res.value, res.error
-        except QuadratureError as exc:
-            value, error = exc.best, exc.bound
-        m[finite] += value
-        e[finite] += error
-    # moments p = 0, 1, 2 fill [[(mu, mu), (mu, sigma)], [(sigma, mu), (sigma, sigma)]]
-    entries, errors = np.array([m, e])[:, [[0, 1], [1, 2]]] / params.sigma**2
-    return FisherMatrix(n * entries, 2, n, _method(m, e), element_errors=errors)
 
 
 def _huber_closed(a: float, r: float) -> np.ndarray:
@@ -142,13 +92,15 @@ def _huber_closed(a: float, r: float) -> np.ndarray:
 
 
 def _combined_closed(params: EpdParams, family):
+    """The moments m = 0, 1, 2 of y^m S'(y)^2 under the centre shape a2,
+    with S'(y) = a (a - 1) |y|^(a - 2) on a branch of shape a: incomplete
+    gammas of z = (2 a - 3 + m) / a2 at k^a2 and t^a2, upper on the tails
+    and lower in the centre.  Where a branch reaching y = 0 has z <= 0
+    its gamma, and so its entry, is inf; a term with coefficient 0 (a
+    branch of shape 1, a huberized zero cut) is 0 even then.
+    """
     a1, a2, a3 = family.triple.as_tuple()
     k, t, huberized = family.k, family.t, family.huberized
-    for name, val in (("alpha1", a1), ("alpha2", a2), ("alpha3", a3)):
-        if val <= 1.5:
-            raise DomainError(
-                f"closed form requires {name} > 3/2 (got {val}); use the quadrature method"
-            )
     sig = params.sigma
     pref = 1.0 / (2.0 * sig**2 * gamma_fn(1.0 / a2))
     A1 = (a1**2 - a1) ** 2 * (k**2 if huberized else 1.0)
@@ -160,11 +112,14 @@ def _combined_closed(params: EpdParams, family):
     p = np.array([[3.0], [2.0], [1.0]])
     z = np.hstack([(2 * a1 - p) / a2, (2 * a3 - p) / a2, 2 - p / a2, 2 - p / a2])
     lower, upper = incomplete_gammas(z, [k**a2, t**a2, k**a2, t**a2])
-    up_k, up_t, low_k, low_t = np.hstack([upper[:, :2], lower[:, 2:]]).T
+    up_k, up_t, low_k, low_t = np.where(np.array([A1, A3, A2, A2]) == 0.0, 0.0,
+                                        np.hstack([upper[:, :2], lower[:, 2:]])).T
     # the (mu, sigma) entry takes the terms at k with the opposite sign
     sign = np.array([1.0, -1.0, 1.0])
-    e_mm, e_ms, e_ss = pref * (sign * A1 * up_k + A3 * up_t + A2 * (sign * low_k + low_t))
-    return np.array([[e_mm, e_ms], [e_ms, e_ss]])
+    with np.errstate(invalid="ignore"):
+        e_mm, e_ms, e_ss = pref * (sign * A1 * up_k + A3 * up_t + A2 * (sign * low_k + low_t))
+    entries = np.array([[e_mm, e_ms], [e_ms, e_ss]])
+    return np.where(np.isfinite(entries), entries, math.inf)
 
 
 # The weighted-family entries E[(deform d_j + d_i) d_j] under the tilted
@@ -294,7 +249,7 @@ def _likelihood_quadrature(params: EpdParams, q: float, beta: float, n: int,
         # (alpha, mu) = (sigma, mu) and (alpha, sigma) = (sigma, alpha)
         values[2, :2], errors[2, :2] = values[1, [0, 2]], errors[1, [0, 2]]
     values, errors = values[:dim, :dim], errors[:dim, :dim]
-    return FisherMatrix(n * values, dim, n, _method(values, errors), element_errors=errors)
+    return FisherMatrix(n * values, dim, n, _method(values, errors), element_errors=n * errors)
 
 
 def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
@@ -306,19 +261,18 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
     ``dim`` is 2 for a fixed-shape fit and 3 for an estimated-shape fit
     of the likelihood families; the Huber and combined matrices are
     always 2x2, and asking for them with dim 3 raises ValueError.
-    ``method`` is 'closed', 'quad' or 'auto'.  The Huber, plain and
-    q-weighted matrices (and the distorted one at beta = 0) have a closed
-    form at every shape, the combined ones when every branch shape is
-    above 3/2; the distorted (beta > 0) matrices have none.  Where no
-    closed form applies, 'auto' integrates by quadrature and 'closed'
-    raises DomainError.  The likelihood families' quadrature is one pass
-    of a fixed exp-sinh rule with no call of ``special_fn.integrate``; the
-    Huber and combined ones integrate adaptively.  The q-weighted matrix
-    is asymmetric for q < 1: its lower triangle keeps the deformation
-    term after the odd parts integrate out.  Divergent entries are
-    ``inf`` on both routes, by the same rule; they make a quadrature
-    matrix quadrature-partial, with per-entry error bounds kept.  q = 1
-    and beta = 0 give the plain-likelihood matrix.
+    ``method`` is 'closed', 'quad' or 'auto'.  The Huber and combined
+    matrices are closed at every shape, and 'quad' raises DomainError on
+    them.  So are the plain and q-weighted ones (and the distorted one at
+    beta = 0), whose 'quad' is the cross-check; the distorted (beta > 0)
+    ones have none, and 'closed' raises DomainError on them.  Quadrature
+    is one pass of a fixed exp-sinh rule, with per-entry error bounds
+    scaled by n as the entries are.  The q-weighted matrix is asymmetric
+    for q < 1: its lower triangle keeps the deformation term after the
+    odd parts integrate out.  Divergent entries are ``inf`` on both
+    routes, by the same rule, and make a quadrature matrix
+    quadrature-partial.  A closed form raises DomainError where a gamma
+    in it overflows: the Huber one below shape 3/171.6, about 0.0175.
     """
     if method not in ("closed", "quad", "auto"):
         raise ValueError(f"method must be closed/quad/auto, got {method!r}")
@@ -326,24 +280,19 @@ def fisher_for_family(family, params: EpdParams, n: int, dim: int = 2,
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
     if dim == 3 and family.likelihood is None:
         raise ValueError(f"dim 3 needs a likelihood family, got {family!r}")
-    if method != "quad":
-        try:
-            if family.shapes is not None:
-                entries = _combined_closed(params, family)
-            elif family.likelihood is None:
-                entries = _huber_closed(params.alpha, family.r) / params.sigma**2
-            elif family.likelihood[1] == 0.0:
-                entries = _q_closed(params, family.likelihood[0])[:dim, :dim]
-            else:
-                raise DomainError(f"no closed-form information matrix for {family!r}; "
-                                  "use the quadrature method")
-            return FisherMatrix(n * entries, len(entries), n, "closed_form")
-        except DomainError:
-            if method == "closed":
-                raise
     if family.likelihood is None:
-        return _ee_2x2_quadrature(family, params, n)
-    return _likelihood_quadrature(params, *family.likelihood, n, dim)
+        if method == "quad":
+            raise DomainError(f"no quadrature for {family!r}: its closed form is exact")
+        entries = (_huber_closed(params.alpha, family.r) / params.sigma**2
+                   if family.shapes is None else _combined_closed(params, family))
+        return FisherMatrix(n * entries, 2, n, "closed_form")
+    q, beta = family.likelihood
+    if method != "quad" and beta == 0.0:
+        return FisherMatrix(n * _q_closed(params, q)[:dim, :dim], dim, n, "closed_form")
+    if method == "closed":
+        raise DomainError(f"no closed-form information matrix for {family!r}; "
+                          "use the quadrature method")
+    return _likelihood_quadrature(params, q, beta, n, dim)
 
 
 def psd_check(matrix: FisherMatrix | np.ndarray) -> PsdDiagnostics:

@@ -77,8 +77,6 @@ class _Family:
     as arrays; the module-level functions of the same names wrap them.
     ``ee_weight`` takes the density weight at x as ``density`` when the
     caller has already computed it, and computes it itself otherwise.
-    The Huber and combined scores also give ``slope`` (dS/dy) and its
-    ``breaks``, from which their information matrix is integrated.
     """
 
     tuning_names: tuple[str, ...] = ()
@@ -135,21 +133,12 @@ class Huber(_Family):
         if not self.r > 0.0:
             raise ValueError(f"r must be positive, got {self.r}")
 
-    @property
-    def breaks(self) -> tuple[float, float, float]:
-        """Standardized residuals where the score is not smooth."""
-        return (-self.r, 0.0, self.r)
-
     def score(self, x, p):
         return s_huber((x - p.mu) / p.sigma, self.r)
 
     def ee_weight(self, x, p, density=None):
         ay = np.abs((x - p.mu) / p.sigma)
         return np.where(ay <= self.r, 1.0, self.r / np.where(ay == 0, 1.0, ay))
-
-    def slope(self, y):
-        """dS/dy of the standardized residual."""
-        return np.where(np.abs(y) <= self.r, 1.0, 0.0)
 
 
 def _validate_cut(k: float, t: float):
@@ -179,11 +168,6 @@ class _Combined(_Family):
     def shapes(self) -> ShapeTriple:
         return self.triple
 
-    @property
-    def breaks(self) -> tuple[float, float, float]:
-        """Standardized residuals where the score jumps or kinks."""
-        return (-self.k, 0.0, self.t)
-
     def score(self, x, p):
         return s_combined((x - p.mu) / p.sigma, self.triple, self.k, self.t, self.huberized)
 
@@ -191,16 +175,6 @@ class _Combined(_Family):
         y = (x - p.mu) / p.sigma
         alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
         return alpha * _abs_pow(np.abs(y), alpha - 2.0) * mult
-
-    def slope(self, y):
-        """dS/dy of the standardized residual, keeping the raw
-        (integrable) singular power at y = 0 instead of the EE zero
-        clamp."""
-        alpha, mult = _branches(y, self.triple, self.k, self.t, self.huberized)
-        ay = np.abs(y)
-        safe = np.where(ay > 0.0, ay, 1.0)
-        power = np.where(ay > 0.0, safe ** (alpha - 2.0), 0.0)
-        return mult * alpha * (alpha - 1.0) * power
 
 
 @dataclass(frozen=True)

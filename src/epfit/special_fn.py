@@ -1,9 +1,9 @@
 """Special-function and quadrature kernel.
 
 Gamma and log-gamma (from the standard library), the incomplete gammas,
-regularized or not, digamma, trigamma, and adaptive one-dimensional
-integration.  Everything here is pure and reentrant; no state is shared
-between calls.
+regularized (z > 0) or not (any finite real z), digamma, trigamma, and
+adaptive one-dimensional integration, which only the tests call.
+Everything here is pure and reentrant; no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -156,26 +156,57 @@ def regularized_gamma(z, a):
 
 def incomplete_gammas(z, a):
     """The lower and upper incomplete gammas gamma(z, a) and Gamma(z, a),
-    not regularized, for z > 0 and a in [0, inf], elementwise over
-    broadcast arrays as ``regularized_gamma``.
+    not regularized, for finite real z and a in [0, inf], elementwise
+    over broadcast arrays as ``regularized_gamma``.
 
-    Each is formed from the series or the continued fraction times
-    e^(z log a - a), not as gamma_fn(z) times a regularized one, so a
-    value near the underflow keeps its digits where P or Q would be
-    subnormal.  DomainError where gamma_fn(z) overflows.
+    For z > 0 each is formed from the series or the continued fraction
+    times e^(z log a - a), not as gamma_fn(z) times a regularized one, so
+    a value near the underflow keeps its digits where P or Q would be
+    subnormal; DomainError where gamma_fn(z) overflows.  For z <= 0 the
+    lower gamma diverges, inf (0 at a = 0), and so does the upper one at
+    a = 0; at a >= 1 the upper one comes from the continued fraction, and
+    below 1 it is Gamma(z, 1) plus the integral over [a, 1] termwise
+    (DLMF 8.7; Gautschi, ACM TOMS 5, 1979).
     """
     return _incomplete_pair("incomplete_gammas", z, a, regularized=False)
+
+
+def _upper_gamma_below_one(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gamma(z, a) for z <= 0 and 0 < a < 1, elementwise over equal-shape
+    1-d arrays: Gamma(z, 1) plus the integral of t^(z-1) e^-t over [a, 1],
+    sum_n (-1)^n / n! (1 - a^(z+n)) / (z+n), each quotient formed by
+    expm1 so that z near an integer keeps its digits."""
+    log_a = np.log(a)
+    total = _upper_gamma_cf(z, np.ones(a.shape)) / math.e
+    coeff = 1.0
+    done = np.zeros(a.shape, dtype=bool)
+    # the terms fall in magnitude, so an element is done at its first
+    # negligible one and adds 0 from then on, as it would alone; where
+    # a^z overflows, so does the sum (inf - inf, taken as inf), and at
+    # z + n = 0 the quotient is its limit -log(a), not 0 / 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(500):
+            w = z + n
+            term = coeff * np.where(w == 0.0, -log_a, -np.expm1(w * log_a) / w)
+            total += np.where(done, 0.0, term)
+            done |= np.abs(term) < 1e-17 * total
+            if done.all():
+                break
+            coeff /= -(n + 1.0)
+    return np.where(np.isnan(total), math.inf, total)
 
 
 def _incomplete_pair(name, z, a, regularized):
     """(lower, upper) incomplete gammas, divided by Gamma(z) when
     ``regularized``: the one the series or the continued fraction gives,
-    then the other as their sum, 1 or Gamma(z), minus it."""
+    then the other as their sum, 1 or Gamma(z), minus it.  Unregularized,
+    z <= 0 takes the sum as inf."""
     z_in = np.asarray(z, dtype=float)
     a_in = np.asarray(a, dtype=float)
-    bad = ~(z_in > 0.0)
+    bad = ~(z_in > 0.0) if regularized else ~np.isfinite(z_in)
     if bad.any():
-        raise DomainError(f"{name} requires z > 0, got {z_in[bad].flat[0]}")
+        need = "z > 0" if regularized else "finite z"
+        raise DomainError(f"{name} requires {need}, got {z_in[bad].flat[0]}")
     bad = ~(a_in >= 0.0)
     if bad.any():
         raise DomainError(f"{name} requires a >= 0, got {a_in[bad].flat[0]}")
@@ -186,14 +217,16 @@ def _incomplete_pair(name, z, a, regularized):
         log_gamma_z = (log_gamma(float(z_in)) if z_in.ndim == 0
                        else np.array([log_gamma(v) for v in zf]))
     else:
-        total = (np.full(af.shape, gamma_fn(float(z_in))) if z_in.ndim == 0
-                 else np.array([gamma_fn(v) for v in zf]))
-    lower = np.zeros(af.shape)
+        total = np.array([gamma_fn(v) if v > 0.0 else math.inf for v in zf])
+    # for z <= 0 the lower gamma diverges at every a > 0
+    lower = np.where((zf <= 0.0) & (af > 0.0), math.inf, 0.0)
     upper = total.copy()
     inf = np.isinf(af)
     lower[inf], upper[inf] = total[inf], 0.0
-    series = (af > 0.0) & (af < zf + 1.0)
-    frac = (af >= zf + 1.0) & ~inf
+    positive = zf > 0.0
+    series = (af > 0.0) & (af < zf + 1.0) & positive
+    frac = (af >= np.where(positive, zf + 1.0, 1.0)) & ~inf
+    below_one = (af > 0.0) & (af < 1.0) & ~positive
 
     def scaled(method, mask):
         zm, am = zf[mask], af[mask]
@@ -208,6 +241,8 @@ def _incomplete_pair(name, z, a, regularized):
     if frac.any():
         upper[frac] = scaled(_upper_gamma_cf, frac)
         lower[frac] = total[frac] - upper[frac]
+    if below_one.any():
+        upper[below_one] = _upper_gamma_below_one(zf[below_one], af[below_one])
     if zb.ndim == 0:
         return float(lower[0]), float(upper[0])
     return lower.reshape(zb.shape), upper.reshape(zb.shape)

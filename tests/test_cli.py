@@ -208,6 +208,18 @@ class TestFitCommand:
         assert err["message"].startswith("AlphaRootError: ")
         assert not out.exists()
 
+    def test_quadrature_on_a_huber_fit_is_refused(self, sample_file, tmp_path, capsys):
+        # the Huber matrix is closed at every shape
+        out = tmp_path / "x.json"
+        code = dispatch(["fit", "--data", str(sample_file), "--score", "huber", "--r", "1.345",
+                         "--alpha", "2.1", "--fisher", "quad", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "computation"
+        assert err["message"].startswith("DomainError: no quadrature for Huber(")
+        assert "its closed form is exact" in err["message"]
+        assert not out.exists()
+
     def test_objective_fit_requires_ga_seed(self, sample_file, tmp_path, capsys):
         code = dispatch(["fit", "--data", str(sample_file), "--score", "sq",
                          "--q", "0.8", "--method", "objective",
@@ -325,6 +337,18 @@ class TestFitCommand:
 
 
 class TestFisherCommand:
+    def test_quadrature_on_a_combined_family_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = dispatch(["fisher", "--family", "combined", "--alpha", "1.2,2,0.9", "--k", "0",
+                         "--t", "1", "--mu", "0", "--sigma", "1", "--n", "100",
+                         "--mode", "quad", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "computation"
+        assert err["message"].startswith("DomainError: no quadrature for CombinedPlain(")
+        assert "its closed form is exact" in err["message"]
+        assert not out.exists()
+
     def test_closed_form_report(self, tmp_path):
         out = tmp_path / "f.json"
         code = dispatch(["fisher", "--family", "sq", "--mu", "0", "--sigma", "1",
@@ -652,7 +676,7 @@ _PINNED_COMMANDS = [
                               "--k", "1", "--t", "1", *_FISHER_AT, "--mode", "closed"]),
     ("fisher-combined-huber.json", ["fisher", "--family", "combined-huber",
                                     "--alpha", "1.8,2.1,2.4", "--k", "1", "--t", "1",
-                                    *_FISHER_AT, "--mode", "quad"]),
+                                    *_FISHER_AT]),
     ("tune-sd.json", ["tune", "--data", "data.csv", "--family", "sd",
                       "--grid-beta", "0:0.01:0.005", "--alpha", "2.1",
                       "--replications", "20", "--seed", "3"]),
@@ -703,22 +727,27 @@ _PINNED_COMMANDS = [
 # fit-s-quad, fisher-sd and fisher-sq-quad when the likelihood matrices
 # came from one pass of the exp-sinh rule (entries, and what is computed
 # from them, move at most 7e-15 relative, and the error bounds are the
-# rule's)
+# rule's); and those of fit-sd, fit-s-quad, fisher-sd and fisher-sq-quad
+# when element_errors became bounds on the reported entries (n times the
+# per-observation ones, nothing else moves), and of fisher-combined-huber
+# when quadrature of the Huber and combined matrices was retired (its argv
+# lost --mode quad; method closed_form, no element_errors, entries and
+# what derives from them within 1.5e-15 relative)
 _PINNED_SHA256 = {
     "data.csv": "c258c72e568518d5508bae4529d4c34486bc45da2e3c51c50d83710e3b83c079",
-    "fit-sd.json": "0113c612ed93b16a649fe282a1fef5e1de2dc27b50ffeb784e3b8a7f6b5b4c5c",
+    "fit-sd.json": "d058a0c533cbddbe1cff146c6a301fa647d989aa1bd04a967d8bd749c5ce5cdc",
     "fit-sq-shape.json": "3ddcf332660ec071d2113cb05bc9f55c68e392db2d3a2ed056ee0ea69bfad73e",
     "fit-huber-outliers.json": "5dc4e744fbeef873685b2e315f68dd6886ed2f7a607256d23c6a7c84fd2fc364",
     "fit-combined.json": "a4c98dfdee41e57b49cd4bc22fbce06918a567a1c1e3d3d7f1469c21a55c74a4",
-    "fit-s-quad.json": "238b9808b492bfb98a1785a2e214463b5d6cb2a9c1c565cd29f215b284a487e6",
+    "fit-s-quad.json": "3126c558781cde0535dc3561af9235a73fe2f7666fcd90950f075fa524ec0e30",
     "fit-objective.json": "bcf9efe7ce9799923fff0c07dda2ebeb3e68b85d66e5091ce68b8406b8da9205",
     "fisher-s.json": "20a0b0560eadf55ee7c8628bdf14bdad50a7bd8dc9c123e56b7ab27855a0ac85",
-    "fisher-sq-quad.json": "18400c734fa5ae5063dd17ace5f81d578fde2a4e9fdeb86ea1976ec19073de80",
+    "fisher-sq-quad.json": "45ec8d7f116c3ad9f48b3a842366a6e4d6bab1aa8295bfd7129d7f136e6785f7",
     "fisher-sq-low.json": "ecfadb5075eab2993b9dd3ff5782a1a14848555c151325ed36d9f50fe65f1d42",
-    "fisher-sd.json": "b550f104f08634a7102540bac3a059c4d0e533e93ac705af3ad8661f19b6d03f",
+    "fisher-sd.json": "08db01c47579c9385d0e1780aaeb91cb5df42bb8514a887451f1b9d59ff4414c",
     "fisher-huber.json": "ded058bae3f7b3427d0602566511723a8ac0bbd1e59a39614c1842d7b8a471d5",
     "fisher-combined.json": "13d636d48b4493c135b140acc030f189c7ebc9977ea210fb7e99b76b56e14276",
-    "fisher-combined-huber.json": "7b29d747c8651d90813d4bdf5813a8402a7f382f8a302825647aa85e11a8cebc",
+    "fisher-combined-huber.json": "d35760b8e83910800f1f8eabe087f1c550fc956848b94dc7deaed8ff6e7e99db",
     "tune-sd.json": "eede957a86c2d503023037532af1bd1de683f336aae9ba1c62f012018af50505",
     "tune-sq.json": "6846f6c07f7ec6d72c79bd054752c81b91e93d54fb70d3a763f3d7e7bce891f0",
     "tune-huber.json": "8b73fa908bf6d10597ba654da91082b5dd4ec891e4d38e1deaa4b16cd6ca57f4",

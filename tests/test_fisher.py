@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from epfit import fisher, scores
+from combined_oracle import combined_matrix
+from epfit import fisher, scores, special_fn
 from epfit.epd import EpdParams
 from epfit.fisher import (
     FisherMatrix,
@@ -28,7 +29,8 @@ from epfit.simulate import generate, reference_design
 from epfit.special_fn import DomainError
 
 # quadrature entries recorded with the per-entry integration that the
-# one-pass vector quadrature replaced, ("combined_closed") the closed
+# one-pass vector quadrature replaced (the Huber and combined ones are
+# now checked against their closed forms), ("combined_closed") the closed
 # forms of TestCombined's random grid at n = 100, recorded when each
 # incomplete gamma was its own series or continued fraction, and
 # ("q_closed") the q-weighted closed forms of TestQWeighted's random grid
@@ -43,8 +45,16 @@ def assert_matrices_close(a, b, rtol, atol_scale=1e-8):
     np.testing.assert_allclose(a, b, rtol=rtol, atol=atol_scale * scale)
 
 
-def no_integration(*args):
-    raise AssertionError("a closed-form or likelihood-family matrix called integrate")
+@pytest.fixture
+def no_integration(monkeypatch):
+    """fisher binds no ``integrate``, and ``special_fn.integrate`` fails if
+    anything calls it."""
+    assert not hasattr(fisher, "integrate")
+
+    def fail(*args):
+        raise AssertionError("an information matrix called integrate")
+
+    monkeypatch.setattr(special_fn, "integrate", fail)
 
 
 def assert_rule_matches_closed(q, p):
@@ -62,6 +72,7 @@ def assert_rule_matches_closed(q, p):
 
 class TestCombined:
     def test_closed_matches_quadrature_random_grid(self):
+        # scipy's quadrature, piece by piece (tests/combined_oracle.py)
         rng = np.random.default_rng(11)
         for _ in range(20):
             triple = ShapeTriple(*(1.6 + rng.random(3) * 2.0))
@@ -69,16 +80,44 @@ class TestCombined:
             p = EpdParams(rng.normal(), 0.5 + rng.random() * 2.0, triple.alpha2)
             family = (CombinedHuber if rng.integers(0, 2) else CombinedPlain)(triple, k, t)
             closed = fisher_for_family(family, p, 100, dim=2, method="closed")
-            quad = fisher_for_family(family, p, 100, dim=2, method="quad")
-            assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
-        # a cut at 0 leaves a zero-width panel in the quadrature grid
+            assert_matrices_close(closed.entries, 100 * combined_matrix(family, p.sigma),
+                                  rtol=1e-6)
+        # a cut at 0 leaves a piece of zero width
         for k, t in [(0.0, 1.1), (0.8, 0.0), (0.0, 0.0)]:
             for cls in (CombinedPlain, CombinedHuber):
                 family = cls(ShapeTriple(2.0, 2.5, 3.0), k, t)
                 p = EpdParams(0.3, 1.2, 2.5)
                 closed = fisher_for_family(family, p, 100, dim=2, method="closed")
-                quad = fisher_for_family(family, p, 100, dim=2, method="quad")
-                assert_matrices_close(closed.entries, quad.entries, rtol=1e-6)
+                assert_matrices_close(closed.entries, 100 * combined_matrix(family, p.sigma),
+                                      rtol=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shapes=st.lists(st.one_of(st.floats(0.3, 3.5), st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+                           min_size=3, max_size=3),
+           cuts=st.lists(st.one_of(st.floats(0.05, 2.5), st.just(0.0)), min_size=2, max_size=2),
+           huberized=st.booleans(), sigma=st.floats(0.5, 2.0))
+    def test_closed_form_matches_scipy(self, shapes, cuts, huberized, sigma):
+        # the same divergent entries, and the finite ones within 1e-13 of
+        # the largest, at every branch shape, zero cuts and branches of
+        # shape 1 included.  Left out, as open defects of the closed form:
+        # a gamma of z = (2 a - 3 + m) / a2 just above 0, where the upper
+        # one is Gamma(z) less the lower one and loses about log10(1 / z)
+        # digits (scipy's algebraic weight fails there too), and a shape
+        # near but not at 1, whose coefficient (a^2 - a)^2 loses about
+        # log10(1 / |a - 1|) digits
+        assume(not any(0.0 < (2.0 * a - 3.0 + m) / shapes[1] < 0.05
+                       for a in shapes for m in (0, 1, 2)))
+        assume(not any(0.0 < abs(a - 1.0) < 0.01 for a in shapes))
+        family = (CombinedHuber if huberized else CombinedPlain)(ShapeTriple(*shapes), *cuts)
+        closed = fisher_for_family(family, EpdParams(0.2, sigma, shapes[1]), 1)
+        oracle = combined_matrix(family, sigma)
+        assert closed.method == "closed_form"
+        finite = np.isfinite(oracle)
+        np.testing.assert_array_equal(np.isfinite(closed.entries), finite)
+        assert np.all(closed.entries[~finite] == np.inf)
+        if finite.any():
+            gap = np.max(np.abs(closed.entries[finite] - oracle[finite]))
+            assert gap <= 1e-13 * np.max(np.abs(oracle[finite]))
 
     def test_closed_form_matches_the_recorded_matrices(self):
         for rec in PINNED["combined_closed"]:
@@ -95,37 +134,45 @@ class TestCombined:
                               dim=2, method="closed")
         assert F.entries[0, 1] == 0.0
 
-    def test_shape_below_threshold_raises(self):
-        with pytest.raises(DomainError):
-            fisher_for_family(
-                CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67), EpdParams(0, 1, 3.18),
-                100, dim=2, method="closed",
-            )
+    def test_closed_below_shape_three_halves(self, no_integration):
+        family = CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67)
+        F = fisher_for_family(family, EpdParams(0, 1, 3.18), 100, dim=2, method="closed")
+        assert F.method == "closed_form" and F.element_errors is None
+        gap = np.max(np.abs(F.entries - 100 * combined_matrix(family, 1.0)))
+        assert gap <= 1e-13 * np.max(np.abs(F.entries))
 
-    def test_auto_falls_back_to_quadrature(self):
-        F = fisher_for_family(
-            CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67), EpdParams(0, 1, 3.18),
-            100, dim=2, method="auto",
-        )
-        assert F.method == "quadrature"
+    def test_auto_is_closed_below_shape_three_halves(self, no_integration):
+        family = CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67)
+        F = fisher_for_family(family, EpdParams(0, 1, 3.18), 100, dim=2, method="auto")
+        closed = fisher_for_family(family, EpdParams(0, 1, 3.18), 100, dim=2, method="closed")
+        assert F.method == "closed_form"
+        assert F.entries.tobytes() == closed.entries.tobytes()
 
     def test_zero_cut_lets_the_tail_branch_diverge(self):
         # at k = 0 the left tail reaches y = 0, where S'(y)^2 ~ |y|^(2 * 1.2 - 4)
         F = fisher_for_family(CombinedPlain(ShapeTriple(1.2, 2.0, 2.0), 0.0, 1.0),
                               EpdParams(0, 1, 2), 1)
-        assert F.method == "quadrature-partial"
+        assert F.method == "closed_form"
         np.testing.assert_array_equal(np.isinf(F.entries), [[True, False], [False, False]])
         # beside a positive cut the centre branch, of shape 2, reaches it
         F = fisher_for_family(CombinedPlain(ShapeTriple(1.2, 2.0, 2.0), 1e-3, 1.0),
                               EpdParams(0, 1, 2), 1)
-        assert F.method == "quadrature" and np.all(np.isfinite(F.entries))
+        assert F.method == "closed_form" and np.all(np.isfinite(F.entries))
+        # a divergent (mu, sigma) entry is inf whether the left tail alone
+        # diverges or both tails do, though the odd moment takes the left
+        # one with the opposite sign
+        for t in (1.0, 0.0):
+            F = fisher_for_family(CombinedPlain(ShapeTriple(0.9, 2.0, 0.9), 0.0, t),
+                                  EpdParams(0, 1, 2), 1)
+            assert F.entries[0, 0] == F.entries[0, 1] == F.entries[1, 0] == np.inf
+            assert np.isfinite(F.entries[1, 1])
 
     def test_zero_cuts_keep_the_centre_branch_away(self):
         # both tails have shape 2, so S'(y) = 2 everywhere: E[S'^2] = 4 and
         # E[y^2 S'^2] = 4 Gamma(3/a2) / Gamma(1/a2) under the centre shape
         F = fisher_for_family(CombinedPlain(ShapeTriple(2.0, 1.4, 2.0), 0.0, 0.0),
                               EpdParams(0, 1, 2), 1)
-        assert F.method == "quadrature"
+        assert F.method == "closed_form"
         assert F.entries[0, 0] == pytest.approx(4.0, rel=1e-12)
         assert F.entries[1, 1] == pytest.approx(
             4.0 * math.gamma(3.0 / 1.4) / math.gamma(1.0 / 1.4), rel=1e-12)
@@ -133,7 +180,7 @@ class TestCombined:
     def test_huberized_zero_cut_has_no_slope(self):
         # t = 0 scales the right tail, of shape 1.1, to slope 0
         F = fisher_for_family(CombinedHuber(ShapeTriple(2, 2, 1.1), 1, 0), EpdParams(0, 1, 2), 1)
-        assert F.method == "quadrature"
+        assert F.method == "closed_form"
         assert F.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_branch_of_shape_one_has_no_slope(self):
@@ -141,16 +188,17 @@ class TestCombined:
         # 2 beyond |y| = 1 under the Laplace density, contribute
         F = fisher_for_family(CombinedPlain(ShapeTriple(2.0, 1.0, 2.0), 1.0, 1.0),
                               EpdParams(0, 1, 1), 1)
-        assert F.method == "quadrature"
+        assert F.method == "closed_form"
         np.testing.assert_allclose(F.entries, [[4.0 / math.e, 0.0], [0.0, 20.0 / math.e]],
                                    rtol=1e-12, atol=1e-14)
         # a tail of shape 1 reaching y = 0 beside a zero cut: (mu, mu) is
-        # the value of its neighbour with k = 1e-12 and a1 = 1 + 1e-9
+        # the value of its neighbour with k = 1e-9 and a1 = 1 + 1e-12 (at
+        # k = 1e-12 and a1 = 1 + 1e-9 the tail adds 5.6e-7 near y = -k)
         F = fisher_for_family(CombinedPlain(ShapeTriple(1.0, 2.0, 2.0), 0.0, 1.0),
                               EpdParams(0, 1, 2), 1)
-        near = fisher_for_family(CombinedPlain(ShapeTriple(1.0 + 1e-9, 2.0, 2.0), 1e-12, 1.0),
+        near = fisher_for_family(CombinedPlain(ShapeTriple(1.0 + 1e-12, 2.0, 2.0), 1e-9, 1.0),
                                  EpdParams(0, 1, 2), 1)
-        assert F.method == near.method == "quadrature"
+        assert F.method == near.method == "closed_form"
         assert F.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
         np.testing.assert_allclose(F.entries, near.entries, rtol=1e-8)
 
@@ -194,6 +242,21 @@ class TestQWeighted:
            log_sigma=st.floats(-2.0, 2.0))
     def test_rule_matches_closed_form(self, q, alpha, log_sigma):
         assert_rule_matches_closed(q, EpdParams(0.3, math.exp(log_sigma), alpha))
+
+    def test_bounds_are_on_the_reported_entries(self):
+        # element_errors scale with n as the entries do: at n = 115 the
+        # rule's entries are within their bounds of the closed form's
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            p = EpdParams(rng.normal(), math.exp(rng.uniform(-2.0, 2.0)), rng.uniform(0.55, 6.0))
+            q = rng.uniform(0.5, 1.0)
+            quad = fisher_for_family(QWeighted(q), p, 115, dim=3, method="quad")
+            closed = fisher_for_family(QWeighted(q), p, 115, dim=3, method="closed").entries
+            finite = np.isfinite(closed)
+            assert np.all(np.abs(quad.entries[finite] - closed[finite])
+                          <= quad.element_errors[finite])
+            one = fisher_for_family(QWeighted(q), p, 1, dim=3, method="quad")
+            assert quad.element_errors.tobytes() == (115 * one.element_errors).tobytes()
 
     def test_rule_near_shape_one_half(self):
         # the (sigma, alpha) block diverges as alpha falls to 1/2
@@ -288,16 +351,31 @@ class TestDistorted:
 class TestHuberClosed:
     def test_matches_quadrature(self):
         # diag(P(1/alpha, r^alpha), Gamma(3/alpha)/Gamma(1/alpha) P(3/alpha, r^alpha)) n/sigma^2
+        # against scipy's quadrature of the density and y^2 times it on [-r, r]
         rng = np.random.default_rng(14)
         for _ in range(100):
             r, alpha = rng.uniform(0.3, 4.0), rng.uniform(0.3, 12.0)
             p = EpdParams(0.2, math.exp(rng.uniform(-3.0, 3.0)), alpha)
             closed = fisher_for_family(Huber(r), p, 7)
-            quad = fisher_for_family(Huber(r), p, 7, method="quad")
-            assert closed.method == "closed_form" and quad.method == "quadrature"
+            norm = alpha / math.gamma(1.0 / alpha)
+            quad = 7.0 / p.sigma**2 * np.diag([
+                scipy.integrate.quad(lambda y, m=m: y**m * norm * math.exp(-y**alpha), 0.0, r,
+                                     epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                for m in (0, 2)])
+            assert closed.method == "closed_form"
             assert closed.entries[0, 1] == closed.entries[1, 0] == 0.0
-            scale = float(np.max(np.abs(quad.entries)))
-            assert np.max(np.abs(closed.entries - quad.entries)) <= 1e-13 * scale
+            scale = float(np.max(np.abs(quad)))
+            assert np.max(np.abs(closed.entries - quad)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("alpha", [0.0175, 0.017, 0.01])
+    def test_gamma_overflow_below_shape_three_over_171_6(self, alpha):
+        # Gamma(3 / alpha) exceeds the largest double below alpha = 3 / 171.62
+        p = EpdParams(0.0, 1.0, alpha)
+        if alpha > 3.0 / 171.62:
+            assert fisher_for_family(Huber(1.5), p, 7).method == "closed_form"
+        else:
+            with pytest.raises(DomainError, match="overflows"):
+                fisher_for_family(Huber(1.5), p, 7)
 
     def test_matches_recorded_quadrature(self):
         for rec in PINNED["huber"]:
@@ -475,7 +553,7 @@ class TestVariances:
 
 
 class TestDispatch:
-    def test_family_routing(self, monkeypatch):
+    def test_family_routing(self, no_integration):
         p = EpdParams(0, 1, 2.0)
         assert fisher_for_family(Plain(), p, 10).method == "closed_form"
         assert fisher_for_family(Huber(1.3), p, 10).method == "closed_form"
@@ -491,7 +569,6 @@ class TestDispatch:
         # which is closed at every shape; TestLowShapeRegime takes the
         # shapes below 3/2 but 1, where the (sigma, alpha) block is
         # singular and its variance checks do not apply
-        monkeypatch.setattr(fisher, "integrate", no_integration)
         cases = itertools.product((1.0, 2.0, 8.0), (Plain(), QWeighted(0.8), Distorted(0.0)),
                                   ("auto", "closed"), (2, 3))
         for alpha, family, method, dim in cases:
@@ -506,6 +583,14 @@ class TestDispatch:
     def test_closed_mode_without_closed_form_raises(self, family):
         with pytest.raises(DomainError, match="closed-form"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, method="closed")
+
+    @pytest.mark.parametrize("family", [
+        Huber(1.5), CombinedPlain(ShapeTriple(2, 2, 2), 1.0, 1.0),
+        CombinedHuber(ShapeTriple(1.2, 0.9, 2.4), 0.0, 1.0),
+    ], ids=["huber", "combined", "combined_huber"])
+    def test_quadrature_is_refused(self, family):
+        with pytest.raises(DomainError, match="its closed form is exact"):
+            fisher_for_family(family, EpdParams(0, 1, 2.0), 10, method="quad")
 
     @pytest.mark.parametrize("family", [
         Plain(), QWeighted(0.8), Distorted(6e-3), Huber(1.5),
@@ -529,16 +614,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="dim 3 needs a likelihood family"):
             fisher_for_family(family, EpdParams(0, 1, 2.0), 10, dim=3, method=method)
 
-    def test_likelihood_matrices_never_integrate(self, monkeypatch):
-        monkeypatch.setattr(fisher, "integrate", no_integration)
+    def test_likelihood_matrices_never_integrate(self, no_integration):
         cases = itertools.product((0.45, 0.8, 1.2, 2.0, 3.5, 8.0),
                                   (Plain(), QWeighted(0.8), Distorted(6e-3)), ("quad", "auto"), (2, 3))
         for alpha, family, method, dim in cases:
             F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), 110, dim=dim, method=method)
             assert F.dim == dim
 
-    def test_closed_mode_gives_the_huber_matrix(self, monkeypatch):
-        monkeypatch.setattr(fisher, "integrate", no_integration)
+    def test_closed_mode_gives_the_huber_matrix(self, no_integration):
         F = fisher_for_family(Huber(1.3), EpdParams(0, 1, 2.0), 10, method="closed")
         assert F.method == "closed_form" and F.element_errors is None
 
@@ -595,7 +678,8 @@ class TestPinnedQuadrature:
             cls = CombinedHuber if rec["huberized"] else CombinedPlain
             family = cls(ShapeTriple(*rec["triple"]), rec["k"], rec["t"])
             p = EpdParams(0.0, rec["sigma"], rec["triple"][1])
-            F = fisher_for_family(family, p, 1, dim=2, method="quad")
+            F = fisher_for_family(family, p, 1, dim=2)
+            assert F.method == "closed_form"
             assert_pinned(F.entries, rec["entries"])
 
     def test_location_entry_near_its_threshold(self):
@@ -647,10 +731,9 @@ class TestLowShapeRegime:
                              ids=["plain", "q0.8", "beta0", "beta6e-3"])
     @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.5, 0.55, 0.7, 0.9, 1.2, 1.45, 1.5])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd, monkeypatch):
+    def test_divergent_entries_reported_by_rule(self, family, alpha, dim, capfd, no_integration):
         n = 110
         closed = family.likelihood[1] == 0.0
-        monkeypatch.setattr(fisher, "integrate", no_integration)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F = fisher_for_family(family, EpdParams(0.1, 1.3, alpha), n, dim=dim)

@@ -70,7 +70,9 @@ def test_retired_names_are_gone():
             "optimize.GaConfig", "optimize.GaResult", "estimate.FitResult.ga_history",
             "epd.gamma_transform", "simulate.SimulationReport.design",
             "simulate.SimulationReport.m", "simulate.SimulationReport.seed",
-            "fisher.fisher_for_group"} <= set(names)
+            "fisher.fisher_for_group", "scores.Huber.slope", "scores.Huber.breaks",
+            "scores.CombinedPlain.slope", "scores.CombinedPlain.breaks",
+            "scores.CombinedHuber.slope", "scores.CombinedHuber.breaks"} <= set(names)
     present = []
     for name in names:
         *path, last = name.split(".")

@@ -78,10 +78,42 @@ class TestIncompleteGamma:
         assert incomplete_gamma(2.5, 1.3)[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            incomplete_gamma(0.0, 1.0)
+        # any finite z is taken; the regularized pair still needs z > 0
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite z"):
+                incomplete_gamma(z, 1.0)
         with pytest.raises(DomainError):
             incomplete_gamma(1.0, -0.5)
+        for z in (0.0, -1.5):
+            with pytest.raises(DomainError, match="z > 0"):
+                regularized_gamma(z, 1.0)
+
+    def test_against_mpmath_at_any_real_z(self):
+        # z in [-8, 0], integers and integers +-1e-12 included, and in
+        # [0.05, 1); just above 0 the upper gamma is Gamma(z) less the
+        # lower one, which loses digits as z falls to 0
+        rng = np.random.default_rng(23)
+        ints = np.arange(-8.0, 1.0)
+        z = np.concatenate([rng.uniform(-8.0, 0.0, 150), rng.uniform(0.05, 1.0, 30),
+                            ints, ints - 1e-12, ints[:-1] + 1e-12])
+        a = np.exp(rng.uniform(math.log(1e-6), math.log(60.0), (z.size, 3)))
+        a[:, 0] = rng.choice([1e-6, 0.5, 1.0, 60.0], z.size)
+        lower, upper = incomplete_gammas(z[:, None], a)
+        with mpmath.workdps(30):
+            want_upper = [[float(mpmath.gammainc(zi, ai)) for ai in row] for zi, row in zip(z, a)]
+            want_lower = [[float(mpmath.gammainc(zi, 0, ai)) if zi > 0 else math.inf
+                           for ai in row] for zi, row in zip(z, a)]
+        np.testing.assert_allclose(upper, want_upper, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lower, want_lower, rtol=1e-13, atol=0.0)
+        # each element as it is alone
+        assert all(incomplete_gamma(zi, ai)[1] == u for zi, ai, u in zip(z, a[:, 1], upper[:, 1]))
+
+    @pytest.mark.parametrize("z", [-8.0, -2.5, -1.0, -1e-12, 0.0])
+    def test_conventions_at_non_positive_z(self, z):
+        # the lower gamma diverges at every a > 0, the upper one at a = 0
+        assert incomplete_gamma(z, 0.0) == (0.0, math.inf)
+        assert incomplete_gamma(z, math.inf) == (math.inf, 0.0)
+        assert incomplete_gamma(z, 1e-300)[0] == math.inf
 
 
 class TestPolygamma:

@@ -4,7 +4,8 @@ perfbench/tracing.py counts fits, EE sweeps and information matrices by
 rebinding names in the package's modules: ``fit_ee_location_scale``,
 ``fit_objective`` and ``fisher_for_family`` wherever they are bound,
 ``maximize`` and ``polish`` with their objective wrapped in a call
-counter, ``integrate`` wherever it is imported, ``ee_weight``,
+counter, ``integrate`` wherever it is imported (no module of the
+package imports it, so it counts no call), ``ee_weight``,
 ``density_weight`` and ``digamma`` in ``estimate``, and
 ``artificial_sample`` and ``mae`` in ``select`` (installing fails if
 either is gone).
@@ -131,13 +132,12 @@ def test_quadrature_matrix_is_seen(tracer):
     assert tracer.counts["fisher.matrices"] == 1
     assert tracer.counts["fisher.closed_form"] == 0
     assert tracer.counts["special_fn.integrate_calls"] == 0
-    # a combined family with a branch shape at or below 3/2 integrates
+    # a combined family with a branch shape at or below 3/2 is closed too
     fisher.fisher_for_family(CombinedPlain(ShapeTriple(1.52, 3.18, 1.11), 0.69, 0.67),
                              EpdParams(0.0, 1.0, 3.18), 110)
     assert tracer.counts["fisher.matrices"] == 2
-    assert tracer.counts["fisher.closed_form"] == 0
-    assert tracer.counts["special_fn.integrate_calls"] >= 1
-    assert tracer.counts["special_fn.quad_splits"] >= 1
+    assert tracer.counts["fisher.closed_form"] == 1
+    assert tracer.counts["special_fn.integrate_calls"] == 0
 
 
 def test_closed_form_matrix_is_seen(tracer):
