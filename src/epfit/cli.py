@@ -380,9 +380,7 @@ def _cmd_tune(args, argv) -> int:
     if scalar_alpha is None and any(c.shapes is None for c in candidates):
         raise UsageError(f"family {args.family} needs a scalar --alpha")
     sizes = tuple(_number(v, "--sizes", int) for v in args.sizes.split(",")) if args.sizes else None
-    if sizes is not None and (len(sizes) != 3 or min(sizes) < 0 or sum(sizes) != len(data)):
-        raise UsageError(f"--sizes needs three non-negative integers summing to {len(data)}")
-    report = tune(data, candidates, alpha=scalar_alpha, sizes=sizes)
+    report = _usage(tune, data, candidates, alpha=scalar_alpha, sizes=sizes)
     payload = {
         "family": args.family,
         "chosen": report.chosen,

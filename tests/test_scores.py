@@ -203,7 +203,10 @@ class TestPsiVector:
 # code must keep them bit-identical.  The q-weighted and distorted rows
 # were re-recorded when log Gamma came from math.lgamma, whose last bits
 # differ from the former Lanczos evaluation (largest movement 9.5e-16
-# relative).
+# relative).  The psi_vector rows were re-recorded when its powers of
+# |y| became exp(expo log|y|) (largest movement 2.8e-13 relative, on a
+# q-weighted location score of size 4.9e-124) and a point of weight 0
+# came to score +0.0 (it was -0.0 where its score is negative).
 PINNED_X = 0.3 + 1.7 * np.array([
     0.0, 1e-13, -1e-13, 2e-12, 1e-6, -0.01, 0.4, -0.69, 0.7, -0.71, 1.0, 1.1, 1.2,
     -1.345, 1.345, 2.0, -3.3, 5.0, -8.0, 12.0, 40.0, -40.0, 300.0, -1e4,
@@ -245,9 +248,9 @@ OUTPUT_PINS = {
     ("density_weight", "q1"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
     ("density_weight", "d"): "c9cf860b4be9486fa3c22306115b60345e52a1de5a282155dd52fdd512a41ea1",
     ("density_weight", "d0"): "4c06fae204e9b5e2829f40695c606f394a67e6fc9b90508c99b103ee29c41607",
-    ("psi_vector", "plain"): "27ebef2161f9929bbea9bed4e786a942d05468cdea06217f8e9441d4d6264d5f",
-    ("psi_vector", "q"): "cb2d49680cd85e6f2eb30d8d5970c8fd4f0de41a75af6c8aa3caa2467c6268ed",
-    ("psi_vector", "d"): "e29a9ae633c368b798cc488bb09a66303de223606dfc136d8e3911853dc233ba",
+    ("psi_vector", "plain"): "07123a483ef39b9f23130971f08b255cad992371d94eb337aa89dc5e9cb77637",
+    ("psi_vector", "q"): "721583fa5284c1feeb5934c8f4954ee3c75f1c45868f0cea31cc85a8435b8531",
+    ("psi_vector", "d"): "4b5c3872fdd307793b4272943ccef30b1c602bdc7a2f0bee6ffa738b0181c275",
     ("weight_q", "0.8"): "4d6641954bc5145522a037579405e67864d84b53661f3cb266d525f7d3d1a85b",
     ("weight_q", "1.7"): "3fda02ac017624431c6494503717c8824c37d4cdc2fed9587581ded526a9c9e3",
     ("weight_distorted", "6e-3"): "c9cf860b4be9486fa3c22306115b60345e52a1de5a282155dd52fdd512a41ea1",

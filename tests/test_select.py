@@ -223,8 +223,14 @@ class TestReplicatedMae:
         assert six == pytest.approx(expected_mae(data, params, family, sizes), rel=1e-7)
 
     def test_sizes_must_sum_to_the_sample_size(self):
-        with pytest.raises(ValueError, match="length mismatch"):
+        with pytest.raises(ValueError, match=r"summing to the sample size 10"):
             expected_mae(np.zeros(10), EpdParams(0, 1, 2), Plain(), (1, 8, 0))
+
+    @pytest.mark.parametrize("sizes", [(-5, 25, 0), (2.5, 15.5, 2), (20,), (5, 5, 5, 5)])
+    def test_sizes_must_be_three_non_negative_integers(self, sizes):
+        # each sums to the sample size of 20
+        with pytest.raises(ValueError, match=r"component sizes .* three non-negative integers"):
+            expected_mae(np.arange(20.0), EpdParams(10, 5, 2), Plain(), sizes)
 
 
 class TestTune:
@@ -263,6 +269,13 @@ class TestTune:
         data = sample(EpdParams(0, 1, 2), 50, 3)
         with pytest.raises(ValueError):
             tune(data, [Plain()], alpha=2.0, sizes=(10, 10, 10))
+
+    @pytest.mark.parametrize("sizes", [(-5, 25, 0), (2.5, 15.5, 2), (20,), (5, 5, 5, 5)])
+    def test_sizes_that_sum_to_n_must_still_be_three_counts(self, sizes):
+        # the caller's sizes are refused as such, not as every candidate's failure
+        data = sample(EpdParams(0, 1, 2), 20, 3)
+        with pytest.raises(ValueError, match=r"component sizes .* three non-negative integers"):
+            tune(data, [Distorted(0.01), Distorted(0.02)], alpha=2.0, sizes=sizes)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

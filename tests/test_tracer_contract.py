@@ -106,6 +106,26 @@ def test_accelerated_shape_fit_is_seen(tracer):
     assert tracer.counts["scores.ee_weight_calls"] == result.iterations
 
 
+def test_shape_residual_evaluations_are_counted_one_for_one(tracer, monkeypatch):
+    # the count reads calls of the digamma that estimate binds: each
+    # evaluation of the kernel's shape residual makes exactly one, and
+    # the stationarity certificate's gradient makes none
+    evaluations = [0]
+    residual = estimate._LikelihoodKernel.__call__
+
+    def counted(kernel, alpha):
+        evaluations[0] += 1
+        return residual(kernel, alpha)
+
+    monkeypatch.setattr(estimate._LikelihoodKernel, "__call__", counted)
+    data = np.concatenate([sample(EpdParams(0.0, 1.0, 2.0), 100, 21),
+                           sample(EpdParams(5.0, 6.0, 1.1), 10, 22)])
+    result = estimate.fit_ee_location_scale(data, Distorted(6e-3), estimate_alpha=True)
+    assert result.converged
+    assert evaluations[0] > result.iterations
+    assert tracer.counts["estimate.shape_residual_evals"] == evaluations[0]
+
+
 def test_tune_candidate_fits_are_each_seen(tracer):
     data = simulate.generate(simulate.reference_design(1), np.random.SeedSequence(6))
     candidates = [Distorted(0.0), Distorted(3e-3), Distorted(6e-3)]
